@@ -12,39 +12,34 @@ __version__ = "0.1.0"
 
 from .configspace import (Backend, ConfigClass, ReductionPlan, collapse_classes,
                           enumerate_configs, reduce_weighted)
-from .errors import (CapacityError, NumericError, ParameterError, ReductionError,
-                     SpinbathError, UsageError)
+from .errors import (CapacityError, NumericError, ParameterError, SpinbathError,
+                     UsageError)
 from .experiments import (ExperimentConfig, OracleReport, ResultTable, TimeGrid,
                           list_presets, oracle_check, parse_config_file, preset, run)
 from .model import (BathParams, Boundary, ConfigQuantities, SystemParams, Thermal,
                     bath_sums, bloch_components, class_quantities, config_quantities,
                     correlation_factor, log_correlation_factor, pure_state)
-from .numerics import (RandomSpec, gaussian_draw, herm_exp, hermitian_eig,
-                       pairwise_sum)
+from .numerics import RandomSpec, gaussian_draw, hermitian_eig, pairwise_sum
 from .oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from .single_qubit import (BlochPropagator, BlochVector, bloch_trajectory,
-                           conditional_unitary, propagator_correlated,
-                           propagator_uncorrelated)
-from .two_qubit import (TwoQubitParams, bell_state, concurrence,
-                        concurrence_trajectory, density_trajectory, product_state,
-                        propagate_interacting, propagate_product, validate_density)
+                           propagator_correlated, propagator_uncorrelated)
+from .two_qubit import (TwoQubitParams, bell_state, concurrence, density_trajectory,
+                        product_state, validate_density)
 
 __all__ = [
     "__version__",
     "Backend", "ConfigClass", "ReductionPlan", "collapse_classes",
     "enumerate_configs", "reduce_weighted",
-    "CapacityError", "NumericError", "ParameterError", "ReductionError",
-    "SpinbathError", "UsageError",
+    "CapacityError", "NumericError", "ParameterError", "SpinbathError", "UsageError",
     "ExperimentConfig", "OracleReport", "ResultTable", "TimeGrid",
     "list_presets", "oracle_check", "parse_config_file", "preset", "run",
     "BathParams", "Boundary", "ConfigQuantities", "SystemParams", "Thermal",
     "bath_sums", "bloch_components", "class_quantities", "config_quantities",
     "correlation_factor", "log_correlation_factor", "pure_state",
-    "RandomSpec", "gaussian_draw", "herm_exp", "hermitian_eig", "pairwise_sum",
+    "RandomSpec", "gaussian_draw", "hermitian_eig", "pairwise_sum",
     "build_hamiltonian", "evolve_and_reduce", "initial_state",
-    "BlochPropagator", "BlochVector", "bloch_trajectory", "conditional_unitary",
+    "BlochPropagator", "BlochVector", "bloch_trajectory",
     "propagator_correlated", "propagator_uncorrelated",
-    "TwoQubitParams", "bell_state", "concurrence", "concurrence_trajectory",
-    "density_trajectory", "product_state", "propagate_interacting",
-    "propagate_product", "validate_density",
+    "TwoQubitParams", "bell_state", "concurrence", "density_trajectory",
+    "product_state", "validate_density",
 ]

@@ -6,30 +6,36 @@ Two backends feed every propagator sum:
              parameters, cost 2^N;
   collapse   degeneracy classes (k down spins, w domain walls) that share all
              per-pattern scalars when the bath parameters are uniform, cost
-             O(N^2) classes, which is what makes N = 50 runs instant.
+             O(N^2) classes, which is what makes N = 50 runs instant. The
+             qubit only sees the coupling field, which depends on k alone, so
+             the classes fold onto the N + 1 down-spin counts before the sum.
 
-Reductions are bit-identical regardless of worker count: terms accumulate in
-fixed index blocks with Kahan compensation, and block sums combine through a
-pairwise tree whose shape depends only on the block count.
+Reductions are bit-identical from run to run: items are summed in fixed
+blocks of ITEM_BLOCK through a pairwise tree, and block sums combine through
+a second pairwise tree, so the summation order depends only on the item
+count. Time points are independent, so how they are split into blocks
+changes nothing.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, ReductionError
+from .errors import CapacityError, ParameterError
 from .model import Boundary
 from .numerics import _pairwise_over_rows
 
 ENUMERATION_CAP = 24
 COLLAPSE_CAP = 10_000
-THREADS_ENV_VAR = "SPINBATH_THREADS"
+# items per block, for per-configuration setup and for the time sweep
+ITEM_BLOCK = 1024
+# the sweep takes as many time points per block as keep items x times x dim
+# within this many elements (at least one point)
+BLOCK_ELEMENTS = 1 << 15
 
 
 class Backend(enum.Enum):
@@ -42,7 +48,7 @@ class ConfigClass:
     """All bath patterns sharing a down-spin count k and wall count w.
 
     Under uniform parameters every pattern in the class has identical scalars,
-    so one term evaluation weighted by multiplicity replaces the whole class.
+    so the class enters the sum once, weighted by its multiplicity.
     """
 
     multiplicity: int
@@ -52,23 +58,13 @@ class ConfigClass:
 
 @dataclass(frozen=True)
 class ReductionPlan:
-    """How to sweep the configuration space.
-
-    worker_hint = 0 means "pick automatically"; the SPINBATH_THREADS
-    environment variable caps the effective worker count either way.
-    """
+    """How to sweep the configuration space."""
 
     backend: Backend = Backend.ENUMERATE
-    chunk_size: int = 4096
-    worker_hint: int = 0
 
     def __post_init__(self):
         if not isinstance(self.backend, Backend):
             object.__setattr__(self, "backend", Backend(self.backend))
-        if self.chunk_size < 1:
-            raise ParameterError(f"chunk_size must be positive, got {self.chunk_size}")
-        if self.worker_hint < 0:
-            raise ParameterError(f"worker_hint must be >= 0, got {self.worker_hint}")
 
 
 def enumerate_configs(n_spins: int, cap: int = ENUMERATION_CAP):
@@ -81,6 +77,15 @@ def enumerate_configs(n_spins: int, cap: int = ENUMERATION_CAP):
             "use the collapse backend (uniform parameters required)"
         )
     return iter(range(1 << n_spins))
+
+
+def mask_blocks(n_spins: int):
+    """Every bath bitmask for n_spins spins, as ascending arrays of at most
+    ITEM_BLOCK masks; enforces the enumeration cap."""
+    enumerate_configs(n_spins)
+    total = 1 << n_spins
+    return (np.arange(start, min(start + ITEM_BLOCK, total))
+            for start in range(0, total, ITEM_BLOCK))
 
 
 def collapse_classes(n_spins: int, boundary: Boundary = Boundary.OPEN) -> list[ConfigClass]:
@@ -124,62 +129,53 @@ def collapse_classes(n_spins: int, boundary: Boundary = Boundary.OPEN) -> list[C
     return classes
 
 
-def _effective_workers(plan: ReductionPlan, n_blocks: int) -> int:
-    workers = plan.worker_hint if plan.worker_hint > 0 else (os.cpu_count() or 1)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ParameterError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ParameterError(f"{THREADS_ENV_VAR} must be >= 1, got {cap}")
-        workers = min(workers, cap)
-    return max(1, min(workers, n_blocks))
+def fold_classes(classes: list[ConfigClass], log_weight) -> tuple[np.ndarray, np.ndarray]:
+    """Fold (k, w) classes, sorted by k, onto their down-spin counts k.
 
-
-def _reduce_block(block, term, dim: int) -> np.ndarray:
-    total = np.zeros(dim, dtype=float)
-    carry = np.zeros(dim, dtype=float)
-    for item in block:
-        try:
-            value = np.asarray(term(item), dtype=float)
-        except Exception as exc:
-            raise ReductionError(f"term failed on {item!r}: {exc}", item=item) from exc
-        if value.shape != (dim,):
-            raise ReductionError(
-                f"term returned shape {value.shape} instead of ({dim},) on {item!r}",
-                item=item,
-            )
-        if isinstance(item, ConfigClass):
-            value = value * float(item.multiplicity)
-        # Kahan step: compensated add keeps in-block order error near one ulp
-        adjusted = value - carry
-        bumped = total + adjusted
-        carry = (bumped - total) - adjusted
-        total = bumped
-    return total
-
-
-def reduce_weighted(plan: ReductionPlan, items, term, dim: int) -> np.ndarray:
-    """Sum term(item) over all items, multiplicity-weighted for ConfigClass
-    items, with a summation order fixed by index alone.
-
-    items is the configuration stream (masks from enumerate_configs or
-    classes from collapse_classes). term must be pure; failures are re-raised
-    as ReductionError with the offending item attached. The result is
-    bit-identical for any worker count.
+    log_weight holds one pattern's log weight per class. Returns the index of
+    the first class of each k and, per k, the log of the summed class weights
+    multiplicity * exp(log_weight). Multiplicities enter through math.log of
+    the exact integer, so no N overflows.
     """
+    k = np.array([c.k for c in classes])
+    first = np.flatnonzero(np.diff(k, prepend=-1))
+    logs = np.asarray(log_weight, dtype=float) + [math.log(c.multiplicity) for c in classes]
+    top = np.maximum.reduceat(logs, first)
+    spread = np.exp(logs - np.repeat(top, np.diff(first, append=len(logs))))
+    return first, top + np.log(np.add.reduceat(spread, first))
+
+
+def reduce_weighted(term, n_items: int, times, dim: int) -> np.ndarray:
+    """Sum term over n_items items at every time; returns (len(times), dim).
+
+    term(rows, t) gets a slice of item indices and an array of times and
+    returns the items' terms as an array of shape (rows, len(t), dim). times
+    must be a non-empty, finite, ascending 1-d sequence. The summation order
+    depends only on n_items, so results are bit-identical from run to run.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ParameterError("times must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(t)):
+        raise ParameterError("times must be finite")
+    if np.any(np.diff(t) < 0):
+        raise ParameterError("times must be ascending")
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
-    every = list(items)
-    if not every:
-        return np.zeros(dim, dtype=float)
-    blocks = [every[i:i + plan.chunk_size] for i in range(0, len(every), plan.chunk_size)]
-    workers = _effective_workers(plan, len(blocks))
-    if workers == 1 or len(blocks) == 1:
-        partials = [_reduce_block(b, term, dim) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda b: _reduce_block(b, term, dim), blocks))
-    return _pairwise_over_rows(np.stack(partials, axis=0))
+    rows = [slice(i, min(i + ITEM_BLOCK, n_items)) for i in range(0, n_items, ITEM_BLOCK)]
+    if not rows:
+        return np.zeros((t.size, dim))
+    step = max(1, BLOCK_ELEMENTS // (min(ITEM_BLOCK, n_items) * dim))
+    sums = []
+    for start in range(0, t.size, step):
+        points = t[start:start + step]
+        partials = []
+        for block in rows:
+            values = term(block, points)
+            if values.shape != (block.stop - block.start, points.size, dim):
+                raise ParameterError(f"term returned shape {values.shape} for "
+                                     f"{block.stop - block.start} items, {points.size} "
+                                     f"times and dim {dim}")
+            partials.append(_pairwise_over_rows(values))
+        sums.append(_pairwise_over_rows(np.stack(partials)))
+    return np.concatenate(sums)

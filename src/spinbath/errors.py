@@ -20,15 +20,3 @@ class UsageError(SpinbathError, ValueError):
 
 class NumericError(SpinbathError, RuntimeError):
     """A numerical routine produced an untrustworthy result."""
-
-
-class ReductionError(SpinbathError, RuntimeError):
-    """A term callback failed inside a weighted reduction.
-
-    Carries the offending item (configuration mask or degeneracy class) so
-    large sweeps can be debugged without re-running the whole reduction.
-    """
-
-    def __init__(self, message: str, item=None):
-        super().__init__(message)
-        self.item = item

@@ -138,8 +138,6 @@ class ExperimentConfig:
     state_params: tuple[float, ...]
     grid: TimeGrid
     backend: Backend
-    chunk_size: int = 4096
-    worker_hint: int = 0
     series: tuple[str, ...] = (SERIES_UNCORRELATED, SERIES_CORRELATED)
     output: str | None = None
     preset_name: str | None = None
@@ -178,8 +176,7 @@ class ExperimentConfig:
         raise UsageError(f"unknown state kind {self.state_kind!r}")
 
     def plan(self) -> ReductionPlan:
-        return ReductionPlan(backend=self.backend, chunk_size=self.chunk_size,
-                             worker_hint=self.worker_hint)
+        return ReductionPlan(backend=self.backend)
 
     def thermal(self) -> Thermal:
         return Thermal(self.beta)
@@ -233,8 +230,6 @@ def config_metadata(config: ExperimentConfig) -> tuple[tuple[str, str], ...]:
              ("grid.t_end", _fmt(config.grid.t_end)),
              ("grid.n_points", str(config.grid.n_points)),
              ("backend", config.backend.value),
-             ("chunk_size", str(config.chunk_size)),
-             ("worker_hint", str(config.worker_hint)),
              ("series", "+".join(config.series))]
     return tuple(rows)
 
@@ -538,8 +533,6 @@ def config_from_keys(keys: dict[str, str]) -> ExperimentConfig:
         mode=mode, system=system, bath=bath, beta=beta,
         state_kind=state_kind, state_params=state_params, grid=grid,
         backend=backend,
-        chunk_size=_parse_int("chunk_size", take("chunk_size", "4096")),
-        worker_hint=_parse_int("worker_hint", take("worker_hint", "0")),
         series=_SERIES_CHOICES[series_raw],
         output=take("output"),
     )
@@ -592,8 +585,7 @@ def oracle_check(config: ExperimentConfig, n_override: int,
     bath = small.bath.materialize()
     th = small.thermal()
     analytic_th = Thermal(small.beta * (1.0 + analytic_beta_skew))
-    plan = ReductionPlan(backend=Backend.ENUMERATE, chunk_size=small.chunk_size,
-                         worker_hint=small.worker_hint)
+    plan = ReductionPlan(backend=Backend.ENUMERATE)
     psi = small.state_vector()
     times = small.grid.times()
     h = build_hamiltonian(small.system, bath)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,16 +132,16 @@ class Thermal:
 
 @dataclass(frozen=True)
 class ConfigQuantities:
-    """Scalars attached to one bath bit pattern.
+    """Scalars attached to one bath bit pattern, or arrays of them over many.
 
     g_sum      net coupling field seen by the qubit: sum of signed g_i
     eps_sum    signed sum of bath level spacings
     chi_sum    signed sum of bond strengths (aligned +, anti-aligned -)
     splitting  bath-shifted level splitting of the qubit: epsilon + g_sum
     rabi       generalized Rabi frequency sqrt(splitting^2 + delta^2)/2
-    log_weight log of the thermal weight -beta*(chi_sum + eps_sum/2)
-    weight     exp(log_weight); can over/underflow for extreme beta*N, which
-               is why all sums downstream work from log_weight with a shared
+    log_weight log of the thermal weight -beta*(chi_sum + eps_sum/2); the
+               weight itself can over/underflow for extreme beta*N, which is
+               why all sums downstream work from log_weight with a shared
                max-exponent shift
     """
 
@@ -151,62 +151,67 @@ class ConfigQuantities:
     splitting: float
     rabi: float
     log_weight: float
-    weight: float = field(compare=False, default=0.0)
+
+
+def _scalar_or_array(value):
+    # scalar inputs give Python floats, array inputs arrays of the same shape
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _quantities_from_sums(sys: SystemParams, th: Thermal,
-                          g_sum: float, eps_sum: float, chi_sum: float) -> ConfigQuantities:
+                          g_sum, eps_sum, chi_sum) -> ConfigQuantities:
     splitting = sys.epsilon + g_sum
-    rabi = 0.5 * math.hypot(splitting, sys.delta)
+    rabi = 0.5 * np.hypot(splitting, sys.delta)
     log_weight = -th.beta * (chi_sum + 0.5 * eps_sum)
-    try:
-        weight = math.exp(log_weight)
-    except OverflowError:
-        weight = math.inf
-    return ConfigQuantities(g_sum, eps_sum, chi_sum, splitting, rabi, log_weight, weight)
+    return ConfigQuantities(g_sum, eps_sum, chi_sum, *map(_scalar_or_array,
+                                                          (splitting, rabi, log_weight)))
 
 
-def bath_sums(bath: BathParams, mask: int) -> tuple[float, float, float]:
-    """(g_sum, eps_sum, chi_sum) for the bath pattern given as a bitmask
-    (see module docstring for the bit convention)."""
+def bath_sums(bath: BathParams, mask) -> tuple:
+    """(g_sum, eps_sum, chi_sum) for the bath pattern given as a bitmask, or
+    arrays of them for an array of masks (see module docstring for the bit
+    convention)."""
     n = bath.n_spins
-    if not 0 <= mask < (1 << n):
+    masks = np.asarray(mask)
+    if np.any(masks < 0) or np.any(masks >= (1 << n)):
         raise ParameterError(f"mask {mask} out of range for {n} bath spins")
-    signs = [1.0 - 2.0 * ((mask >> i) & 1) for i in range(n)]
-    g_sum = math.fsum(s * g for s, g in zip(signs, bath.g_i))
-    eps_sum = math.fsum(s * e for s, e in zip(signs, bath.eps_i))
-    if bath.boundary is Boundary.PERIODIC:
-        pairs = ((i, (i + 1) % n) for i in range(n))
-    else:
-        pairs = ((i, i + 1) for i in range(n - 1))
-    chi_sum = math.fsum(signs[i] * signs[j] * c for (i, j), c in zip(pairs, bath.chi_i))
-    return g_sum, eps_sum, chi_sum
+    signs = 1.0 - 2.0 * ((masks[..., None] >> np.arange(n)) & 1)
+    # bond i couples sites i and i+1, the last one wrapping on a ring
+    bonds = (signs * np.roll(signs, -1, axis=-1))[..., :bath.bond_count]
+    sums = (signs @ np.array(bath.g_i), signs @ np.array(bath.eps_i),
+            bonds @ np.array(bath.chi_i))
+    return tuple(map(_scalar_or_array, sums))
 
 
-def class_sums(bath: BathParams, k: int, w: int) -> tuple[float, float, float]:
+def class_sums(bath: BathParams, k, w) -> tuple:
     """(g_sum, eps_sum, chi_sum) shared by every pattern with k down spins and
-    w domain walls. Valid only for uniform bath parameters, where the signed
-    sums depend on the pattern only through (k, w): each down spin flips one
-    g and one eps term, each wall flips one bond term."""
+    w domain walls, elementwise over arrays k and w. Valid only for uniform
+    bath parameters, where the signed sums depend on the pattern only through
+    (k, w): each down spin flips one g and one eps term, each wall flips one
+    bond term."""
     eps, g, chi = require_uniform(bath)
     n, bonds = bath.n_spins, bath.bond_count
-    if not 0 <= k <= n:
+    k, w = np.asarray(k), np.asarray(w)
+    if np.any(k < 0) or np.any(k > n):
         raise ParameterError(f"down-spin count {k} out of range for {n} spins")
-    if not 0 <= w <= bonds:
+    if np.any(w < 0) or np.any(w > bonds):
         raise ParameterError(f"wall count {w} out of range for {bonds} bonds")
-    return g * (n - 2 * k), eps * (n - 2 * k), chi * (bonds - 2 * w)
+    sums = (g * (n - 2 * k), eps * (n - 2 * k), chi * (bonds - 2 * w))
+    return tuple(map(_scalar_or_array, sums))
 
 
 def config_quantities(sys: SystemParams, bath: BathParams, th: Thermal,
-                      mask: int) -> ConfigQuantities:
-    """Scalars for the bath pattern given as a bitmask."""
+                      mask) -> ConfigQuantities:
+    """Scalars for the bath pattern given as a bitmask (arrays for an array
+    of masks)."""
     g_sum, eps_sum, chi_sum = bath_sums(bath, mask)
     return _quantities_from_sums(sys, th, g_sum, eps_sum, chi_sum)
 
 
 def class_quantities(sys: SystemParams, bath: BathParams, th: Thermal,
-                     k: int, w: int) -> ConfigQuantities:
-    """Scalars shared by one (k, w) degeneracy class of a uniform bath."""
+                     k, w) -> ConfigQuantities:
+    """Scalars shared by one (k, w) degeneracy class of a uniform bath
+    (arrays for arrays of classes)."""
     g_sum, eps_sum, chi_sum = class_sums(bath, k, w)
     return _quantities_from_sums(sys, th, g_sum, eps_sum, chi_sum)
 
@@ -235,7 +240,8 @@ def bloch_components(psi) -> tuple[float, float, float]:
 
 def log_correlation_factor(sys: SystemParams, th: Thermal, q: ConfigQuantities,
                            psi) -> float:
-    """log of the correlation factor (see correlation_factor).
+    """log of the correlation factor (see correlation_factor), elementwise
+    when q holds arrays.
 
     Evaluated from the spectral projections of the conditional qubit
     Hamiltonian h = (splitting/2) sigma_z + (delta/2) sigma_x, whose
@@ -250,18 +256,17 @@ def log_correlation_factor(sys: SystemParams, th: Thermal, q: ConfigQuantities,
     """
     px, _, pz = bloch_components(psi)
     mean_h = 0.5 * (q.splitting * pz + sys.delta * px)
-    exponent = th.beta * q.rabi
-    if exponent < SMALL_EXPONENT:
-        return math.log1p(-th.beta * mean_h)
-    ratio = mean_h / q.rabi
-    pop_upper = max(0.0, 0.5 * (1.0 + ratio))
-    pop_lower = max(0.0, 0.5 * (1.0 - ratio))
-    if pop_upper == 0.0:
-        return exponent + math.log(pop_lower)
-    if pop_lower == 0.0:
-        return -exponent + math.log(pop_upper)
-    return float(np.logaddexp(-exponent + math.log(pop_upper),
-                              exponent + math.log(pop_lower)))
+    rabi = np.asarray(q.rabi)
+    exponent = th.beta * rabi
+    small = exponent < SMALL_EXPONENT
+    # both branches are evaluated everywhere; each is kept only where valid
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(small, 0.0, mean_h / rabi)
+        upper = np.log(np.maximum(0.0, 0.5 * (1.0 + ratio)))
+        lower = np.log(np.maximum(0.0, 0.5 * (1.0 - ratio)))
+        out = np.where(small, np.log1p(-th.beta * mean_h),
+                       np.logaddexp(-exponent + upper, exponent + lower))
+    return _scalar_or_array(out)
 
 
 def correlation_factor(sys: SystemParams, th: Thermal, q: ConfigQuantities,

@@ -2,9 +2,9 @@
 
 Everything downstream funnels its numerics through this module so the
 determinism contract lives in one place: reductions use a fixed-shape
-pairwise tree (bit-identical regardless of chunking or worker count) and
-random parameter draws come from a self-contained xorshift64* stream so
-results never depend on the numpy version.
+pairwise tree (bit-identical from run to run) and random parameter draws
+come from a self-contained xorshift64* stream so results never depend on
+the numpy version.
 """
 
 from __future__ import annotations
@@ -28,22 +28,23 @@ HERMITICITY_TOL = 1e-10
 
 
 def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each in a stack.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
     eigenvectors as orthonormal columns, so that
-    matrix == vectors @ diag(values) @ vectors.conj().T.
+    matrix == vectors @ diag(values) @ vectors.conj().T for every matrix.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ParameterError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise ParameterError("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(m).max()))
-    dev = float(np.abs(m - m.conj().T).max())
-    if dev > HERMITICITY_TOL * scale:
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    dev = np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    if np.any(dev > HERMITICITY_TOL * scale):
         raise ParameterError(
-            f"matrix is not Hermitian: max |M - M^H| = {dev:.3e} (scale {scale:.3e})"
+            f"matrix is not Hermitian: max |M - M^H| / max(1, max |M|) = "
+            f"{float(np.max(dev / scale)):.3e}"
         )
     try:
         values, vectors = np.linalg.eigh(m)
@@ -52,23 +53,12 @@ def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def herm_exp(matrix, scale: complex) -> np.ndarray:
-    """exp(scale * matrix) for Hermitian matrix, via the eigenbasis.
-
-    scale may be complex (imaginary scale gives the unitary propagator,
-    negative real scale gives an unnormalized thermal operator).
-    """
-    values, vectors = hermitian_eig(matrix)
-    weights = np.exp(np.asarray(scale) * values)
-    return (vectors * weights) @ vectors.conj().T
-
-
 def pairwise_sum(values) -> float:
     """Sum of real values by a fixed-shape pairwise tree.
 
-    The tree shape depends only on len(values), never on chunking or
-    threading, so the result is bit-identical across runs. Error grows like
-    log2(n) * eps instead of the n * eps of naive left-to-right addition.
+    The tree shape depends only on len(values), so the result is
+    bit-identical across runs. Error grows like log2(n) * eps instead of the
+    n * eps of naive left-to-right addition.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:

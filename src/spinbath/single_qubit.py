@@ -27,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configspace import (Backend, ReductionPlan, collapse_classes,
-                          enumerate_configs, reduce_weighted)
+                          fold_classes, mask_blocks, reduce_weighted)
 from .errors import NumericError, ParameterError
-from .model import (BathParams, ConfigQuantities, SystemParams, Thermal,
-                    bloch_components, class_quantities, config_quantities,
-                    log_correlation_factor, pure_state, require_uniform)
-from .numerics import IDENTITY_2, SIGMA_X, SIGMA_Z
+from .model import (BathParams, SystemParams, Thermal, bloch_components,
+                    class_quantities, config_quantities, log_correlation_factor,
+                    pure_state, require_uniform)
 
 
 @dataclass(frozen=True)
@@ -74,114 +73,74 @@ class BlochPropagator:
         return BlochVector(float(out[0]), float(out[1]), float(out[2]))
 
 
-@dataclass(frozen=True)
-class ConditionalUnitary:
-    """One bath pattern's qubit unitary, global phases split off.
+def _weighted_fields(sys: SystemParams, bath: BathParams, th: Thermal,
+                     plan: ReductionPlan, psi, correlated: bool):
+    """Per summed item (a mask, or a down-spin count under collapse): the
+    splitting, the rabi frequency, and the log weight."""
+    def log_weight(q):
+        if correlated:
+            return q.log_weight + log_correlation_factor(sys, th, q, psi)
+        return q.log_weight
 
-    The full unitary is exp(1j*(phases[0] + phases[1])) * u, with phases[0]
-    the bond-energy phase and phases[1] the bath-level phase. Both cancel in
-    any reduced density matrix, so downstream sums use u alone.
-    """
-
-    u: np.ndarray
-    phases: tuple[float, float]
-
-
-def _direction(splitting: float, delta: float, rabi: float) -> tuple[float, float]:
-    # unit vector (u, v); rabi == 0 forces splitting == delta == 0, where the
-    # conditional Hamiltonian vanishes and any direction works
-    if rabi == 0.0:
-        return 0.0, 0.0
-    return splitting / (2.0 * rabi), delta / (2.0 * rabi)
-
-
-def conditional_unitary(sys: SystemParams, q: ConfigQuantities, t: float) -> ConditionalUnitary:
-    """Qubit evolution operator for one bath pattern, phases split off."""
-    if not math.isfinite(t):
-        raise ParameterError(f"time must be finite, got {t}")
-    u, v = _direction(q.splitting, sys.delta, q.rabi)
-    angle = q.rabi * t
-    cos_a, sin_a = math.cos(angle), math.sin(angle)
-    mat = cos_a * IDENTITY_2 - 1j * sin_a * (u * SIGMA_Z + v * SIGMA_X)
-    return ConditionalUnitary(u=mat, phases=(-q.chi_sum * t, -0.5 * q.eps_sum * t))
+    if plan.backend is Backend.COLLAPSE:
+        require_uniform(bath)
+        classes = collapse_classes(bath.n_spins, bath.boundary)
+        q = class_quantities(sys, bath, th, np.array([c.k for c in classes]),
+                             np.array([c.w for c in classes]))
+        first, folded = fold_classes(classes, log_weight(q))
+        return q.splitting[first], q.rabi[first], folded
+    parts = [(q.splitting, q.rabi, log_weight(q)) for q in
+             (config_quantities(sys, bath, th, masks) for masks in mask_blocks(bath.n_spins))]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-class _WeightedConfigs:
-    """Per-pattern data for one (bath, thermal, preparation) combination.
+def _bloch_sums(sys: SystemParams, bath: BathParams, th: Thermal, plan: ReductionPlan,
+                psi, correlated: bool, times) -> tuple[np.ndarray, np.ndarray, float]:
+    """Entry sums (T, 3, 3), normalizers (T,) and the log-weight shift."""
+    splitting, rabi, log_weight = _weighted_fields(sys, bath, th, plan, psi, correlated)
+    shift = float(log_weight.max())
+    weight = np.exp(log_weight - shift)
+    # unit direction (u, v); rabi == 0 forces splitting == delta == 0, where
+    # the conditional Hamiltonian vanishes and any direction works
+    u = np.divide(splitting, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
+    v = np.divide(sys.delta, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
 
-    Holds the configuration stream plus parallel arrays of the direction
-    (u, v), the rabi frequency, and the weight scaled by exp(-shift) with
-    shift = max log weight, so the largest scaled weight is exactly 1.
-    """
-
-    def __init__(self, sys: SystemParams, bath: BathParams, th: Thermal,
-                 plan: ReductionPlan, psi, correlated: bool):
-        if correlated and psi is None:
-            raise ParameterError("correlated weights need the prepared state")
-        if plan.backend is Backend.COLLAPSE:
-            require_uniform(bath)
-            self.items = collapse_classes(bath.n_spins, bath.boundary)
-            self.position = {(c.k, c.w): i for i, c in enumerate(self.items)}
-
-            def quantity(item):
-                return class_quantities(sys, bath, th, item.k, item.w)
-        else:
-            enumerate_configs(bath.n_spins)  # enforce the enumeration cap
-            self.items = range(1 << bath.n_spins)
-            self.position = None
-
-            def quantity(item):
-                return config_quantities(sys, bath, th, item)
-        count = len(self.items)
-        self.u = np.empty(count)
-        self.v = np.empty(count)
-        self.rabi = np.empty(count)
-        log_weight = np.empty(count)
-        for i, item in enumerate(self.items):
-            q = quantity(item)
-            self.u[i], self.v[i] = _direction(q.splitting, sys.delta, q.rabi)
-            self.rabi[i] = q.rabi
-            log_weight[i] = q.log_weight
-            if correlated:
-                log_weight[i] += log_correlation_factor(sys, th, q, psi)
-        self.shift = float(log_weight.max())
-        self.scaled_weight = np.exp(log_weight - self.shift)
-
-    def index_of(self, item) -> int:
-        return item if self.position is None else self.position[(item.k, item.w)]
-
-
-def _propagator(ctx: _WeightedConfigs, plan: ReductionPlan, t: float) -> BlochPropagator:
-    if not math.isfinite(t):
-        raise ParameterError(f"time must be finite, got {t}")
-
-    def term(item):
-        i = ctx.index_of(item)
-        u, v, w = ctx.u[i], ctx.v[i], ctx.scaled_weight[i]
-        angle2 = 2.0 * ctx.rabi[i] * t
-        cos2, sin2 = math.cos(angle2), math.sin(angle2)
+    def term(rows, t):
+        w, ur, vr = weight[rows, None], u[rows, None], v[rows, None]
+        cos2 = np.cos(2.0 * rabi[rows, None] * t)
+        sin2 = np.sin(2.0 * rabi[rows, None] * t)
         rem = 1.0 - cos2
-        return (
-            w * (cos2 + v * v * rem), -w * u * sin2, w * u * v * rem,
-            w * u * sin2, w * cos2, -w * v * sin2,
-            w * u * v * rem, w * v * sin2, w * (cos2 + u * u * rem),
-            w,
-        )
+        kernel = (cos2 + vr * vr * rem, -ur * sin2, ur * vr * rem,
+                  ur * sin2, cos2, -vr * sin2,
+                  ur * vr * rem, vr * sin2, cos2 + ur * ur * rem)
+        return np.stack([w * entry for entry in kernel]
+                        + [np.broadcast_to(w, cos2.shape)], axis=-1)
 
-    sums = reduce_weighted(plan, ctx.items, term, 10)
-    normalizer = float(sums[9])
-    if not normalizer > 0.0:
-        raise NumericError(f"weight normalizer is not positive: {normalizer}")
-    matrix = sums[:9].reshape(3, 3).copy()
+    sums = reduce_weighted(term, len(weight), times, 10)
+    normalizer = sums[:, 9]
+    if not np.all(normalizer > 0.0):
+        raise NumericError(f"weight normalizer is not positive: {normalizer.min()}")
+    return sums[:, :9].reshape(-1, 3, 3), normalizer, shift
+
+
+def _qubit_state(psi) -> np.ndarray:
+    psi = pure_state(psi)
+    if psi.shape != (2,):
+        raise ParameterError(f"expected a single-qubit state, got shape {psi.shape}")
+    return psi
+
+
+def _propagator(sys, bath, th, plan, psi, correlated, t) -> BlochPropagator:
+    s, normalizer, shift = _bloch_sums(sys, bath, th, plan, psi, correlated, [t])
+    matrix = s[0].copy()
     matrix.setflags(write=False)
-    return BlochPropagator(s=matrix, normalizer=normalizer, log_scale=ctx.shift)
+    return BlochPropagator(s=matrix, normalizer=float(normalizer[0]), log_scale=shift)
 
 
 def propagator_uncorrelated(sys: SystemParams, bath: BathParams, th: Thermal,
                             plan: ReductionPlan, t: float) -> BlochPropagator:
     """Bloch map at time t for a product (independently thermal) preparation."""
-    ctx = _WeightedConfigs(sys, bath, th, plan, psi=None, correlated=False)
-    return _propagator(ctx, plan, t)
+    return _propagator(sys, bath, th, plan, None, False, t)
 
 
 def propagator_correlated(sys: SystemParams, bath: BathParams, th: Thermal,
@@ -189,32 +148,16 @@ def propagator_correlated(sys: SystemParams, bath: BathParams, th: Thermal,
     """Bloch map at time t for a jointly thermalized, projectively prepared
     state. psi is both the prepared qubit state and the state whose pattern
     weights the map carries."""
-    psi = pure_state(psi)
-    if psi.shape != (2,):
-        raise ParameterError(f"expected a single-qubit state, got shape {psi.shape}")
-    ctx = _WeightedConfigs(sys, bath, th, plan, psi, correlated=True)
-    return _propagator(ctx, plan, t)
-
-
-def _check_times(times) -> np.ndarray:
-    arr = np.asarray(times, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ParameterError("times must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("times must be finite")
-    if np.any(np.diff(arr) < 0):
-        raise ParameterError("times must be ascending")
-    return arr
+    return _propagator(sys, bath, th, plan, _qubit_state(psi), True, t)
 
 
 def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
                      plan: ReductionPlan, psi, times,
                      correlated: bool) -> list[BlochVector]:
     """Bloch vector of the prepared state psi at each requested time."""
-    psi = pure_state(psi)
-    if psi.shape != (2,):
-        raise ParameterError(f"expected a single-qubit state, got shape {psi.shape}")
-    arr = _check_times(times)
-    ctx = _WeightedConfigs(sys, bath, th, plan, psi, correlated)
-    start = BlochVector.of_state(psi)
-    return [_propagator(ctx, plan, float(t)).apply(start) for t in arr]
+    psi = _qubit_state(psi)
+    s, normalizer, _ = _bloch_sums(sys, bath, th, plan, psi, correlated, times)
+    m = s / normalizer[:, None, None]
+    px, py, pz = bloch_components(psi)
+    p = m[:, :, 0] * px + m[:, :, 1] * py + m[:, :, 2] * pz
+    return [BlochVector(*map(float, row)) for row in p]

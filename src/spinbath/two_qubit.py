@@ -2,9 +2,9 @@
 
 Both qubits couple through sigma_z to the same bath field, so each bath
 pattern drives an independent 4x4 problem built from the pattern-shifted
-splittings (eps1 + g_sum, eps2 + g_sum). With no qubit-qubit coupling the
-conditional evolution factorizes into two 2x2 unitaries; with coupling the
-4x4 conditional Hamiltonian is exponentiated through its eigenbasis. The
+splittings (eps1 + g_sum, eps2 + g_sum) and the qubit-qubit coupling lam.
+The conditional Hamiltonians of all summed items are diagonalized in one
+batch, and each item's state evolves as V exp(-iEt) V^dagger psi. The
 reduced pair state is the weighted mixture over patterns, with the same
 uncorrelated/correlated weight choice as the single-qubit case, and
 entanglement is scored by the standard spin-flip concurrence.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configspace import (Backend, ReductionPlan, collapse_classes,
-                          enumerate_configs, reduce_weighted)
+                          fold_classes, mask_blocks, reduce_weighted)
 from .errors import NumericError, ParameterError
 from .model import (BathParams, Thermal, bath_sums, class_sums, pure_state,
                     require_uniform)
@@ -58,26 +58,6 @@ class TwoQubitParams:
                 raise ParameterError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class TwoQubitConfigQuantities:
-    """Pattern-shifted splittings and rabi frequencies of the two qubits."""
-
-    splitting1: float
-    splitting2: float
-    rabi1: float
-    rabi2: float
-
-
-def pair_quantities(sys2: TwoQubitParams, g_sum: float) -> TwoQubitConfigQuantities:
-    s1 = sys2.eps1 + g_sum
-    s2 = sys2.eps2 + g_sum
-    return TwoQubitConfigQuantities(
-        splitting1=s1, splitting2=s2,
-        rabi1=0.5 * math.hypot(s1, sys2.delta1),
-        rabi2=0.5 * math.hypot(s2, sys2.delta2),
-    )
-
-
 def bell_state() -> np.ndarray:
     return pure_state([1.0 / math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2.0)])
 
@@ -94,179 +74,56 @@ def _pair_state(psi) -> np.ndarray:
     return psi
 
 
-def conditional_hamiltonian(sys2: TwoQubitParams, g_sum: float) -> np.ndarray:
-    """4x4 Hamiltonian of the pair under one bath pattern."""
-    pq = pair_quantities(sys2, g_sum)
-    return (0.5 * (pq.splitting1 * _SZ1 + sys2.delta1 * _SX1
-                   + pq.splitting2 * _SZ2 + sys2.delta2 * _SX2)
+def conditional_hamiltonian(sys2: TwoQubitParams, g_sum) -> np.ndarray:
+    """4x4 Hamiltonian of the pair under one bath pattern, or a stack of them
+    for an array of coupling fields g_sum."""
+    g = np.asarray(g_sum, dtype=float)[..., None, None]
+    return (0.5 * ((sys2.eps1 + g) * _SZ1 + sys2.delta1 * _SX1
+                   + (sys2.eps2 + g) * _SZ2 + sys2.delta2 * _SX2)
             + sys2.lam * _SZZ)
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    top = float(values.max())
-    return top + math.log(float(np.exp(values - top).sum()))
+def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
+                 plan: ReductionPlan, psi: np.ndarray, correlated: bool):
+    """Per summed item (a mask, or a down-spin count under collapse): the
+    conditional energies E (n, 4), the amplitudes A (n, 4, 4) with
+    psi(t) = A @ exp(-iEt), and the log weight."""
+    if plan.backend is Backend.COLLAPSE:
+        require_uniform(bath)
+        classes = collapse_classes(bath.n_spins, bath.boundary)
+        g_sum, eps_sum, chi_sum = class_sums(bath, np.array([c.k for c in classes]),
+                                             np.array([c.w for c in classes]))
+        first, log_weight = fold_classes(classes, -th.beta * (chi_sum + 0.5 * eps_sum))
+        blocks = [(g_sum[first], log_weight)]
+    else:
+        blocks = [(g, -th.beta * (chi + 0.5 * eps)) for g, eps, chi in
+                  (bath_sums(bath, masks) for masks in mask_blocks(bath.n_spins))]
+    # filled block by block, so the largest array is never held twice
+    count = sum(len(g) for g, _ in blocks)
+    fields = np.empty((count, 4)), np.empty((count, 4, 4), dtype=complex), np.empty(count)
+    start = 0
+    for g, lw in blocks:
+        rows = slice(start, start + len(g))
+        for field, part in zip(fields, _eigenbasis(sys2, th, psi, correlated, g, lw)):
+            field[rows] = part
+        start = rows.stop
+    return fields
 
 
-def _log_population_average(beta: float, energies: np.ndarray,
-                            populations: np.ndarray) -> float:
-    """log of sum_j populations_j * exp(-beta * energies_j), populations
-    summing to ~1. Stable for any beta; zero populations are skipped."""
-    mask = populations > 0.0
-    if not mask.any():
-        raise NumericError("state has no weight on any eigenvector")
-    return _logsumexp(-beta * energies[mask] + np.log(populations[mask]))
-
-
-class _PairConfigs:
-    """Per-pattern data for a two-qubit run: weights plus whatever the
-    chosen path (factorized or eigenbasis) needs at every time point."""
-
-    def __init__(self, sys2: TwoQubitParams, bath: BathParams, th: Thermal,
-                 plan: ReductionPlan, psi: np.ndarray, correlated: bool,
-                 interacting: bool):
-        if plan.backend is Backend.COLLAPSE:
-            require_uniform(bath)
-            self.items = collapse_classes(bath.n_spins, bath.boundary)
-            self.position = {(c.k, c.w): i for i, c in enumerate(self.items)}
-
-            def sums(item):
-                return class_sums(bath, item.k, item.w)
-        else:
-            enumerate_configs(bath.n_spins)  # enforce the enumeration cap
-            self.items = range(1 << bath.n_spins)
-            self.position = None
-
-            def sums(item):
-                return bath_sums(bath, item)
-        count = len(self.items)
-        self.interacting = interacting
-        self.psi_mat = psi.reshape(2, 2)
-        log_weight = np.empty(count)
-        if interacting:
-            self.energies = np.empty((count, 4))
-            self.vectors = np.empty((count, 4, 4), dtype=complex)
-            self.overlaps = np.empty((count, 4), dtype=complex)
-        else:
-            self.u1 = np.empty(count)
-            self.v1 = np.empty(count)
-            self.rabi1 = np.empty(count)
-            self.u2 = np.empty(count)
-            self.v2 = np.empty(count)
-            self.rabi2 = np.empty(count)
-        for i, item in enumerate(self.items):
-            g_sum, eps_sum, chi_sum = sums(item)
-            log_weight[i] = -th.beta * (chi_sum + 0.5 * eps_sum)
-            if interacting:
-                try:
-                    energies, vectors = hermitian_eig(conditional_hamiltonian(sys2, g_sum))
-                except NumericError as exc:
-                    raise NumericError(f"eigendecomposition failed on {item!r}: {exc}") from exc
-                self.energies[i] = energies
-                self.vectors[i] = vectors
-                self.overlaps[i] = vectors.conj().T @ psi
-                if correlated and th.beta != 0.0:
-                    populations = np.abs(self.overlaps[i]) ** 2
-                    log_weight[i] += _log_population_average(th.beta, energies, populations)
-            else:
-                pq = pair_quantities(sys2, g_sum)
-                self.u1[i], self.v1[i] = _unit_direction(pq.splitting1, sys2.delta1, pq.rabi1)
-                self.u2[i], self.v2[i] = _unit_direction(pq.splitting2, sys2.delta2, pq.rabi2)
-                self.rabi1[i], self.rabi2[i] = pq.rabi1, pq.rabi2
-                if correlated and th.beta != 0.0:
-                    log_weight[i] += self._factorized_log_factor(sys2, th, pq, psi)
-        self.shift = float(log_weight.max())
-        self.scaled_weight = np.exp(log_weight - self.shift)
-
-    def _factorized_log_factor(self, sys2: TwoQubitParams, th: Thermal,
-                               pq: TwoQubitConfigQuantities, psi: np.ndarray) -> float:
-        # <psi| exp(-beta h1) (x) exp(-beta h2) |psi> through the per-qubit
-        # eigenbases; populations over the four joint eigenvectors keep it
-        # stable at any beta
-        h1 = 0.5 * (pq.splitting1 * SIGMA_Z + sys2.delta1 * SIGMA_X)
-        h2 = 0.5 * (pq.splitting2 * SIGMA_Z + sys2.delta2 * SIGMA_X)
-        e1, vec1 = hermitian_eig(h1)
-        e2, vec2 = hermitian_eig(h2)
-        amplitudes = vec1.conj().T @ self.psi_mat @ vec2.conj()
-        populations = np.abs(amplitudes) ** 2
-        energies = e1[:, None] + e2[None, :]
-        return _log_population_average(th.beta, energies.ravel(), populations.ravel())
-
-    def index_of(self, item) -> int:
-        return item if self.position is None else self.position[(item.k, item.w)]
-
-
-def _unit_direction(splitting: float, delta: float, rabi: float) -> tuple[float, float]:
-    if rabi == 0.0:
-        return 0.0, 0.0
-    return splitting / (2.0 * rabi), delta / (2.0 * rabi)
-
-
-def _qubit_unitary(u: float, v: float, rabi: float, t: float) -> np.ndarray:
-    cos_a = math.cos(rabi * t)
-    sin_a = math.sin(rabi * t)
-    return np.array([[cos_a - 1j * sin_a * u, -1j * sin_a * v],
-                     [-1j * sin_a * v, cos_a + 1j * sin_a * u]])
-
-
-def _reduced_state(ctx: _PairConfigs, plan: ReductionPlan, t: float) -> np.ndarray:
-    if not math.isfinite(t):
-        raise ParameterError(f"time must be finite, got {t}")
-
-    def term(item):
-        i = ctx.index_of(item)
-        w = ctx.scaled_weight[i]
-        if ctx.interacting:
-            phases = np.exp(-1j * ctx.energies[i] * t)
-            evolved = ctx.vectors[i] @ (phases * ctx.overlaps[i])
-        else:
-            u1 = _qubit_unitary(ctx.u1[i], ctx.v1[i], ctx.rabi1[i], t)
-            u2 = _qubit_unitary(ctx.u2[i], ctx.v2[i], ctx.rabi2[i], t)
-            evolved = (u1 @ ctx.psi_mat @ u2.T).ravel()
-        projector = np.outer(evolved, evolved.conj())
-        row = np.empty(33)
-        row[:16] = w * projector.real.ravel()
-        row[16:32] = w * projector.imag.ravel()
-        row[32] = w
-        return row
-
-    sums = reduce_weighted(plan, ctx.items, term, 33)
-    normalizer = float(sums[32])
-    if not normalizer > 0.0:
-        raise NumericError(f"weight normalizer is not positive: {normalizer}")
-    rho = (sums[:16] + 1j * sums[16:32]).reshape(4, 4) / normalizer
-    rho.setflags(write=False)
-    return rho
-
-
-def propagate_product(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
-                      plan: ReductionPlan, psi, t: float,
-                      correlated: bool) -> np.ndarray:
-    """Reduced pair state at time t via the factorized (uncoupled) path.
-
-    Requires lam == 0 exactly; with coupling the conditional evolution does
-    not factorize and propagate_interacting must be used.
-    """
-    if sys2.lam != 0.0:
-        raise ParameterError(
-            f"propagate_product requires lam == 0, got {sys2.lam}; "
-            "use propagate_interacting"
-        )
-    psi = _pair_state(psi)
-    ctx = _PairConfigs(sys2, bath, th, plan, psi, correlated, interacting=False)
-    return _reduced_state(ctx, plan, t)
-
-
-def propagate_interacting(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
-                          plan: ReductionPlan, psi, t: float,
-                          correlated: bool) -> np.ndarray:
-    """Reduced pair state at time t via per-pattern 4x4 eigendecomposition.
-
-    Valid for any lam, including 0 (where it must agree with the factorized
-    path; tests pin that equivalence).
-    """
-    psi = _pair_state(psi)
-    ctx = _PairConfigs(sys2, bath, th, plan, psi, correlated, interacting=True)
-    return _reduced_state(ctx, plan, t)
+def _eigenbasis(sys2: TwoQubitParams, th: Thermal, psi: np.ndarray, correlated: bool,
+                g_sum: np.ndarray, log_weight: np.ndarray):
+    """Energies, amplitudes and log weights of _pair_fields for one batch of
+    coupling fields, from one batched eigendecomposition."""
+    energies, vectors = hermitian_eig(conditional_hamiltonian(sys2, g_sum))
+    overlaps = vectors.conj().swapaxes(-2, -1) @ psi
+    if correlated and th.beta != 0.0:
+        # log <psi| exp(-beta H) |psi> = log sum_j |<v_j|psi>|^2 exp(-beta E_j),
+        # with zero populations dropped; stable at any beta
+        with np.errstate(divide="ignore"):
+            exponents = -th.beta * energies + np.log(np.abs(overlaps) ** 2)
+        top = exponents.max(axis=1)
+        log_weight = log_weight + top + np.log(np.exp(exponents - top[:, None]).sum(axis=1))
+    return energies, vectors * overlaps[:, None, :], log_weight
 
 
 def validate_density(rho, dim: int = 4) -> np.ndarray:
@@ -309,27 +166,25 @@ def concurrence(rho) -> float:
     return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def concurrence_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
-                           plan: ReductionPlan, psi, times,
-                           correlated: bool) -> list[float]:
-    """Concurrence of the evolving pair at each requested time; picks the
-    factorized path when lam == 0 and the eigenbasis path otherwise."""
-    return [concurrence(rho) for rho in
-            density_trajectory(sys2, bath, th, plan, psi, times, correlated)]
-
-
 def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
-                       plan: ReductionPlan, psi, times, correlated: bool,
-                       force_interacting: bool = False) -> list[np.ndarray]:
-    """Reduced pair states over a time grid, reusing per-pattern setup."""
+                       plan: ReductionPlan, psi, times, correlated: bool) -> list[np.ndarray]:
+    """Reduced pair states over a time grid."""
     psi = _pair_state(psi)
-    arr = np.asarray(times, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ParameterError("times must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("times must be finite")
-    if np.any(np.diff(arr) < 0):
-        raise ParameterError("times must be ascending")
-    interacting = force_interacting or sys2.lam != 0.0
-    ctx = _PairConfigs(sys2, bath, th, plan, psi, correlated, interacting)
-    return [_reduced_state(ctx, plan, float(t)) for t in arr]
+    energies, amplitudes, log_weight = _pair_fields(sys2, bath, th, plan, psi, correlated)
+    weight = np.exp(log_weight - log_weight.max())
+
+    def term(rows, t):
+        phases = np.exp(-1j * energies[rows, None, :] * t[:, None])
+        evolved = sum(amplitudes[rows, None, :, j] * phases[:, :, j, None] for j in range(4))
+        w = weight[rows, None, None]
+        projector = w[..., None] * evolved[..., :, None] * evolved[..., None, :].conj()
+        return np.concatenate([projector.reshape(*evolved.shape[:2], 16),
+                               np.broadcast_to(w, (*evolved.shape[:2], 1))], axis=-1)
+
+    sums = reduce_weighted(term, len(weight), times, 17)
+    normalizer = sums[:, 16].real
+    if not np.all(normalizer > 0.0):
+        raise NumericError(f"weight normalizer is not positive: {normalizer.min()}")
+    states = sums[:, :16].reshape(-1, 4, 4) / normalizer[:, None, None]
+    states.setflags(write=False)
+    return list(states)

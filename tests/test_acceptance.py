@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from spinbath import configspace
 from spinbath.configspace import Backend, ReductionPlan
 from spinbath.experiments import list_presets, preset, run
 from spinbath.model import BathParams, SystemParams, Thermal, pure_state
@@ -254,13 +255,14 @@ class TestCriterion7:
 
 
 class TestCriterion8:
-    def test_csv_determinism_across_thread_counts(self, monkeypatch):
-        bodies = {}
-        for name in ("fig7", "fig11"):
-            for threads in ("1", "8"):
-                monkeypatch.setenv("SPINBATH_THREADS", threads)
-                table = run(preset(name))
-                bodies.setdefault(name, set()).add(table.render())
-        ok = all(len(renders) == 1 for renders in bodies.values())
-        report(8, ok, "fig7 and fig11 CSV bodies byte-identical for "
-                      "SPINBATH_THREADS in {1, 8}, two runs each")
+    def test_csv_determinism_across_runs_and_time_blocks(self, monkeypatch):
+        names = ("fig7", "fig11", "fig13")
+        renders = {name: set() for name in names}
+        for elements in (configspace.BLOCK_ELEMENTS, 97):
+            monkeypatch.setattr(configspace, "BLOCK_ELEMENTS", elements)
+            for name in names:
+                for _ in range(2):
+                    renders[name].add(run(preset(name)).render())
+        ok = all(len(texts) == 1 for texts in renders.values())
+        report(8, ok, "fig7, fig11 and fig13 CSVs byte-identical over two runs "
+                      "at each of two time-block sizes")

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinbath import configspace
 from spinbath.configspace import (COLLAPSE_CAP, ENUMERATION_CAP, Backend,
                                   ConfigClass, ReductionPlan, collapse_classes,
-                                  enumerate_configs, reduce_weighted)
-from spinbath.errors import CapacityError, ParameterError, ReductionError
-from spinbath.model import BathParams, Boundary, bath_sums
+                                  enumerate_configs, fold_classes, mask_blocks,
+                                  reduce_weighted)
+from spinbath.errors import CapacityError, ParameterError
+from spinbath.model import Boundary
 
 
 def brute_force_classes(n, boundary):
@@ -88,102 +90,87 @@ class TestCollapseClasses:
         assert keys == sorted(keys)
 
 
+def ones(rows, t):
+    return np.ones((rows.stop - rows.start, t.size, 1))
+
+
+class TestMaskBlocks:
+    def test_blocks_cover_every_mask_in_order(self):
+        blocks = list(mask_blocks(11))
+        assert all(len(b) <= configspace.ITEM_BLOCK for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), np.arange(1 << 11))
+
+
 class TestReduceWeighted:
     def test_counts_patterns_enumerate(self):
-        plan = ReductionPlan(backend=Backend.ENUMERATE)
-        total = reduce_weighted(plan, enumerate_configs(10), lambda item: (1.0,), 1)
-        assert total[0] == 1024.0
+        total = reduce_weighted(ones, 1024, [0.0], 1)
+        assert total[0, 0] == 1024.0
 
     def test_counts_patterns_collapse(self):
-        plan = ReductionPlan(backend=Backend.COLLAPSE)
-        classes = collapse_classes(10, Boundary.OPEN)
-        total = reduce_weighted(plan, classes, lambda item: (1.0,), 1)
-        assert total[0] == 1024.0
+        # folding every class at unit pattern weight counts all 2^N patterns
+        for boundary in Boundary:
+            classes = collapse_classes(10, boundary)
+            first, folded = fold_classes(classes, np.zeros(len(classes)))
+            assert np.array_equal(first, np.flatnonzero(np.diff([c.k for c in classes],
+                                                                prepend=-1)))
+            assert math.fsum(np.exp(folded)) == pytest.approx(1024.0, rel=1e-14)
 
     def test_class_multiplicity_is_applied(self):
-        plan = ReductionPlan(backend=Backend.COLLAPSE)
-        items = [ConfigClass(multiplicity=3, k=0, w=0), ConfigClass(multiplicity=5, k=1, w=1)]
-        total = reduce_weighted(plan, items, lambda c: (float(c.k + 1),), 1)
-        assert total[0] == 3.0 * 1.0 + 5.0 * 2.0
+        items = [ConfigClass(multiplicity=3, k=0, w=0), ConfigClass(multiplicity=5, k=1, w=1),
+                 ConfigClass(multiplicity=2, k=1, w=2)]
+        first, folded = fold_classes(items, np.log([1.0, 2.0, 0.5]))
+        assert list(first) == [0, 1]
+        assert np.exp(folded) == pytest.approx([3.0, 5.0 * 2.0 + 2.0 * 0.5], rel=1e-15)
 
-    def test_wraps_term_failures(self):
-        plan = ReductionPlan()
-
-        def term(item):
-            if item == 3:
-                raise ValueError("boom")
-            return (1.0,)
-
-        with pytest.raises(ReductionError) as excinfo:
-            reduce_weighted(plan, range(5), term, 1)
-        assert excinfo.value.item == 3
+    def test_fold_takes_multiplicities_beyond_float_range(self):
+        # 2^1100 has no float; its log does
+        items = [ConfigClass(multiplicity=1, k=0, w=0),
+                 ConfigClass(multiplicity=2 ** 1100, k=1, w=1),
+                 ConfigClass(multiplicity=2 ** 1100, k=1, w=3)]
+        _, folded = fold_classes(items, [0.0, -1000.0, -1000.0])
+        assert folded[0] == 0.0
+        assert folded[1] == pytest.approx(1101 * math.log(2.0) - 1000.0, rel=1e-15)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ReductionError):
-            reduce_weighted(ReductionPlan(), range(4), lambda item: (1.0, 2.0), 3)
+        with pytest.raises(ParameterError, match="shape"):
+            reduce_weighted(lambda rows, t: np.ones((1, t.size, 2)), 4, [0.0], 3)
 
     def test_empty_items(self):
-        out = reduce_weighted(ReductionPlan(), [], lambda item: (1.0,), 2)
-        assert np.array_equal(out, np.zeros(2))
+        out = reduce_weighted(ones, 0, [0.0, 1.0], 2)
+        assert np.array_equal(out, np.zeros((2, 2)))
 
     @given(st.integers(min_value=0, max_value=10_000),
-           st.integers(min_value=1, max_value=300),
-           st.sampled_from([1, 3, 8, 64]))
+           st.integers(min_value=1, max_value=3000),
+           st.sampled_from([1, 7, 50, 1 << 15]))
     @settings(max_examples=30, deadline=None)
-    def test_workers_and_chunks_bit_identical(self, seed, count, chunk):
+    def test_time_blocks_bit_identical(self, seed, count, elements):
         rng = np.random.default_rng(seed)
         values = rng.uniform(-1e3, 1e3, (count, 2))
+        times = np.linspace(0.0, 1.0, 9)
 
-        def term(i):
-            return values[i]
+        def term(rows, t):
+            return values[rows, None, :] * (1.0 + t[:, None])
 
-        results = [
-            np.asarray(reduce_weighted(
-                ReductionPlan(chunk_size=chunk, worker_hint=hint), range(count), term, 2))
-            for hint in (0, 1, 4, 16)
-        ]
-        for other in results[1:]:
-            assert np.array_equal(results[0], other)
+        reference = reduce_weighted(term, count, times, 2)
+        old = configspace.BLOCK_ELEMENTS
+        configspace.BLOCK_ELEMENTS = elements
+        try:
+            blocked = reduce_weighted(term, count, times, 2)
+        finally:
+            configspace.BLOCK_ELEMENTS = old
+        assert np.array_equal(reference, blocked)
+        for i, t in enumerate(times):
+            assert np.array_equal(reduce_weighted(term, count, [t], 2)[0], reference[i])
 
     def test_accuracy_near_fsum(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(-1.0, 1.0, 100_000)
-        got = reduce_weighted(ReductionPlan(chunk_size=512), range(values.size),
-                              lambda i: (values[i],), 1)[0]
+        got = reduce_weighted(lambda rows, t: values[rows, None, None], values.size,
+                              [0.0], 1)[0, 0]
         assert abs(got - math.fsum(values)) < 1e-10
 
 
 class TestReductionPlan:
     def test_defaults(self):
-        plan = ReductionPlan()
-        assert plan.backend is Backend.ENUMERATE
-        assert plan.chunk_size == 4096
-        assert plan.worker_hint == 0
-
-    def test_rejects_bad_chunk(self):
-        with pytest.raises(ParameterError):
-            ReductionPlan(chunk_size=0)
-
-    def test_rejects_negative_workers(self):
-        with pytest.raises(ParameterError):
-            ReductionPlan(worker_hint=-1)
-
-
-class TestThreadsEnv:
-    def test_env_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("SPINBATH_THREADS", "1")
-        total = reduce_weighted(ReductionPlan(chunk_size=4, worker_hint=8),
-                                range(64), lambda i: (float(i),), 1)
-        assert total[0] == float(sum(range(64)))
-
-    def test_env_must_be_positive_int(self, monkeypatch):
-        monkeypatch.setenv("SPINBATH_THREADS", "zero")
-        with pytest.raises(ParameterError, match="SPINBATH_THREADS"):
-            reduce_weighted(ReductionPlan(chunk_size=4, worker_hint=8),
-                            range(64), lambda i: (float(i),), 1)
-
-    def test_env_zero_rejected(self, monkeypatch):
-        monkeypatch.setenv("SPINBATH_THREADS", "0")
-        with pytest.raises(ParameterError, match="SPINBATH_THREADS"):
-            reduce_weighted(ReductionPlan(chunk_size=4, worker_hint=8),
-                            range(64), lambda i: (float(i),), 1)
+        assert ReductionPlan().backend is Backend.ENUMERATE
+        assert ReductionPlan("collapse").backend is Backend.COLLAPSE

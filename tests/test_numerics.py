@@ -9,29 +9,12 @@ from hypothesis import strategies as st
 
 from spinbath.errors import ParameterError
 from spinbath.numerics import (RNG_ALGORITHM, GaussianStream, RandomSpec,
-                               gaussian_draw, herm_exp, hermitian_eig,
-                               pairwise_sum)
+                               gaussian_draw, hermitian_eig, pairwise_sum)
 
 
 def random_hermitian(rng, dim):
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (raw + raw.conj().T) / 2.0
-
-
-def taylor_expm(matrix):
-    """Scaling-and-squaring Taylor series; independent check for herm_exp."""
-    matrix = np.asarray(matrix, dtype=complex)
-    norm = float(np.abs(matrix).sum(axis=1).max())
-    squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0 else 0
-    small = matrix / (2 ** squarings)
-    term = np.eye(matrix.shape[0], dtype=complex)
-    total = term.copy()
-    for k in range(1, 40):
-        term = term @ small / k
-        total += term
-    for _ in range(squarings):
-        total = total @ total
-    return total
 
 
 class TestHermitianEig:
@@ -56,35 +39,14 @@ class TestHermitianEig:
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6))
     @settings(max_examples=25, deadline=None)
     def test_reconstructs_input(self, seed, dim):
-        h = random_hermitian(np.random.default_rng(seed), dim)
-        values, vectors = hermitian_eig(h)
-        assert np.all(np.diff(values) >= 0)
-        recon = (vectors * values) @ vectors.conj().T
-        assert np.abs(recon - h).max() < 1e-12 * max(1.0, np.abs(h).max())
-
-
-class TestHermExp:
-    def test_zero_matrix(self):
-        assert np.allclose(herm_exp(np.zeros((3, 3)), 1.0), np.eye(3))
-
-    def test_pauli_z_rotation(self):
-        sz = np.diag([1.0, -1.0])
-        u = herm_exp(sz, -0.5j * math.pi)
-        assert np.allclose(u, np.diag([np.exp(-0.5j * math.pi), np.exp(0.5j * math.pi)]))
-
-    @given(st.integers(min_value=0, max_value=10_000),
-           st.sampled_from([1.0, -1.0, -2.5, 0.3, -1.0j, 2.0j, -0.7 - 0.4j]))
-    @settings(max_examples=30, deadline=None)
-    def test_matches_taylor_series(self, seed, scale):
-        h = random_hermitian(np.random.default_rng(seed), 4)
-        direct = herm_exp(h, scale)
-        reference = taylor_expm(scale * h)
-        assert np.abs(direct - reference).max() < 1e-9
-
-    def test_imaginary_scale_is_unitary(self):
-        h = random_hermitian(np.random.default_rng(7), 5)
-        u = herm_exp(h, -1.0j * 2.37)
-        assert np.abs(u @ u.conj().T - np.eye(5)).max() < 1e-13
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, dim)
+        stack = np.stack([h, random_hermitian(rng, dim)])
+        for m in (h, stack):
+            values, vectors = hermitian_eig(m)
+            assert np.all(np.diff(values, axis=-1) >= 0)
+            recon = (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-2, -1)
+            assert np.abs(recon - m).max() < 1e-12 * max(1.0, np.abs(m).max())
 
 
 class TestPairwiseSum:

@@ -1,4 +1,4 @@
-"""Single-qubit conditional unitaries, weighted propagators, trajectories."""
+"""Single-qubit weighted propagators and trajectories."""
 
 import math
 
@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from spinbath.configspace import Backend, ReductionPlan
 from spinbath.errors import ParameterError
-from spinbath.model import (BathParams, SystemParams, Thermal, config_quantities,
-                            pure_state)
+from spinbath.model import BathParams, Boundary, SystemParams, Thermal, pure_state
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
-from spinbath.single_qubit import (BlochPropagator, BlochVector, bloch_trajectory,
-                                   conditional_unitary, propagator_correlated,
+from spinbath.single_qubit import (BlochVector, bloch_trajectory, propagator_correlated,
                                    propagator_uncorrelated)
 
 PLUS_X = pure_state([2 ** -0.5, 2 ** -0.5])
@@ -32,39 +30,6 @@ def random_inputs(seed, n=4):
 def bloch_of_density(rho):
     return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag,
                      (rho[0, 0] - rho[1, 1]).real])
-
-
-class TestConditionalUnitary:
-    def test_pure_dephasing_quarter_period(self):
-        # delta = 0, splitting = 2: at t = pi/2 the rotation is diag(-i, +i)
-        sys1 = SystemParams(epsilon=2.0, delta=0.0)
-        bath = BathParams.uniform(1, 0.0, 0.0, 0.0)
-        q = config_quantities(sys1, bath, Thermal(0.0), 0)
-        u = conditional_unitary(sys1, q, math.pi / 2.0).u
-        expected = np.diag([np.exp(-0.5j * math.pi), np.exp(0.5j * math.pi)])
-        assert np.abs(u - expected).max() < 1e-14
-
-    def test_identity_at_zero_time(self):
-        sys1, bath, _ = random_inputs(3)
-        q = config_quantities(sys1, bath, Thermal(1.0), 5)
-        u = conditional_unitary(sys1, q, 0.0).u
-        assert np.array_equal(u, np.eye(2, dtype=complex))
-
-    @given(st.integers(min_value=0, max_value=10_000),
-           st.floats(min_value=0.0, max_value=15.0, allow_nan=False))
-    @settings(max_examples=60, deadline=None)
-    def test_unitary_and_matches_exponential(self, seed, t):
-        sys1, bath, _ = random_inputs(seed)
-        rng = np.random.default_rng(seed + 1)
-        mask = int(rng.integers(0, 16))
-        q = config_quantities(sys1, bath, Thermal(1.0), mask)
-        u = conditional_unitary(sys1, q, t).u
-        assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-13
-        h = np.array([[q.splitting / 2.0, sys1.delta / 2.0],
-                      [sys1.delta / 2.0, -q.splitting / 2.0]], dtype=complex)
-        vals, vecs = np.linalg.eigh(h)
-        expected = (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
-        assert np.abs(u - expected).max() < 1e-12
 
 
 class TestPropagatorStructure:
@@ -159,16 +124,17 @@ class TestTrajectories:
 
     def test_backend_equivalence_uniform_bath(self):
         sys1 = SystemParams(epsilon=2.0, delta=1.0)
-        bath = BathParams.uniform(12, 1.0, 1.0, 0.1)
         th = Thermal(1.0)
         times = np.linspace(0.0, 10.0, 25)
-        for correlated in (False, True):
-            a = bloch_trajectory(sys1, bath, th, ReductionPlan(backend=Backend.ENUMERATE),
-                                 PLUS_X, times, correlated)
-            b = bloch_trajectory(sys1, bath, th, ReductionPlan(backend=Backend.COLLAPSE),
-                                 PLUS_X, times, correlated)
-            for pa, pb in zip(a, b):
-                assert np.abs(pa.as_array() - pb.as_array()).max() < 1e-12
+        for boundary in Boundary:
+            bath = BathParams.uniform(12, 1.0, 1.0, 0.1, boundary)
+            for correlated in (False, True):
+                a = bloch_trajectory(sys1, bath, th, ReductionPlan(backend=Backend.ENUMERATE),
+                                     PLUS_X, times, correlated)
+                b = bloch_trajectory(sys1, bath, th, ReductionPlan(backend=Backend.COLLAPSE),
+                                     PLUS_X, times, correlated)
+                for pa, pb in zip(a, b):
+                    assert np.abs(pa.as_array() - pb.as_array()).max() < 1e-12
 
     def test_beta_zero_correlations_vanish(self):
         sys1, bath, psi = random_inputs(47)

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from spinbath.configspace import Backend, ReductionPlan
 from spinbath.errors import ParameterError
-from spinbath.model import BathParams, Thermal, pure_state
+from spinbath.model import BathParams, Boundary, Thermal, pure_state
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from spinbath.two_qubit import (TwoQubitParams, bell_state, concurrence,
-                                concurrence_trajectory, conditional_hamiltonian,
-                                density_trajectory, product_state,
-                                propagate_interacting, propagate_product,
-                                validate_density)
+                                conditional_hamiltonian, density_trajectory,
+                                product_state, validate_density)
 
 BASE = dict(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0)
 
@@ -62,42 +60,14 @@ class TestConditionalHamiltonian:
         assert np.abs(conditional_hamiltonian(sys2, g_sum) - expected).max() < 1e-14
 
 
-class TestProductRoute:
-    def test_rejects_interacting_qubits(self):
-        sys2 = TwoQubitParams(lam=0.5, **BASE)
-        with pytest.raises(ParameterError, match="propagate_interacting"):
-            propagate_product(sys2, random_bath(1), Thermal(1.0), ReductionPlan(),
-                              bell_state(), 1.0, False)
-
-    def test_time_zero_projector(self):
-        sys2 = TwoQubitParams(**BASE)
-        psi = random_pair_state(5)
-        for correlated in (False, True):
-            rho = propagate_product(sys2, random_bath(2), Thermal(1.0), ReductionPlan(),
-                                    psi, 0.0, correlated)
-            assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-13
-
-    def test_agrees_with_interacting_route_at_lam_zero(self):
-        sys2 = TwoQubitParams(**BASE)
-        bath = random_bath(7)
-        psi = random_pair_state(8)
-        for correlated in (False, True):
-            for t in (0.0, 0.8, 2.7):
-                a = propagate_product(sys2, bath, Thermal(1.5), ReductionPlan(),
-                                      psi, t, correlated)
-                b = propagate_interacting(sys2, bath, Thermal(1.5), ReductionPlan(),
-                                          psi, t, correlated)
-                assert np.abs(a - b).max() < 1e-12
-
-
 class TestInteractingRoute:
     def test_time_zero_projector(self):
-        sys2 = TwoQubitParams(lam=3.0, **BASE)
-        psi = bell_state()
-        for correlated in (False, True):
-            rho = propagate_interacting(sys2, random_bath(3), Thermal(1.0),
-                                        ReductionPlan(), psi, 0.0, correlated)
-            assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-13
+        for lam, psi in ((3.0, bell_state()), (0.0, random_pair_state(5))):
+            sys2 = TwoQubitParams(lam=lam, **BASE)
+            for correlated in (False, True):
+                rho, = density_trajectory(sys2, random_bath(3), Thermal(1.0),
+                                          ReductionPlan(), psi, [0.0], correlated)
+                assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-13
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.sampled_from([0.0, 1.0, 10.0]),
@@ -142,17 +112,18 @@ class TestTrajectories:
 
     def test_backend_equivalence_uniform_bath(self):
         sys2 = TwoQubitParams(lam=3.0, **BASE)
-        bath = BathParams.uniform(10, 1.0, 1.0, 0.1)
         times = np.linspace(0.0, 5.0, 8)
-        for correlated in (False, True):
-            a = density_trajectory(sys2, bath, Thermal(1.0),
-                                   ReductionPlan(backend=Backend.ENUMERATE),
-                                   bell_state(), times, correlated)
-            b = density_trajectory(sys2, bath, Thermal(1.0),
-                                   ReductionPlan(backend=Backend.COLLAPSE),
-                                   bell_state(), times, correlated)
-            for ra, rb in zip(a, b):
-                assert np.abs(ra - rb).max() < 1e-12
+        for boundary in Boundary:
+            bath = BathParams.uniform(10, 1.0, 1.0, 0.1, boundary)
+            for correlated in (False, True):
+                a = density_trajectory(sys2, bath, Thermal(1.0),
+                                       ReductionPlan(backend=Backend.ENUMERATE),
+                                       bell_state(), times, correlated)
+                b = density_trajectory(sys2, bath, Thermal(1.0),
+                                       ReductionPlan(backend=Backend.COLLAPSE),
+                                       bell_state(), times, correlated)
+                for ra, rb in zip(a, b):
+                    assert np.abs(ra - rb).max() < 1e-12
 
     def test_every_output_is_a_valid_state(self):
         sys2 = TwoQubitParams(lam=3.0, **BASE)
@@ -162,16 +133,6 @@ class TestTrajectories:
             for rho in density_trajectory(sys2, bath, Thermal(2.0), ReductionPlan(),
                                           bell_state(), times, correlated):
                 validate_density(rho)
-
-    def test_concurrence_trajectory_matches_density_route(self):
-        sys2 = TwoQubitParams(**BASE)
-        bath = random_bath(17)
-        times = np.linspace(0.0, 5.0, 7)
-        cs = concurrence_trajectory(sys2, bath, Thermal(1.0), ReductionPlan(),
-                                    bell_state(), times, True)
-        rhos = density_trajectory(sys2, bath, Thermal(1.0), ReductionPlan(),
-                                  bell_state(), times, True)
-        assert cs == pytest.approx([concurrence(r) for r in rhos], abs=1e-14)
 
 
 class TestValidateDensity:
