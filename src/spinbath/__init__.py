@@ -10,8 +10,7 @@ classes rather than the full Hilbert space.
 
 __version__ = "0.1.0"
 
-from .configspace import (Backend, ConfigClass, ReductionPlan, collapse_classes,
-                          enumerate_configs, reduce_weighted)
+from .configspace import Backend, ReductionPlan, collapse_classes, reduce_weighted
 from .errors import (CapacityError, NumericError, ParameterError, SpinbathError,
                      UsageError)
 from .experiments import (ExperimentConfig, OracleReport, ResultTable, TimeGrid,
@@ -28,8 +27,7 @@ from .two_qubit import (TwoQubitParams, bell_state, concurrence, density_traject
 
 __all__ = [
     "__version__",
-    "Backend", "ConfigClass", "ReductionPlan", "collapse_classes",
-    "enumerate_configs", "reduce_weighted",
+    "Backend", "ReductionPlan", "collapse_classes", "reduce_weighted",
     "CapacityError", "NumericError", "ParameterError", "SpinbathError", "UsageError",
     "ExperimentConfig", "OracleReport", "ResultTable", "TimeGrid",
     "list_presets", "oracle_check", "parse_config_file", "preset", "run",

@@ -17,7 +17,7 @@ import sys
 
 from .errors import CapacityError, ParameterError, SpinbathError, UsageError
 from .experiments import (ExperimentConfig, list_presets, oracle_check,
-                          parse_config_file, preset, run)
+                          parse_config_file, preset, run, write_text)
 
 _PLOT_TEMPLATE = '''"""Plot companion for {csv_name}; run with a matplotlib install."""
 import numpy as np
@@ -45,10 +45,9 @@ def _write_outputs(config: ExperimentConfig, out_path: str, plot_script: bool) -
         stem = out_path[:-4] if out_path.endswith(".csv") else out_path
         script_path = stem + "_plot.py"
         ylabel = "p_x" if config.mode == "single" else "concurrence"
-        with open(script_path, "w") as handle:
-            handle.write(_PLOT_TEMPLATE.format(
-                csv_name=os.path.basename(out_path), ylabel=ylabel,
-                png_name=os.path.basename(stem) + ".png"))
+        write_text(script_path, _PLOT_TEMPLATE.format(
+            csv_name=os.path.basename(out_path), ylabel=ylabel,
+            png_name=os.path.basename(stem) + ".png"))
         print(f"wrote {script_path}")
 
 

@@ -30,7 +30,8 @@ from .model import Boundary
 from .numerics import _pairwise_over_rows
 
 ENUMERATION_CAP = 24
-COLLAPSE_CAP = 10_000
+# a two-series, 40-point run at the cap peaks below 1 GB (measured in README)
+COLLAPSE_CAP = 3_500
 # items per block, for per-configuration setup and for the time sweep
 ITEM_BLOCK = 1024
 # the sweep takes as many time points per block as keep items x times x dim
@@ -44,19 +45,6 @@ class Backend(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ConfigClass:
-    """All bath patterns sharing a down-spin count k and wall count w.
-
-    Under uniform parameters every pattern in the class has identical scalars,
-    so the class enters the sum once, weighted by its multiplicity.
-    """
-
-    multiplicity: int
-    k: int
-    w: int
-
-
-@dataclass(frozen=True)
 class ReductionPlan:
     """How to sweep the configuration space."""
 
@@ -67,79 +55,68 @@ class ReductionPlan:
             object.__setattr__(self, "backend", Backend(self.backend))
 
 
-def enumerate_configs(n_spins: int, cap: int = ENUMERATION_CAP):
-    """Yield every bath bitmask for n_spins spins in ascending order."""
-    if n_spins < 1:
-        raise ParameterError(f"n_spins must be >= 1, got {n_spins}")
-    if n_spins > cap:
-        raise CapacityError(
-            f"enumerating 2^{n_spins} configurations exceeds the cap of 2^{cap}; "
-            "use the collapse backend (uniform parameters required)"
-        )
-    return iter(range(1 << n_spins))
-
-
 def mask_blocks(n_spins: int):
     """Every bath bitmask for n_spins spins, as ascending arrays of at most
     ITEM_BLOCK masks; enforces the enumeration cap."""
-    enumerate_configs(n_spins)
+    if n_spins < 1:
+        raise ParameterError(f"n_spins must be >= 1, got {n_spins}")
+    if n_spins > ENUMERATION_CAP:
+        raise CapacityError(
+            f"enumerating 2^{n_spins} configurations exceeds the cap of 2^{ENUMERATION_CAP}; "
+            "use the collapse backend (uniform parameters required)"
+        )
     total = 1 << n_spins
     return (np.arange(start, min(start + ITEM_BLOCK, total))
             for start in range(0, total, ITEM_BLOCK))
 
 
-def collapse_classes(n_spins: int, boundary: Boundary = Boundary.OPEN) -> list[ConfigClass]:
-    """Degeneracy classes (multiplicity, k, w) for a chain of n_spins spins.
+def collapse_classes(n_spins: int, boundary: Boundary = Boundary.OPEN) -> np.recarray:
+    """Degeneracy classes of a chain of n_spins spins: a record array with
+    fields k (down spins), w (domain walls) and log_multiplicity, sorted by
+    (k, w).
 
     Multiplicities come from run combinatorics: a pattern with k down spins
     arranged in r maximal runs has w = r - 1 walls on an open chain, and an
-    even wall count on a ring. Totals are exact integers and sum to 2^N.
+    even wall count on a ring. With m = min(k, N - k), an open chain has
+    w = 1 .. min(2m, N - 1) and a ring w = 2, 4, .. 2m; k = 0 and k = N have
+    w = 0 alone. For a = (w - 1) // 2 the count is
+    C(k-1, a) C(N-k-1, a) times 2 (open, odd w), 2 (N - w) / w (open, even
+    w) or 2 N / w (ring). Logs of the binomials come from one table of log
+    factorials, so no N overflows; the multiplicities sum to 2^N.
     """
     if n_spins < 1:
         raise ParameterError(f"n_spins must be >= 1, got {n_spins}")
     if n_spins > COLLAPSE_CAP:
         raise CapacityError(f"n_spins {n_spins} exceeds the collapse cap {COLLAPSE_CAP}")
     n = n_spins
-    classes: list[ConfigClass] = []
-    for k in range(n + 1):
-        if k == 0 or k == n:
-            classes.append(ConfigClass(1, k, 0))
-            continue
-        if boundary is Boundary.PERIODIC:
-            # j runs of down spins and j of up spins around the ring, w = 2j
-            for j in range(1, min(k, n - k) + 1):
-                count = n * math.comb(k - 1, j - 1) * math.comb(n - k - 1, j - 1)
-                mult, rem = divmod(count, j)
-                if rem:
-                    raise ParameterError(f"internal: non-integer class count at {(n, k, j)}")
-                classes.append(ConfigClass(mult, k, 2 * j))
-        else:
-            # open chain: down runs a, up runs b with |a-b| <= 1, w = a+b-1
-            for w in range(1, n):
-                if w % 2:
-                    j = (w - 1) // 2  # a = b = j+1
-                    mult = 2 * math.comb(k - 1, j) * math.comb(n - k - 1, j)
-                else:
-                    j = w // 2  # {a, b} = {j+1, j} in either order
-                    mult = (math.comb(k - 1, j) * math.comb(n - k - 1, j - 1)
-                            + math.comb(k - 1, j - 1) * math.comb(n - k - 1, j))
-                if mult:
-                    classes.append(ConfigClass(mult, k, w))
-    classes.sort(key=lambda c: (c.k, c.w))
-    return classes
+    down = np.arange(n + 1)
+    m = np.minimum(down, n - down)
+    periodic = boundary is Boundary.PERIODIC
+    per_k = np.where(m == 0, 1, m if periodic else np.minimum(2 * m, n - 1))
+    k = np.repeat(down, per_k)
+    rank = np.arange(k.size) - np.repeat(np.cumsum(per_k) - per_k, per_k)
+    w = np.where(m[k] == 0, 0, 2 * rank + 2 if periodic else rank + 1)
+    log_multiplicity = np.zeros(k.size)
+    inner = w > 0
+    ki, wi = k[inner], w[inner]
+    a = (wi - 1) // 2
+    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    log_binomials = (log_factorial[ki - 1] + log_factorial[n - ki - 1] - 2 * log_factorial[a]
+                     - log_factorial[ki - 1 - a] - log_factorial[n - ki - 1 - a])
+    ratio = n / wi if periodic else np.where(wi % 2, 1.0, (n - wi) / wi)
+    log_multiplicity[inner] = log_binomials + np.log(2.0 * ratio)
+    return np.rec.fromarrays([k, w, log_multiplicity], names="k,w,log_multiplicity")
 
 
-def fold_classes(classes: list[ConfigClass], log_weight) -> tuple[np.ndarray, np.ndarray]:
+def fold_classes(classes: np.recarray, log_weight) -> tuple[np.ndarray, np.ndarray]:
     """Fold (k, w) classes, sorted by k, onto their down-spin counts k.
 
     log_weight holds one pattern's log weight per class. Returns the index of
     the first class of each k and, per k, the log of the summed class weights
-    multiplicity * exp(log_weight). Multiplicities enter through math.log of
-    the exact integer, so no N overflows.
+    multiplicity * exp(log_weight), all in log space.
     """
-    k = np.array([c.k for c in classes])
-    first = np.flatnonzero(np.diff(k, prepend=-1))
-    logs = np.asarray(log_weight, dtype=float) + [math.log(c.multiplicity) for c in classes]
+    first = np.flatnonzero(np.diff(classes.k, prepend=-1))
+    logs = np.asarray(log_weight, dtype=float) + classes.log_multiplicity
     top = np.maximum.reduceat(logs, first)
     spread = np.exp(logs - np.repeat(top, np.diff(first, append=len(logs))))
     return first, top + np.log(np.add.reduceat(spread, first))

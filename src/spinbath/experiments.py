@@ -256,8 +256,17 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
+        write_text(path, self.render())
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path with LF line endings; an unwritable path is a
+    UsageError that names it."""
+    try:
         with open(path, "w", newline="") as handle:
-            handle.write(self.render())
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path}: {exc}") from exc
 
 
 def run(config: ExperimentConfig) -> ResultTable:

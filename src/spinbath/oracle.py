@@ -32,17 +32,21 @@ DIMENSION_CAP = 2 ** 13
 
 @dataclass(frozen=True)
 class FullHamiltonian:
-    """Dense joint Hamiltonian plus the bath-only diagonal.
+    """Dense joint Hamiltonian, its eigendecomposition, and the bath-only
+    diagonal.
 
     The bath Hamiltonian is diagonal in the product z basis, so its 2^N
     energies are carried as a vector; the uncorrelated thermal bath state is
-    built from it directly.
+    built from it directly. The joint matrix is diagonalized once, and every
+    thermal state and time point reuses energies and vectors.
     """
 
     matrix: np.ndarray
     n_system: int
     n_bath: int
     bath_diagonal: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
 
     @property
     def system_dim(self) -> int:
@@ -121,9 +125,12 @@ def build_hamiltonian(sys, bath: BathParams) -> FullHamiltonian:
         matrix = np.diag(diag.astype(complex))
         matrix += 0.5 * sys.delta1 * _embed_sigma_x(total, 0)
         matrix += 0.5 * sys.delta2 * _embed_sigma_x(total, 1)
-    matrix.setflags(write=False)
+    energies, vectors = hermitian_eig(matrix)
+    for array in (matrix, energies, vectors):
+        array.setflags(write=False)
     return FullHamiltonian(matrix=matrix, n_system=n_system, n_bath=bath.n_spins,
-                           bath_diagonal=_bath_only_diagonal(bath))
+                           bath_diagonal=_bath_only_diagonal(bath),
+                           energies=energies, vectors=vectors)
 
 
 def initial_state(h: FullHamiltonian, th, psi, correlated: bool) -> np.ndarray:
@@ -148,9 +155,8 @@ def initial_state(h: FullHamiltonian, th, psi, correlated: bool) -> np.ndarray:
         if not partition > 0.0:
             raise NumericError("bath partition function underflowed to zero")
         return np.kron(projector, np.diag(bath_weights / partition).astype(complex))
-    energies, vectors = hermitian_eig(h.matrix)
-    weights = np.exp(-th.beta * (energies - energies.min()))
-    thermal = (vectors * weights) @ vectors.conj().T
+    weights = np.exp(-th.beta * (h.energies - h.energies.min()))
+    thermal = (h.vectors * weights) @ h.vectors.conj().T
     embed = np.kron(psi.reshape(-1, 1), np.eye(h.bath_dim, dtype=complex))
     bath_block = embed.conj().T @ thermal @ embed
     partition = float(np.trace(bath_block).real)
@@ -163,9 +169,8 @@ def evolve_and_reduce(h: FullHamiltonian, rho0: np.ndarray, t: float) -> np.ndar
     """System reduced density matrix at time t from the joint initial state."""
     if not math.isfinite(t):
         raise ParameterError(f"time must be finite, got {t}")
-    energies, vectors = hermitian_eig(h.matrix)
-    phases = np.exp(-1j * energies * t)
-    unitary = (vectors * phases) @ vectors.conj().T
+    phases = np.exp(-1j * h.energies * t)
+    unitary = (h.vectors * phases) @ h.vectors.conj().T
     evolved = unitary @ rho0 @ unitary.conj().T
     ds, db = h.system_dim, h.bath_dim
     return np.einsum("ibjb->ij", evolved.reshape(ds, db, ds, db))

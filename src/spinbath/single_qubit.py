@@ -85,8 +85,7 @@ def _weighted_fields(sys: SystemParams, bath: BathParams, th: Thermal,
     if plan.backend is Backend.COLLAPSE:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
-        q = class_quantities(sys, bath, th, np.array([c.k for c in classes]),
-                             np.array([c.w for c in classes]))
+        q = class_quantities(sys, bath, th, classes.k, classes.w)
         first, folded = fold_classes(classes, log_weight(q))
         return q.splitting[first], q.rabi[first], folded
     parts = [(q.splitting, q.rabi, log_weight(q)) for q in

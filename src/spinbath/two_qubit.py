@@ -91,8 +91,7 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
     if plan.backend is Backend.COLLAPSE:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
-        g_sum, eps_sum, chi_sum = class_sums(bath, np.array([c.k for c in classes]),
-                                             np.array([c.w for c in classes]))
+        g_sum, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
         first, log_weight = fold_classes(classes, -th.beta * (chi_sum + 0.5 * eps_sum))
         blocks = [(g_sum[first], log_weight)]
     else:

@@ -103,6 +103,15 @@ class TestPreset:
         assert proc.returncode == 2
         assert "unknown preset" in proc.stderr
 
+    def test_unwritable_output_exits_2(self, tmp_path):
+        (tmp_path / "taken_plot.py").mkdir()
+        for out in (tmp_path / "missing" / "x.csv", tmp_path, tmp_path / "taken.csv"):
+            proc = run_cli("preset", "fig1", "--out", str(out), "--plot-script")
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: cannot write")
+
     def test_seed_on_fixed_preset_exits_2(self, tmp_path):
         proc = run_cli("preset", "fig1", "--seed", "5", "--out",
                        str(tmp_path / "x.csv"))

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from spinbath import configspace
 from spinbath.configspace import (COLLAPSE_CAP, ENUMERATION_CAP, Backend,
-                                  ConfigClass, ReductionPlan, collapse_classes,
-                                  enumerate_configs, fold_classes, mask_blocks,
-                                  reduce_weighted)
+                                  ReductionPlan, collapse_classes, fold_classes,
+                                  mask_blocks, reduce_weighted)
 from spinbath.errors import CapacityError, ParameterError
-from spinbath.model import Boundary
+from spinbath.model import BathParams, Boundary, SystemParams, Thermal, pure_state
+from spinbath.single_qubit import bloch_trajectory
 
 
 def brute_force_classes(n, boundary):
@@ -29,35 +29,45 @@ def brute_force_classes(n, boundary):
     return counts
 
 
+def multiplicities(classes):
+    """Exact integer multiplicities, rounded back from their logs."""
+    return [int(m) for m in np.rint(np.exp(classes.log_multiplicity))]
+
+
+def class_table(n, boundary):
+    classes = collapse_classes(n, boundary)
+    return dict(zip(zip(classes.k.tolist(), classes.w.tolist()), multiplicities(classes)))
+
+
+def class_records(k, w, log_multiplicity):
+    return np.rec.fromarrays([k, w, log_multiplicity], names="k,w,log_multiplicity")
+
+
 class TestEnumerate:
     def test_small(self):
-        assert list(enumerate_configs(3)) == list(range(8))
+        assert np.concatenate(list(mask_blocks(3))).tolist() == list(range(8))
 
     def test_cap_names_collapse(self):
         with pytest.raises(CapacityError, match="collapse"):
-            enumerate_configs(ENUMERATION_CAP + 1)
+            mask_blocks(ENUMERATION_CAP + 1)
 
     def test_cap_boundary_allowed(self):
         # capacity itself is fine; only beyond it raises
-        it = enumerate_configs(ENUMERATION_CAP)
-        assert next(iter(it)) == 0
+        blocks = mask_blocks(ENUMERATION_CAP)
+        assert next(blocks)[0] == 0
 
 
 class TestCollapseClasses:
     def test_two_site_open(self):
-        classes = collapse_classes(2, Boundary.OPEN)
-        table = {(c.k, c.w): c.multiplicity for c in classes}
-        assert table == {(0, 0): 1, (1, 1): 2, (2, 0): 1}
+        assert class_table(2, Boundary.OPEN) == {(0, 0): 1, (1, 1): 2, (2, 0): 1}
 
     def test_multiplicities_cover_space_open(self):
         for n in range(1, 12):
-            classes = collapse_classes(n, Boundary.OPEN)
-            assert sum(c.multiplicity for c in classes) == 1 << n
+            assert sum(multiplicities(collapse_classes(n, Boundary.OPEN))) == 1 << n
 
     def test_multiplicities_cover_space_periodic(self):
         for n in range(2, 12):
-            classes = collapse_classes(n, Boundary.PERIODIC)
-            assert sum(c.multiplicity for c in classes) == 1 << n
+            assert sum(multiplicities(collapse_classes(n, Boundary.PERIODIC))) == 1 << n
 
     @given(st.integers(min_value=1, max_value=10), st.sampled_from(list(Boundary)))
     @settings(max_examples=25, deadline=None)
@@ -65,15 +75,14 @@ class TestCollapseClasses:
         if boundary is Boundary.PERIODIC and n < 2:
             return
         expected = brute_force_classes(n, boundary)
-        got = {(c.k, c.w): c.multiplicity for c in collapse_classes(n, boundary)}
-        assert got == expected
+        assert class_table(n, boundary) == expected
 
     @given(st.integers(min_value=1, max_value=40), st.sampled_from(list(Boundary)))
     @settings(max_examples=40, deadline=None)
     def test_up_down_symmetry(self, n, boundary):
         if boundary is Boundary.PERIODIC and n < 2:
             return
-        table = {(c.k, c.w): c.multiplicity for c in collapse_classes(n, boundary)}
+        table = class_table(n, boundary)
         assert all(table[(n - k, w)] == m for (k, w), m in table.items())
 
     def test_class_count_scales_quadratically(self):
@@ -86,8 +95,24 @@ class TestCollapseClasses:
 
     def test_sorted_by_k_then_w(self):
         classes = collapse_classes(9, Boundary.OPEN)
-        keys = [(c.k, c.w) for c in classes]
+        keys = list(zip(classes.k.tolist(), classes.w.tolist()))
         assert keys == sorted(keys)
+
+    def test_beyond_float_range(self):
+        # at N = 1,100 the multiplicities overflow a float; their logs do not
+        n = 1100
+        for boundary in Boundary:
+            classes = collapse_classes(n, boundary)
+            top = classes.log_multiplicity.max()
+            log_total = top + math.log(math.fsum(np.exp(classes.log_multiplicity - top)))
+            assert log_total == pytest.approx(n * math.log(2.0), rel=1e-13)
+        plus_x = pure_state([2 ** -0.5, 2 ** -0.5])
+        points = bloch_trajectory(SystemParams(epsilon=2.0, delta=1.0),
+                                  BathParams.uniform(n, 1.0, 1.0, 0.1), Thermal(1.0),
+                                  ReductionPlan(Backend.COLLAPSE), plus_x,
+                                  np.linspace(0.0, 5.0, 6), correlated=True)
+        for p in points:
+            assert np.all(np.isfinite(p.as_array())) and p.norm <= 1.0 + 1e-12
 
 
 def ones(rows, t):
@@ -111,22 +136,18 @@ class TestReduceWeighted:
         for boundary in Boundary:
             classes = collapse_classes(10, boundary)
             first, folded = fold_classes(classes, np.zeros(len(classes)))
-            assert np.array_equal(first, np.flatnonzero(np.diff([c.k for c in classes],
-                                                                prepend=-1)))
+            assert np.array_equal(first, np.flatnonzero(np.diff(classes.k, prepend=-1)))
             assert math.fsum(np.exp(folded)) == pytest.approx(1024.0, rel=1e-14)
 
     def test_class_multiplicity_is_applied(self):
-        items = [ConfigClass(multiplicity=3, k=0, w=0), ConfigClass(multiplicity=5, k=1, w=1),
-                 ConfigClass(multiplicity=2, k=1, w=2)]
+        items = class_records([0, 1, 1], [0, 1, 2], [math.log(3), math.log(5), math.log(2)])
         first, folded = fold_classes(items, np.log([1.0, 2.0, 0.5]))
         assert list(first) == [0, 1]
         assert np.exp(folded) == pytest.approx([3.0, 5.0 * 2.0 + 2.0 * 0.5], rel=1e-15)
 
     def test_fold_takes_multiplicities_beyond_float_range(self):
         # 2^1100 has no float; its log does
-        items = [ConfigClass(multiplicity=1, k=0, w=0),
-                 ConfigClass(multiplicity=2 ** 1100, k=1, w=1),
-                 ConfigClass(multiplicity=2 ** 1100, k=1, w=3)]
+        items = class_records([0, 1, 1], [0, 1, 3], [0.0] + 2 * [math.log(2 ** 1100)])
         _, folded = fold_classes(items, [0.0, -1000.0, -1000.0])
         assert folded[0] == 0.0
         assert folded[1] == pytest.approx(1101 * math.log(2.0) - 1000.0, rel=1e-15)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinbath import oracle
 from spinbath.errors import CapacityError, ParameterError
 from spinbath.model import BathParams, Boundary, SystemParams, Thermal, bath_sums, pure_state
 from spinbath.oracle import (DIMENSION_CAP, build_hamiltonian, evolve_and_reduce,
@@ -26,6 +27,16 @@ class TestBuildHamiltonian:
     def test_hermitian(self):
         h = build_hamiltonian(small_system(), small_bath())
         assert np.abs(h.matrix - h.matrix.conj().T).max() == 0.0
+
+    def test_diagonalizes_once(self, monkeypatch):
+        h = build_hamiltonian(small_system(), small_bath())
+        assert np.abs((h.vectors * h.energies) @ h.vectors.conj().T - h.matrix).max() < 1e-12
+        calls = []
+        monkeypatch.setattr(oracle, "hermitian_eig", lambda m: calls.append(m))
+        rho0 = initial_state(h, Thermal(1.0), pure_state([0.6, 0.8]), correlated=True)
+        for t in (0.0, 1.0):
+            evolve_and_reduce(h, rho0, t)
+        assert calls == []
 
     def test_dimensions(self):
         h = build_hamiltonian(small_system(), small_bath(4))
