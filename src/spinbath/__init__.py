@@ -8,17 +8,18 @@ correlated initial states, at a cost set by the number of configuration
 classes rather than the full Hilbert space.
 """
 
+# set before the submodule imports: experiments reads it for the CSV echo
 __version__ = "0.1.0"
 
-from .configspace import Backend, ReductionPlan, collapse_classes, reduce_weighted
+from .configspace import Backend, collapse_classes, reduce_weighted
 from .errors import (CapacityError, NumericError, ParameterError, SpinbathError,
                      UsageError)
 from .experiments import (ExperimentConfig, OracleReport, ResultTable, TimeGrid,
                           list_presets, oracle_check, parse_config_file, preset, run)
 from .model import (BathParams, Boundary, ConfigQuantities, SystemParams, Thermal,
                     bath_sums, bloch_components, class_quantities, config_quantities,
-                    correlation_factor, log_correlation_factor, pure_state)
-from .numerics import RandomSpec, gaussian_draw, hermitian_eig, pairwise_sum
+                    log_correlation_factor, pure_state)
+from .numerics import RandomSpec, gaussian_draw, hermitian_eig
 from .oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from .single_qubit import (BlochPropagator, BlochVector, bloch_trajectory,
                            propagator_correlated, propagator_uncorrelated)
@@ -27,14 +28,14 @@ from .two_qubit import (TwoQubitParams, bell_state, concurrence, density_traject
 
 __all__ = [
     "__version__",
-    "Backend", "ReductionPlan", "collapse_classes", "reduce_weighted",
+    "Backend", "collapse_classes", "reduce_weighted",
     "CapacityError", "NumericError", "ParameterError", "SpinbathError", "UsageError",
     "ExperimentConfig", "OracleReport", "ResultTable", "TimeGrid",
     "list_presets", "oracle_check", "parse_config_file", "preset", "run",
     "BathParams", "Boundary", "ConfigQuantities", "SystemParams", "Thermal",
     "bath_sums", "bloch_components", "class_quantities", "config_quantities",
-    "correlation_factor", "log_correlation_factor", "pure_state",
-    "RandomSpec", "gaussian_draw", "hermitian_eig", "pairwise_sum",
+    "log_correlation_factor", "pure_state",
+    "RandomSpec", "gaussian_draw", "hermitian_eig",
     "build_hamiltonian", "evolve_and_reduce", "initial_state",
     "BlochPropagator", "BlochVector", "bloch_trajectory",
     "propagator_correlated", "propagator_uncorrelated",

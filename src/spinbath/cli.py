@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    spinbath run --config FILE [--plot-script]
+    spinbath run --config FILE_OR_CSV [--out PATH] [--plot-script]
     spinbath preset NAME [--out PATH] [--seed U64] [--plot-script]
     spinbath oracle-check NAME_OR_CONFIG --n N [--analytic-beta-skew X]
     spinbath list-presets
@@ -98,7 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a config file and write its CSV")
-    p_run.add_argument("--config", required=True, help="path to a key = value config file")
+    p_run.add_argument("--config", required=True,
+                       help="path to a key = value config file, or to a CSV this tool "
+                            "wrote, which replays its run")
     p_run.add_argument("--out", help="CSV path (overrides the config's output key)")
     p_run.add_argument("--plot-script", action="store_true",
                        help="also write a small matplotlib companion script")

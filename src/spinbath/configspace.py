@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +41,6 @@ BLOCK_ELEMENTS = 1 << 15
 class Backend(enum.Enum):
     ENUMERATE = "enumerate"
     COLLAPSE = "collapse"
-
-
-@dataclass(frozen=True)
-class ReductionPlan:
-    """How to sweep the configuration space."""
-
-    backend: Backend = Backend.ENUMERATE
-
-    def __post_init__(self):
-        if not isinstance(self.backend, Backend):
-            object.__setattr__(self, "backend", Backend(self.backend))
 
 
 def mask_blocks(n_spins: int):

@@ -1,20 +1,24 @@
 """Experiment configurations, figure presets, CSV output, and oracle checks.
 
 A configuration is a flat record of physical parameters plus run plumbing
-(time grid, backend, series selection). It can come from a named preset or
-from a strict dotted-key config file; either way the same record drives the
-run, is echoed verbatim into the CSV metadata, and replays byte-identically
-because random bath parameters are regenerated from their recorded seed.
+(time grid, backend, series selection). One table, CONFIG_KEYS, gives each
+dotted config key its type, default and the mode or bath style it applies
+to; presets, config files and CSV headers are all read through it, and the
+CSV metadata echoes it, so a CSV header replays its run byte-identically
+(random bath parameters are regenerated from their recorded seed).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .configspace import Backend, ReductionPlan
+from . import __version__
+from .configspace import Backend
 from .errors import CapacityError, ParameterError, UsageError
 from .model import (BathParams, Boundary, SystemParams, Thermal, pure_state,
                     require_uniform)
@@ -24,9 +28,10 @@ from .single_qubit import BlochVector, bloch_trajectory
 from .two_qubit import (TwoQubitParams, bell_state, concurrence,
                         density_trajectory, product_state)
 
-TOOL_VERSION = "0.1.0"
+TOOL = f"spinbath {__version__}"
 ORACLE_TOLERANCE = 1e-9
 
+MODES = ("single", "two_qubit")
 SERIES_UNCORRELATED = "uncorrelated"
 SERIES_CORRELATED = "correlated"
 _SERIES_CHOICES = {
@@ -143,8 +148,7 @@ class ExperimentConfig:
     preset_name: str | None = None
 
     def __post_init__(self):
-        if self.mode not in ("single", "two_qubit"):
-            raise UsageError(f"mode must be single or two_qubit, got {self.mode!r}")
+        _choose("mode", self.mode, MODES)
         expected = SystemParams if self.mode == "single" else TwoQubitParams
         if not isinstance(self.system, expected):
             raise UsageError(f"mode {self.mode} needs {expected.__name__} system parameters")
@@ -152,9 +156,9 @@ class ExperimentConfig:
             raise UsageError("single mode takes state.theta/state.phi angles")
         if self.mode == "two_qubit" and self.state_kind == "angles":
             raise UsageError("two_qubit mode takes state.name or state.amplitudes")
-        for s in self.series:
-            if s not in (SERIES_UNCORRELATED, SERIES_CORRELATED):
-                raise UsageError(f"unknown series {s!r}")
+        if self.series not in _SERIES_CHOICES.values():
+            raise UsageError(f"series must be one of {list(_SERIES_CHOICES.values())}, "
+                             f"got {self.series!r}")
 
     def state_vector(self) -> np.ndarray:
         if self.state_kind == "angles":
@@ -175,9 +179,6 @@ class ExperimentConfig:
             return pure_state(vec / norm)
         raise UsageError(f"unknown state kind {self.state_kind!r}")
 
-    def plan(self) -> ReductionPlan:
-        return ReductionPlan(backend=self.backend)
-
     def thermal(self) -> Thermal:
         return Thermal(self.beta)
 
@@ -186,52 +187,216 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def config_metadata(config: ExperimentConfig) -> tuple[tuple[str, str], ...]:
-    """Canonical (key, value) echo of a configuration; fixed order, no
-    timestamps, sufficient to replay the run byte-identically."""
-    rows: list[tuple[str, str]] = [("tool", f"spinbath {TOOL_VERSION}")]
-    if config.preset_name:
-        rows.append(("preset", config.preset_name))
-    rows.append(("mode", config.mode))
-    sys = config.system
+def _choose(key: str, text: str, choices) -> str:
+    if text not in choices:
+        *head, last = choices
+        listed = f"{', '.join(head)} or {last}" if head else last
+        raise UsageError(f"{key} must be {listed}, got {text!r}")
+    return text
+
+
+def _parse_real(key: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise UsageError(f"{key} must be a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"{key} must be finite, got {text!r}")
+    return value
+
+
+def _parse_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"{key} must be an integer, got {text!r}") from exc
+
+
+@dataclass(frozen=True)
+class _Type:
+    """How a config value is read from its text and echoed back."""
+
+    parse: Callable[[str, str], object]  # (key, text) -> value, or UsageError
+    show: Callable[[object], str] = str
+
+
+def _reals(count: int | None = None) -> _Type:
+    def parse(key, text):
+        values = tuple(_parse_real(key, v.strip()) for v in text.split(",") if v.strip())
+        if count is not None and len(values) != count:
+            raise UsageError(f"{key} needs {count} comma-separated reals, got {len(values)}")
+        return values
+    return _Type(parse, lambda values: ",".join(map(_fmt, values)))
+
+
+def _words(*choices: str) -> _Type:
+    return _Type(lambda key, text: _choose(key, text, choices))
+
+
+_REAL = _Type(_parse_real, _fmt)
+_INT = _Type(_parse_int)
+_TEXT = _Type(lambda key, text: text)
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: its type, its default (None: the key is required) and
+    the mode, bath style or two-qubit state style it applies to (None: all)."""
+
+    name: str
+    type: _Type
+    default: object = None
+    when: str | None = None
+
+
+_MODE = _Key("mode", _words(*MODES))
+# in echo order; `output` is never echoed, since where a run is written is no
+# part of the run
+CONFIG_KEYS = (
+    _Key("tool", _words(TOOL), TOOL),
+    _Key("preset", _TEXT, ""),
+    _MODE,
+    _Key("system.epsilon", _REAL, when="single"),
+    _Key("system.delta", _REAL, when="single"),
+    *(_Key(f"system.{name}", _REAL, when="two_qubit")
+      for name in ("eps1", "eps2", "delta1", "delta2")),
+    _Key("system.lambda", _REAL, 0.0, "two_qubit"),
+    _Key("bath.n_spins", _INT),
+    _Key("bath.boundary", _words(*(b.value for b in Boundary)), Boundary.OPEN.value),
+    _Key("bath.eps", _REAL, when="uniform"),
+    _Key("bath.g", _REAL, when="uniform"),
+    _Key("bath.chi", _REAL, 0.0, "uniform"),
+    *(_Key(f"bath.{name}_list", _reals(), when="explicit") for name in ("eps", "g", "chi")),
+    _Key("bath.random.seed", _INT, when="random"),
+    *(_Key(f"bath.random.{name}.{stat}", _REAL, when="random")
+      for name in ("g", "eps", "chi") for stat in ("mean", "std")),
+    _Key("rng.algorithm", _words(RNG_ALGORITHM), RNG_ALGORITHM, "random"),
+    _Key("thermal.beta", _REAL),
+    _Key("state.theta", _REAL, math.pi / 2.0, "single"),
+    _Key("state.phi", _REAL, 0.0, "single"),
+    _Key("state.amplitudes", _reals(8), when="amplitudes"),
+    _Key("state.name", _words("bell", "product"), "bell", "named"),
+    _Key("grid.t_start", _REAL, 0.0),
+    _Key("grid.t_end", _REAL, 20.0, "single"),
+    _Key("grid.t_end", _REAL, 10.0, "two_qubit"),
+    _Key("grid.n_points", _INT, 400),
+    _Key("backend", _words(*(b.value for b in Backend)), Backend.ENUMERATE.value),
+    _Key("series", _words(*_SERIES_CHOICES), "both"),
+    _Key("output", _TEXT, ""),
+)
+
+
+def _style(keys, styles: tuple[str, ...], conflict: str) -> str:
+    """The one style of a group whose keys are given; the first if none is."""
+    used = [style for style in styles
+            if any(key.when == style and key.name in keys for key in CONFIG_KEYS)]
+    if len(used) > 1:
+        raise UsageError(conflict)
+    return used[0] if used else styles[0]
+
+
+def _read(key: _Key, keys: dict[str, str]):
+    text = keys.get(key.name)
+    if text is not None:
+        return key.type.parse(key.name, text)
+    if key.default is None:
+        raise UsageError(f"missing required key {key.name}")
+    return key.default
+
+
+def config_from_keys(keys: dict[str, str]) -> ExperimentConfig:
+    """Configuration from key -> value texts, read and checked by CONFIG_KEYS."""
+    unknown = sorted(set(keys) - {key.name for key in CONFIG_KEYS})
+    if unknown:
+        raise UsageError(f"unknown key {unknown[0]!r} in config")
+    mode = _read(_MODE, keys)
+    active = {None, mode, _style(keys, ("uniform", "explicit", "random"),
+                                 "mix of uniform, explicit-list and random bath keys; "
+                                 "pick one style")}
+    if mode == "two_qubit":
+        active.add(_style(keys, ("named", "amplitudes"),
+                          "give either state.name or state.amplitudes, not both"))
+    applying = [key for key in CONFIG_KEYS if key.when in active]
+    for name in keys:
+        if all(key.name != name for key in applying):
+            raise UsageError(f"{name} does not apply to mode {mode}")
+    v = {key.name: _read(key, keys) for key in applying}
+
+    if mode == "single":
+        system = SystemParams(v["system.epsilon"], v["system.delta"])
+        state_kind, state_params = "angles", (v["state.theta"], v["state.phi"])
+    else:
+        system = TwoQubitParams(v["system.eps1"], v["system.eps2"], v["system.delta1"],
+                                v["system.delta2"], v["system.lambda"])
+        state_kind, state_params = (("amplitudes", v["state.amplitudes"])
+                                    if "state.amplitudes" in v else (v["state.name"], ()))
+    n_spins, boundary = v["bath.n_spins"], Boundary(v["bath.boundary"])
+    if "bath.eps" in v:
+        bath = BathSpec(n_spins, "uniform", boundary,
+                        eps=v["bath.eps"], g=v["bath.g"], chi=v["bath.chi"])
+    elif "bath.eps_list" in v:
+        bath = BathSpec(n_spins, "explicit", boundary, eps_list=v["bath.eps_list"],
+                        g_list=v["bath.g_list"], chi_list=v["bath.chi_list"])
+    else:
+        bath = BathSpec(n_spins, "random", boundary, seed=v["bath.random.seed"], **{
+            f"{name}_stats": GaussianStats(v[f"bath.random.{name}.mean"],
+                                           v[f"bath.random.{name}.std"])
+            for name in ("g", "eps", "chi")})
+    return ExperimentConfig(
+        mode=mode, system=system, bath=bath, beta=v["thermal.beta"],
+        state_kind=state_kind, state_params=state_params,
+        grid=TimeGrid(v["grid.t_start"], v["grid.t_end"], v["grid.n_points"]),
+        backend=Backend(v["backend"]), series=_SERIES_CHOICES[v["series"]],
+        output=v["output"] or None, preset_name=v["preset"] or None,
+    )
+
+
+def _key_values(config: ExperimentConfig) -> dict:
+    """The value, as the key's type reads it, of every key config sets."""
+    sys, bath, grid = config.system, config.bath, config.grid
+    values = {
+        "tool": TOOL, "preset": config.preset_name, "mode": config.mode,
+        "bath.n_spins": bath.n_spins, "bath.boundary": bath.boundary.value,
+        "thermal.beta": config.beta, "grid.t_start": grid.t_start,
+        "grid.t_end": grid.t_end, "grid.n_points": grid.n_points,
+        "backend": config.backend.value,
+        "series": next(word for word, series in _SERIES_CHOICES.items()
+                       if series == config.series),
+    }
     if config.mode == "single":
-        rows += [("system.epsilon", _fmt(sys.epsilon)), ("system.delta", _fmt(sys.delta))]
+        values.update({"system.epsilon": sys.epsilon, "system.delta": sys.delta,
+                       "state.theta": config.state_params[0],
+                       "state.phi": config.state_params[1]})
     else:
-        rows += [("system.eps1", _fmt(sys.eps1)), ("system.eps2", _fmt(sys.eps2)),
-                 ("system.delta1", _fmt(sys.delta1)), ("system.delta2", _fmt(sys.delta2)),
-                 ("system.lambda", _fmt(sys.lam))]
-    bath = config.bath
-    rows += [("bath.n_spins", str(bath.n_spins)), ("bath.boundary", bath.boundary.value)]
+        values.update({"system.eps1": sys.eps1, "system.eps2": sys.eps2,
+                       "system.delta1": sys.delta1, "system.delta2": sys.delta2,
+                       "system.lambda": sys.lam})
+        if config.state_kind == "amplitudes":
+            values["state.amplitudes"] = config.state_params
+        else:
+            values["state.name"] = config.state_kind
     if bath.kind == "uniform":
-        rows += [("bath.eps", _fmt(bath.eps)), ("bath.g", _fmt(bath.g)),
-                 ("bath.chi", _fmt(bath.chi))]
+        values.update({"bath.eps": bath.eps, "bath.g": bath.g, "bath.chi": bath.chi})
     elif bath.kind == "explicit":
-        rows += [("bath.eps_list", ",".join(map(_fmt, bath.eps_list))),
-                 ("bath.g_list", ",".join(map(_fmt, bath.g_list))),
-                 ("bath.chi_list", ",".join(map(_fmt, bath.chi_list)))]
+        values.update({"bath.eps_list": bath.eps_list, "bath.g_list": bath.g_list,
+                       "bath.chi_list": bath.chi_list})
     else:
-        rows += [("bath.random.seed", str(bath.seed)),
-                 ("bath.random.g.mean", _fmt(bath.g_stats.mean)),
-                 ("bath.random.g.std", _fmt(bath.g_stats.std)),
-                 ("bath.random.eps.mean", _fmt(bath.eps_stats.mean)),
-                 ("bath.random.eps.std", _fmt(bath.eps_stats.std)),
-                 ("bath.random.chi.mean", _fmt(bath.chi_stats.mean)),
-                 ("bath.random.chi.std", _fmt(bath.chi_stats.std)),
-                 ("rng.algorithm", RNG_ALGORITHM)]
-    rows.append(("thermal.beta", _fmt(config.beta)))
-    if config.state_kind == "angles":
-        rows += [("state.theta", _fmt(config.state_params[0])),
-                 ("state.phi", _fmt(config.state_params[1]))]
-    elif config.state_kind == "amplitudes":
-        rows.append(("state.amplitudes", ",".join(map(_fmt, config.state_params))))
-    else:
-        rows.append(("state.name", config.state_kind))
-    rows += [("grid.t_start", _fmt(config.grid.t_start)),
-             ("grid.t_end", _fmt(config.grid.t_end)),
-             ("grid.n_points", str(config.grid.n_points)),
-             ("backend", config.backend.value),
-             ("series", "+".join(config.series))]
-    return tuple(rows)
+        values.update({"bath.random.seed": bath.seed, "rng.algorithm": RNG_ALGORITHM})
+        for name in ("g", "eps", "chi"):
+            stats = getattr(bath, f"{name}_stats")
+            values.update({f"bath.random.{name}.mean": stats.mean,
+                           f"bath.random.{name}.std": stats.std})
+    return values
+
+
+def config_metadata(config: ExperimentConfig) -> tuple[tuple[str, str], ...]:
+    """Canonical (key, value) echo of a configuration in CONFIG_KEYS order; no
+    timestamps, and config_from_keys reads it back to an equal configuration."""
+    values = _key_values(config)
+    # a dict, so that a key with one row per mode is echoed once
+    echo = {key.name: key.type.show(values[key.name]) for key in CONFIG_KEYS
+            if values.get(key.name) is not None}
+    return tuple(echo.items())
 
 
 @dataclass(frozen=True)
@@ -241,18 +406,12 @@ class ResultTable:
     metadata: tuple[tuple[str, str], ...]
 
     def render(self) -> str:
-        lines = [f"# {key} = {value}" for key, value in self.metadata]
-        lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_fmt(x) for x in row))
-        return "\n".join(lines) + "\n"
+        return "".join(f"# {key} = {value}\n" for key, value in self.metadata) + self.body()
 
     def body(self) -> str:
         """Everything below the metadata block; the determinism contract
         applies to this part (metadata carries no timestamps either)."""
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(x) for x in row))
+        lines = [",".join(self.columns)] + [",".join(map(_fmt, row)) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -278,7 +437,6 @@ def run(config: ExperimentConfig) -> ResultTable:
         except ParameterError as exc:
             raise UsageError(f"backend=collapse needs uniform bath parameters: {exc}") from exc
     th = config.thermal()
-    plan = config.plan()
     psi = config.state_vector()
     times = config.grid.times()
     columns = ["t"]
@@ -286,11 +444,13 @@ def run(config: ExperimentConfig) -> ResultTable:
     for series in config.series:
         correlated = series == SERIES_CORRELATED
         if config.mode == "single":
-            points = bloch_trajectory(config.system, bath, th, plan, psi, times, correlated)
+            points = bloch_trajectory(config.system, bath, th, config.backend, psi, times,
+                                      correlated)
             columns.append(f"px_{series}")
             series_values.append([p.px for p in points])
         else:
-            states = density_trajectory(config.system, bath, th, plan, psi, times, correlated)
+            states = density_trajectory(config.system, bath, th, config.backend, psi, times,
+                                        correlated)
             columns.append(f"C_{series}")
             series_values.append([concurrence(rho) for rho in states])
     table = np.column_stack([times] + [np.asarray(v) for v in series_values])
@@ -298,62 +458,47 @@ def run(config: ExperimentConfig) -> ResultTable:
                        metadata=config_metadata(config))
 
 
-_TWO_QUBIT_BASE = dict(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0)
+_SINGLE = {"mode": "single", "system.epsilon": "2", "system.delta": "1"}
+_PAIR = {"mode": "two_qubit", "system.eps1": "1", "system.eps2": "2",
+         "system.delta1": "4", "system.delta2": "1"}
 
 
-def _single_preset(n, eps, g, chi, beta, backend, seed=None, random=None):
-    if random is None:
-        bath = BathSpec(n_spins=n, kind="uniform", eps=eps, g=g, chi=chi)
-    else:
-        bath = BathSpec(n_spins=n, kind="random", seed=seed,
-                        g_stats=GaussianStats(*random["g"]),
-                        eps_stats=GaussianStats(*random["eps"]),
-                        chi_stats=GaussianStats(*random["chi"]))
-    return ExperimentConfig(
-        mode="single", system=SystemParams(epsilon=2.0, delta=1.0), bath=bath,
-        beta=beta, state_kind="angles", state_params=(math.pi / 2.0, 0.0),
-        grid=TimeGrid(0.0, 20.0, 400), backend=backend,
-    )
+def _bath(n_spins, eps, g, chi, beta, backend):
+    return {"bath.n_spins": n_spins, "bath.eps": eps, "bath.g": g, "bath.chi": chi,
+            "thermal.beta": beta, "backend": backend}
 
 
-def _pair_preset(n, eps, g, chi, beta, lam, state, backend):
-    bath = BathSpec(n_spins=n, kind="uniform", eps=eps, g=g, chi=chi)
-    return ExperimentConfig(
-        mode="two_qubit", system=TwoQubitParams(lam=lam, **_TWO_QUBIT_BASE), bath=bath,
-        beta=beta, state_kind=state, state_params=(),
-        grid=TimeGrid(0.0, 10.0, 400), backend=backend,
-    )
+def _random_bath(seed, g, eps, chi):
+    """Gaussian (mean, std) couplings on ten enumerated spins at beta = 10."""
+    keys = {"bath.n_spins": "10", "bath.random.seed": seed, "thermal.beta": "10"}
+    for name, (mean, std) in (("g", g), ("eps", eps), ("chi", chi)):
+        keys.update({f"bath.random.{name}.mean": mean, f"bath.random.{name}.std": std})
+    return keys
 
 
-def _build_presets() -> dict[str, ExperimentConfig]:
-    enum, coll = Backend.ENUMERATE, Backend.COLLAPSE
-    presets = {
-        "fig1": _single_preset(50, 1.0, 0.1, 0.0, 1.0, coll),
-        "fig2": _single_preset(50, 1.0, 1.0, 0.0, 0.1, coll),
-        "fig3": _single_preset(50, 1.0, 0.5, 0.0, 1.0, coll),
-        "fig4": _single_preset(50, 1.0, 1.0, 0.0, 1.0, coll),
-        "fig5": _single_preset(50, 1.0, 1.0, 0.0, 10.0, coll),
-        "fig6": _single_preset(50, 0.01, 1.0, 0.0, 10.0, coll),
-        "fig7": _single_preset(10, 1.0, 1.0, 0.1, 1.0, enum),
-        "fig8": _single_preset(10, 1.0, 1.0, 0.1, 10.0, enum),
-        "fig9": _single_preset(10, 0.01, 1.0, 1.0, 10.0, enum),
-        "fig10": _single_preset(10, 1.0, 5.0, 1.0, 10.0, enum),
-        "fig11": _single_preset(10, None, None, None, 10.0, enum, seed=11,
-                                random=dict(g=(5.0, 0.01), eps=(1.0, 0.001), chi=(1.0, 0.01))),
-        "fig12": _single_preset(10, None, None, None, 10.0, enum, seed=12,
-                                random=dict(g=(5.0, 1.0), eps=(1.0, 0.2), chi=(1.0, 0.2))),
-        "fig13": _pair_preset(50, 1.0, 0.1, 0.0, 1.0, 0.0, "bell", coll),
-        "fig14": _pair_preset(50, 1.0, 0.5, 0.0, 1.0, 0.0, "bell", coll),
-        "fig15": _pair_preset(50, 1.0, 1.0, 0.0, 10.0, 0.0, "bell", coll),
-        "fig16": _pair_preset(50, 0.01, 1.0, 0.0, 10.0, 0.0, "bell", coll),
-        "fig17": _pair_preset(10, 0.01, 1.0, 0.1, 10.0, 0.0, "bell", enum),
-        "fig18": _pair_preset(50, 1.0, 1.0, 0.0, 1.0, 3.0, "bell", coll),
-        "fig19": _pair_preset(50, 1.0, 0.5, 0.0, 1.0, 5.0, "product", coll),
-    }
-    return {name: replace(cfg, preset_name=name) for name, cfg in presets.items()}
-
-
-_PRESETS = _build_presets()
+# figure regimes as config keys; every key left out takes its default
+_PRESETS = {name: config_from_keys({**keys, "preset": name}) for name, keys in {
+    "fig1": {**_SINGLE, **_bath("50", "1", "0.1", "0", "1", "collapse")},
+    "fig2": {**_SINGLE, **_bath("50", "1", "1", "0", "0.1", "collapse")},
+    "fig3": {**_SINGLE, **_bath("50", "1", "0.5", "0", "1", "collapse")},
+    "fig4": {**_SINGLE, **_bath("50", "1", "1", "0", "1", "collapse")},
+    "fig5": {**_SINGLE, **_bath("50", "1", "1", "0", "10", "collapse")},
+    "fig6": {**_SINGLE, **_bath("50", "0.01", "1", "0", "10", "collapse")},
+    "fig7": {**_SINGLE, **_bath("10", "1", "1", "0.1", "1", "enumerate")},
+    "fig8": {**_SINGLE, **_bath("10", "1", "1", "0.1", "10", "enumerate")},
+    "fig9": {**_SINGLE, **_bath("10", "0.01", "1", "1", "10", "enumerate")},
+    "fig10": {**_SINGLE, **_bath("10", "1", "5", "1", "10", "enumerate")},
+    "fig11": {**_SINGLE, **_random_bath("11", ("5", "0.01"), ("1", "0.001"), ("1", "0.01"))},
+    "fig12": {**_SINGLE, **_random_bath("12", ("5", "1"), ("1", "0.2"), ("1", "0.2"))},
+    "fig13": {**_PAIR, **_bath("50", "1", "0.1", "0", "1", "collapse")},
+    "fig14": {**_PAIR, **_bath("50", "1", "0.5", "0", "1", "collapse")},
+    "fig15": {**_PAIR, **_bath("50", "1", "1", "0", "10", "collapse")},
+    "fig16": {**_PAIR, **_bath("50", "0.01", "1", "0", "10", "collapse")},
+    "fig17": {**_PAIR, **_bath("10", "0.01", "1", "0.1", "10", "enumerate")},
+    "fig18": {**_PAIR, **_bath("50", "1", "1", "0", "1", "collapse"), "system.lambda": "3"},
+    "fig19": {**_PAIR, **_bath("50", "1", "0.5", "0", "1", "collapse"), "system.lambda": "5",
+              "state.name": "product"},
+}.items()}
 
 
 def list_presets() -> list[str]:
@@ -373,181 +518,36 @@ def preset(name: str, seed: int | None = None) -> ExperimentConfig:
     return config
 
 
-def _parse_scalar(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise UsageError(f"{key} must be a number, got {value!r}") from exc
-
-
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise UsageError(f"{key} must be an integer, got {value!r}") from exc
-
-
-def _parse_list(key: str, value: str) -> tuple[float, ...]:
-    items = [v.strip() for v in value.split(",") if v.strip()]
-    return tuple(_parse_scalar(key, v) for v in items)
-
-
 def parse_config_file(path) -> ExperimentConfig:
-    """Strict flat dotted-key config parser; unknown keys are errors."""
-    keys: dict[str, str] = {}
+    """Strict flat dotted-key config parser; unknown keys are errors.
+
+    A CSV this tool wrote (its first line is `# tool = ...`) reads as its
+    leading `# key = value` lines, and the table below them is ignored, so
+    running it replays the run.
+    """
     try:
-        handle = open(path)
-    except OSError as exc:
+        with open(path) as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    with handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not key or not value:
-                raise UsageError(f"{path}:{lineno}: empty key or value")
-            if key in keys:
-                raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
-            keys[key] = value
+    if lines and lines[0].startswith("# tool ="):
+        header = itertools.takewhile(lambda line: line.startswith("# "), lines)
+        entries = [(lineno, line[2:].strip()) for lineno, line in enumerate(header, start=1)]
+    else:
+        entries = [(lineno, line.strip()) for lineno, line in enumerate(lines, start=1)
+                   if line.strip() and not line.strip().startswith("#")]
+    keys: dict[str, str] = {}
+    for lineno, line in entries:
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key:
+            raise UsageError(f"{path}:{lineno}: empty key")
+        if key in keys:
+            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
+        keys[key] = value
     return config_from_keys(keys)
-
-
-def config_from_keys(keys: dict[str, str]) -> ExperimentConfig:
-    pending = dict(keys)
-
-    def take(key, default=None):
-        return pending.pop(key, default)
-
-    mode = take("mode")
-    if mode is None:
-        raise UsageError("missing required key mode")
-    if mode not in ("single", "two_qubit"):
-        raise UsageError(f"mode must be single or two_qubit, got {mode!r}")
-
-    if mode == "single":
-        epsilon = take("system.epsilon")
-        delta = take("system.delta")
-        if epsilon is None or delta is None:
-            raise UsageError("single mode requires system.epsilon and system.delta")
-        system = SystemParams(_parse_scalar("system.epsilon", epsilon),
-                              _parse_scalar("system.delta", delta))
-        state_kind = "angles"
-        theta = take("state.theta", str(math.pi / 2.0))
-        phi = take("state.phi", "0")
-        state_params = (_parse_scalar("state.theta", theta), _parse_scalar("state.phi", phi))
-    else:
-        values = {}
-        for short in ("eps1", "eps2", "delta1", "delta2"):
-            raw = take(f"system.{short}")
-            if raw is None:
-                raise UsageError(f"two_qubit mode requires system.{short}")
-            values[short] = _parse_scalar(f"system.{short}", raw)
-        lam = take("system.lambda", "0")
-        system = TwoQubitParams(lam=_parse_scalar("system.lambda", lam), **values)
-        name = take("state.name")
-        amplitudes = take("state.amplitudes")
-        if name is not None and amplitudes is not None:
-            raise UsageError("give either state.name or state.amplitudes, not both")
-        if amplitudes is not None:
-            state_params = _parse_list("state.amplitudes", amplitudes)
-            if len(state_params) != 8:
-                raise UsageError(
-                    "state.amplitudes needs 8 comma-separated reals "
-                    "(re,im per amplitude), got "
-                    f"{len(state_params)}"
-                )
-            state_kind = "amplitudes"
-        else:
-            state_kind = name if name is not None else "bell"
-            if state_kind not in ("bell", "product"):
-                raise UsageError(f"state.name must be bell or product, got {state_kind!r}")
-            state_params = ()
-
-    n_spins_raw = take("bath.n_spins")
-    if n_spins_raw is None:
-        raise UsageError("missing required key bath.n_spins")
-    n_spins = _parse_int("bath.n_spins", n_spins_raw)
-    boundary_raw = take("bath.boundary", "open")
-    try:
-        boundary = Boundary(boundary_raw)
-    except ValueError as exc:
-        raise UsageError(f"bath.boundary must be open or periodic, got {boundary_raw!r}") from exc
-
-    uniform_keys = {k: take(f"bath.{k}") for k in ("eps", "g", "chi")}
-    list_keys = {k: take(f"bath.{k}") for k in ("eps_list", "g_list", "chi_list")}
-    random_raw = {k: take(f"bath.random.{k}") for k in
-                  ("seed", "g.mean", "g.std", "eps.mean", "eps.std", "chi.mean", "chi.std")}
-    has_uniform = any(v is not None for v in uniform_keys.values())
-    has_lists = any(v is not None for v in list_keys.values())
-    has_random = any(v is not None for v in random_raw.values())
-    if sum((has_uniform, has_lists, has_random)) > 1:
-        raise UsageError("mix of uniform, explicit-list and random bath keys; pick one style")
-    if has_lists:
-        lists = {}
-        for k, v in list_keys.items():
-            if v is None:
-                raise UsageError(f"explicit bath needs bath.{k}")
-            lists[k] = _parse_list(f"bath.{k}", v)
-        bath = BathSpec(n_spins=n_spins, kind="explicit", boundary=boundary,
-                        eps_list=lists["eps_list"], g_list=lists["g_list"],
-                        chi_list=lists["chi_list"])
-    elif has_random:
-        for k, v in random_raw.items():
-            if v is None:
-                raise UsageError(f"random bath needs bath.random.{k}")
-        bath = BathSpec(
-            n_spins=n_spins, kind="random", boundary=boundary,
-            seed=_parse_int("bath.random.seed", random_raw["seed"]),
-            g_stats=GaussianStats(_parse_scalar("bath.random.g.mean", random_raw["g.mean"]),
-                                  _parse_scalar("bath.random.g.std", random_raw["g.std"])),
-            eps_stats=GaussianStats(_parse_scalar("bath.random.eps.mean", random_raw["eps.mean"]),
-                                    _parse_scalar("bath.random.eps.std", random_raw["eps.std"])),
-            chi_stats=GaussianStats(_parse_scalar("bath.random.chi.mean", random_raw["chi.mean"]),
-                                    _parse_scalar("bath.random.chi.std", random_raw["chi.std"])),
-        )
-    else:
-        missing = [k for k, v in uniform_keys.items() if v is None and k != "chi"]
-        if missing:
-            raise UsageError(f"uniform bath needs bath.{missing[0]}")
-        bath = BathSpec(n_spins=n_spins, kind="uniform", boundary=boundary,
-                        eps=_parse_scalar("bath.eps", uniform_keys["eps"]),
-                        g=_parse_scalar("bath.g", uniform_keys["g"]),
-                        chi=_parse_scalar("bath.chi", uniform_keys["chi"] or "0"))
-
-    beta_raw = take("thermal.beta")
-    if beta_raw is None:
-        raise UsageError("missing required key thermal.beta")
-    beta = _parse_scalar("thermal.beta", beta_raw)
-
-    default_end = "20" if mode == "single" else "10"
-    grid = TimeGrid(_parse_scalar("grid.t_start", take("grid.t_start", "0")),
-                    _parse_scalar("grid.t_end", take("grid.t_end", default_end)),
-                    _parse_int("grid.n_points", take("grid.n_points", "400")))
-
-    backend_raw = take("backend", "enumerate")
-    try:
-        backend = Backend(backend_raw)
-    except ValueError as exc:
-        raise UsageError(f"backend must be enumerate or collapse, got {backend_raw!r}") from exc
-
-    series_raw = take("series", "both")
-    if series_raw not in _SERIES_CHOICES:
-        raise UsageError(f"series must be both, uncorrelated or correlated, got {series_raw!r}")
-
-    config = ExperimentConfig(
-        mode=mode, system=system, bath=bath, beta=beta,
-        state_kind=state_kind, state_params=state_params, grid=grid,
-        backend=backend,
-        series=_SERIES_CHOICES[series_raw],
-        output=take("output"),
-    )
-    if pending:
-        raise UsageError(f"unknown key {sorted(pending)[0]!r} in config")
-    return config
 
 
 @dataclass(frozen=True)
@@ -594,7 +594,6 @@ def oracle_check(config: ExperimentConfig, n_override: int,
     bath = small.bath.materialize()
     th = small.thermal()
     analytic_th = Thermal(small.beta * (1.0 + analytic_beta_skew))
-    plan = ReductionPlan(backend=Backend.ENUMERATE)
     psi = small.state_vector()
     times = small.grid.times()
     h = build_hamiltonian(small.system, bath)
@@ -604,14 +603,14 @@ def oracle_check(config: ExperimentConfig, n_override: int,
         rho0 = initial_state(h, th, psi, correlated)
         reduced = [evolve_and_reduce(h, rho0, float(t)) for t in times]
         if small.mode == "single":
-            points = bloch_trajectory(small.system, bath, analytic_th, plan, psi,
+            points = bloch_trajectory(small.system, bath, analytic_th, Backend.ENUMERATE, psi,
                                       times, correlated)
             deviation = max(
                 float(np.abs(p.as_array() - _bloch_of_density(rho)).max())
                 for p, rho in zip(points, reduced))
             entries.append((f"bloch_{series}", deviation))
         else:
-            states = density_trajectory(small.system, bath, analytic_th, plan, psi,
+            states = density_trajectory(small.system, bath, analytic_th, Backend.ENUMERATE, psi,
                                         times, correlated)
             rho_dev = max(float(np.abs(a - b).max()) for a, b in zip(states, reduced))
             conc_dev = max(abs(concurrence(a) - concurrence(np.asarray(b)))

@@ -240,8 +240,14 @@ def bloch_components(psi) -> tuple[float, float, float]:
 
 def log_correlation_factor(sys: SystemParams, th: Thermal, q: ConfigQuantities,
                            psi) -> float:
-    """log of the correlation factor (see correlation_factor), elementwise
-    when q holds arrays.
+    """log of the correlation factor, elementwise when q holds arrays.
+
+    The correlation factor is the weight correction from a correlated
+    system-bath preparation: <psi| exp(-beta h) |psi> for the conditional
+    qubit Hamiltonian h of this bath pattern, always mathematically positive.
+    It multiplies the thermal weight of the pattern when the joint state was
+    prepared by projecting the system out of a global thermal state instead
+    of attaching an independent thermal bath.
 
     Evaluated from the spectral projections of the conditional qubit
     Hamiltonian h = (splitting/2) sigma_z + (delta/2) sigma_x, whose
@@ -267,16 +273,3 @@ def log_correlation_factor(sys: SystemParams, th: Thermal, q: ConfigQuantities,
         out = np.where(small, np.log1p(-th.beta * mean_h),
                        np.logaddexp(-exponent + upper, exponent + lower))
     return _scalar_or_array(out)
-
-
-def correlation_factor(sys: SystemParams, th: Thermal, q: ConfigQuantities,
-                       psi) -> float:
-    """Weight correction from a correlated system-bath preparation.
-
-    Equals <psi| exp(-beta h) |psi> for the conditional qubit Hamiltonian h
-    of this bath pattern; always mathematically positive. It multiplies the
-    thermal weight of the pattern when the joint state was prepared by
-    projecting the system out of a global thermal state instead of attaching
-    an independent thermal bath.
-    """
-    return math.exp(log_correlation_factor(sys, th, q, psi))

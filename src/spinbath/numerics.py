@@ -53,21 +53,13 @@ def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def pairwise_sum(values) -> float:
-    """Sum of real values by a fixed-shape pairwise tree.
-
-    The tree shape depends only on len(values), so the result is
-    bit-identical across runs. Error grows like log2(n) * eps instead of the
-    n * eps of naive left-to-right addition.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ParameterError(f"expected a 1-d array of reals, got shape {arr.shape}")
-    return float(_pairwise_over_rows(arr))
-
-
 def _pairwise_over_rows(arr: np.ndarray):
-    """Pairwise reduction over axis 0; works for 1-d (scalars) and 2-d (rows)."""
+    """Pairwise reduction over axis 0, for 1-d (scalars) or n-d (rows).
+
+    The tree shape depends only on len(arr), so the result is bit-identical
+    across runs. Error grows like log2(n) * eps instead of the n * eps of
+    naive left-to-right addition.
+    """
     if arr.shape[0] == 0:
         return np.zeros(arr.shape[1:], dtype=arr.dtype)
     while arr.shape[0] > 1:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configspace import (Backend, ReductionPlan, collapse_classes,
-                          fold_classes, mask_blocks, reduce_weighted)
+from .configspace import (Backend, collapse_classes, fold_classes, mask_blocks,
+                          reduce_weighted)
 from .errors import NumericError, ParameterError
 from .model import (BathParams, SystemParams, Thermal, bloch_components,
                     class_quantities, config_quantities, log_correlation_factor,
@@ -74,7 +74,7 @@ class BlochPropagator:
 
 
 def _weighted_fields(sys: SystemParams, bath: BathParams, th: Thermal,
-                     plan: ReductionPlan, psi, correlated: bool):
+                     backend: Backend, psi, correlated: bool):
     """Per summed item (a mask, or a down-spin count under collapse): the
     splitting, the rabi frequency, and the log weight."""
     def log_weight(q):
@@ -82,7 +82,7 @@ def _weighted_fields(sys: SystemParams, bath: BathParams, th: Thermal,
             return q.log_weight + log_correlation_factor(sys, th, q, psi)
         return q.log_weight
 
-    if plan.backend is Backend.COLLAPSE:
+    if Backend(backend) is Backend.COLLAPSE:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
         q = class_quantities(sys, bath, th, classes.k, classes.w)
@@ -93,10 +93,10 @@ def _weighted_fields(sys: SystemParams, bath: BathParams, th: Thermal,
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _bloch_sums(sys: SystemParams, bath: BathParams, th: Thermal, plan: ReductionPlan,
+def _bloch_sums(sys: SystemParams, bath: BathParams, th: Thermal, backend: Backend,
                 psi, correlated: bool, times) -> tuple[np.ndarray, np.ndarray, float]:
     """Entry sums (T, 3, 3), normalizers (T,) and the log-weight shift."""
-    splitting, rabi, log_weight = _weighted_fields(sys, bath, th, plan, psi, correlated)
+    splitting, rabi, log_weight = _weighted_fields(sys, bath, th, backend, psi, correlated)
     shift = float(log_weight.max())
     weight = np.exp(log_weight - shift)
     # unit direction (u, v); rabi == 0 forces splitting == delta == 0, where
@@ -129,33 +129,33 @@ def _qubit_state(psi) -> np.ndarray:
     return psi
 
 
-def _propagator(sys, bath, th, plan, psi, correlated, t) -> BlochPropagator:
-    s, normalizer, shift = _bloch_sums(sys, bath, th, plan, psi, correlated, [t])
+def _propagator(sys, bath, th, backend, psi, correlated, t) -> BlochPropagator:
+    s, normalizer, shift = _bloch_sums(sys, bath, th, backend, psi, correlated, [t])
     matrix = s[0].copy()
     matrix.setflags(write=False)
     return BlochPropagator(s=matrix, normalizer=float(normalizer[0]), log_scale=shift)
 
 
 def propagator_uncorrelated(sys: SystemParams, bath: BathParams, th: Thermal,
-                            plan: ReductionPlan, t: float) -> BlochPropagator:
+                            backend: Backend, t: float) -> BlochPropagator:
     """Bloch map at time t for a product (independently thermal) preparation."""
-    return _propagator(sys, bath, th, plan, None, False, t)
+    return _propagator(sys, bath, th, backend, None, False, t)
 
 
 def propagator_correlated(sys: SystemParams, bath: BathParams, th: Thermal,
-                          plan: ReductionPlan, psi, t: float) -> BlochPropagator:
+                          backend: Backend, psi, t: float) -> BlochPropagator:
     """Bloch map at time t for a jointly thermalized, projectively prepared
     state. psi is both the prepared qubit state and the state whose pattern
     weights the map carries."""
-    return _propagator(sys, bath, th, plan, _qubit_state(psi), True, t)
+    return _propagator(sys, bath, th, backend, _qubit_state(psi), True, t)
 
 
 def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
-                     plan: ReductionPlan, psi, times,
+                     backend: Backend, psi, times,
                      correlated: bool) -> list[BlochVector]:
     """Bloch vector of the prepared state psi at each requested time."""
     psi = _qubit_state(psi)
-    s, normalizer, _ = _bloch_sums(sys, bath, th, plan, psi, correlated, times)
+    s, normalizer, _ = _bloch_sums(sys, bath, th, backend, psi, correlated, times)
     m = s / normalizer[:, None, None]
     px, py, pz = bloch_components(psi)
     p = m[:, :, 0] * px + m[:, :, 1] * py + m[:, :, 2] * pz

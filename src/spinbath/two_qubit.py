@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configspace import (Backend, ReductionPlan, collapse_classes,
-                          fold_classes, mask_blocks, reduce_weighted)
+from .configspace import (Backend, collapse_classes, fold_classes, mask_blocks,
+                          reduce_weighted)
 from .errors import NumericError, ParameterError
 from .model import (BathParams, Thermal, bath_sums, class_sums, pure_state,
                     require_uniform)
@@ -84,11 +84,11 @@ def conditional_hamiltonian(sys2: TwoQubitParams, g_sum) -> np.ndarray:
 
 
 def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
-                 plan: ReductionPlan, psi: np.ndarray, correlated: bool):
+                 backend: Backend, psi: np.ndarray, correlated: bool):
     """Per summed item (a mask, or a down-spin count under collapse): the
     conditional energies E (n, 4), the amplitudes A (n, 4, 4) with
     psi(t) = A @ exp(-iEt), and the log weight."""
-    if plan.backend is Backend.COLLAPSE:
+    if Backend(backend) is Backend.COLLAPSE:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
         g_sum, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
@@ -166,10 +166,10 @@ def concurrence(rho) -> float:
 
 
 def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
-                       plan: ReductionPlan, psi, times, correlated: bool) -> list[np.ndarray]:
+                       backend: Backend, psi, times, correlated: bool) -> list[np.ndarray]:
     """Reduced pair states over a time grid."""
     psi = _pair_state(psi)
-    energies, amplitudes, log_weight = _pair_fields(sys2, bath, th, plan, psi, correlated)
+    energies, amplitudes, log_weight = _pair_fields(sys2, bath, th, backend, psi, correlated)
     weight = np.exp(log_weight - log_weight.max())
 
     def term(rows, t):

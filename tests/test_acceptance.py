@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from spinbath import configspace
-from spinbath.configspace import Backend, ReductionPlan
+from spinbath.configspace import Backend
 from spinbath.experiments import list_presets, preset, run
 from spinbath.model import BathParams, SystemParams, Thermal, pure_state
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
@@ -48,15 +48,15 @@ def preset_trajectories():
     for name in list_presets():
         config = preset(name)
         bath = config.bath.materialize()
-        th, plan = config.thermal(), config.plan()
+        th, backend = config.thermal(), config.backend
         psi, times = config.state_vector(), config.grid.times()
         if config.mode == "single":
-            u = bloch_trajectory(config.system, bath, th, plan, psi, times, False)
-            c = bloch_trajectory(config.system, bath, th, plan, psi, times, True)
+            u = bloch_trajectory(config.system, bath, th, backend, psi, times, False)
+            c = bloch_trajectory(config.system, bath, th, backend, psi, times, True)
             out[name] = ("single", times, u, c)
         else:
-            u = density_trajectory(config.system, bath, th, plan, psi, times, False)
-            c = density_trajectory(config.system, bath, th, plan, psi, times, True)
+            u = density_trajectory(config.system, bath, th, backend, psi, times, False)
+            c = density_trajectory(config.system, bath, th, backend, psi, times, True)
             out[name] = ("pair", times, u, c)
     return out
 
@@ -66,7 +66,7 @@ class TestCriterion1:
         start = time.perf_counter()
         times = np.linspace(0.0, 10.0, 50)
         sys1 = SystemParams(epsilon=2.0, delta=1.0)
-        plan = ReductionPlan()
+        backend = Backend.ENUMERATE
         worst = 0.0
         for set_index in range(5):
             rng = np.random.default_rng(1000 + set_index)
@@ -80,7 +80,7 @@ class TestCriterion1:
             for beta in (0.0, 1.0, 10.0):
                 th = Thermal(beta)
                 for correlated in (False, True):
-                    points = bloch_trajectory(sys1, bath, th, plan, psi, times,
+                    points = bloch_trajectory(sys1, bath, th, backend, psi, times,
                                               correlated)
                     rho0 = initial_state(h, th, psi, correlated)
                     for t, p in zip(times, points):
@@ -97,7 +97,7 @@ class TestCriterion2:
     def test_two_qubit_oracle_equivalence(self):
         start = time.perf_counter()
         times = np.linspace(0.0, 10.0, 50)
-        plan = ReductionPlan()
+        backend = Backend.ENUMERATE
         rng = np.random.default_rng(2000)
         n = 5
         bath = BathParams(
@@ -111,7 +111,7 @@ class TestCriterion2:
                 for beta in (0.0, 1.0, 10.0):
                     th = Thermal(beta)
                     for correlated in (False, True):
-                        states = density_trajectory(sys2, bath, th, plan, psi,
+                        states = density_trajectory(sys2, bath, th, backend, psi,
                                                     times, correlated)
                         rho0 = initial_state(h, th, psi, correlated)
                         for t, rho_a in zip(times, states):
@@ -130,7 +130,7 @@ class TestCriterion2:
 class TestCriterion3:
     def test_exact_limit_identities(self):
         times = np.linspace(0.0, 10.0, 40)
-        plan = ReductionPlan()
+        backend = Backend.ENUMERATE
         sys1 = SystemParams(epsilon=2.0, delta=1.0)
         rng = np.random.default_rng(3000)
         n = 5
@@ -141,13 +141,13 @@ class TestCriterion3:
         psi1 = pure_state([2 ** -0.5, 2 ** -0.5])
         worst = 0.0
         for bath, th in ((generic, Thermal(0.0)), (decoupled, Thermal(5.0))):
-            u = bloch_trajectory(sys1, bath, th, plan, psi1, times, False)
-            c = bloch_trajectory(sys1, bath, th, plan, psi1, times, True)
+            u = bloch_trajectory(sys1, bath, th, backend, psi1, times, False)
+            c = bloch_trajectory(sys1, bath, th, backend, psi1, times, True)
             worst = max(worst, max(float(np.abs(a.as_array() - b.as_array()).max())
                                    for a, b in zip(u, c)))
             sys2 = TwoQubitParams(lam=3.0, **BASE_PAIR)
-            ru = density_trajectory(sys2, bath, th, plan, bell_state(), times, False)
-            rc = density_trajectory(sys2, bath, th, plan, bell_state(), times, True)
+            ru = density_trajectory(sys2, bath, th, backend, bell_state(), times, False)
+            rc = density_trajectory(sys2, bath, th, backend, bell_state(), times, True)
             worst = max(worst, max(float(np.abs(a - b).max())
                                    for a, b in zip(ru, rc)))
         ok = worst < 1e-12
@@ -161,13 +161,13 @@ class TestCriterion4:
         bath = BathParams.uniform(14, 1.0, 1.0, 0.1)
         th = Thermal(1.0)
         psi = pure_state([2 ** -0.5, 2 ** -0.5])
-        enum = ReductionPlan(backend=Backend.ENUMERATE)
-        coll = ReductionPlan(backend=Backend.COLLAPSE)
+        enum = Backend.ENUMERATE
+        coll = Backend.COLLAPSE
         worst = 0.0
         for t in (0.0, 0.7, 2.3, 5.9, 10.0):
             for build in (
-                lambda plan, t=t: propagator_uncorrelated(sys1, bath, th, plan, t),
-                lambda plan, t=t: propagator_correlated(sys1, bath, th, plan, psi, t),
+                lambda backend, t=t: propagator_uncorrelated(sys1, bath, th, backend, t),
+                lambda backend, t=t: propagator_correlated(sys1, bath, th, backend, psi, t),
             ):
                 a, b = build(enum), build(coll)
                 # normalized entries are O(1), so the absolute gap between

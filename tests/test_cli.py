@@ -1,11 +1,19 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbath.cli import main
+from spinbath.experiments import CONFIG_KEYS, TOOL, config_metadata
+from test_experiments import configs
 
 TINY_SINGLE = (
     "mode = single\n"
@@ -68,6 +76,15 @@ class TestRun:
         assert proc.returncode == 2
         assert "mystery.key" in proc.stderr
 
+    def test_non_finite_angle_exits_2(self, tmp_path):
+        config = tmp_path / "bad.ini"
+        config.write_text(TINY_SINGLE + "state.theta = inf\n")
+        proc = run_cli("run", "--config", str(config))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: state.theta must be finite")
+
     def test_collapse_nonuniform_exits_2(self, tmp_path):
         config = tmp_path / "bad.ini"
         config.write_text(
@@ -78,6 +95,13 @@ class TestRun:
         assert proc.returncode == 2
         assert "g_i" in proc.stderr
 
+    def test_csv_replays_byte_identically(self, tmp_path):
+        first, again = tmp_path / "fig11.csv", tmp_path / "again.csv"
+        assert run_cli("preset", "fig11", "--seed", "7", "--out", str(first)).returncode == 0
+        proc = run_cli("run", "--config", str(first), "--out", str(again))
+        assert proc.returncode == 0
+        assert again.read_bytes() == first.read_bytes()
+
     def test_plot_script_companion(self, tmp_path):
         config = tmp_path / "tiny.ini"
         config.write_text(TINY_SINGLE)
@@ -87,6 +111,42 @@ class TestRun:
         script = tmp_path / "result_plot.py"
         assert script.exists()
         assert "matplotlib" in script.read_text()
+
+
+# texts a fuzzed key may take: numbers, non-finite values, lists, garbage
+# and every word some key accepts
+FUZZ_TEXTS = st.one_of(
+    st.integers(min_value=-3, max_value=6).map(str),
+    st.floats(min_value=-10.0, max_value=10.0).map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "x", "1,2", "0,0,0,0,0,0,0,0", TOOL,
+                     "spinbath 0.0.0", "single", "two_qubit", "open", "periodic",
+                     "bell", "product", "enumerate", "collapse", "both", "correlated",
+                     "uncorrelated", "fig4"]),
+)
+FUZZ_KEYS = st.sampled_from(sorted({key.name for key in CONFIG_KEYS} - {"output"}
+                                   | {"bogus.key"}))
+
+
+class TestFuzzedConfigs:
+    @given(configs(), st.lists(FUZZ_KEYS, max_size=2),
+           st.lists(st.tuples(FUZZ_KEYS, FUZZ_TEXTS), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_every_outcome_is_an_exit_code(self, config, dropped, edits):
+        keys = dict(config_metadata(config))
+        for name in dropped:
+            keys.pop(name, None)
+        keys.update(edits)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "fuzz.ini"
+            path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["run", "--config", str(path)])
+        assert code in (0, 1, 2)
+        lines = stderr.getvalue().splitlines()
+        assert "Traceback" not in stderr.getvalue()
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestPreset:

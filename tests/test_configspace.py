@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from spinbath import configspace
 from spinbath.configspace import (COLLAPSE_CAP, ENUMERATION_CAP, Backend,
-                                  ReductionPlan, collapse_classes, fold_classes,
-                                  mask_blocks, reduce_weighted)
+                                  collapse_classes, fold_classes, mask_blocks,
+                                  reduce_weighted)
 from spinbath.errors import CapacityError, ParameterError
 from spinbath.model import BathParams, Boundary, SystemParams, Thermal, pure_state
 from spinbath.single_qubit import bloch_trajectory
+from spinbath.two_qubit import TwoQubitParams, bell_state, density_trajectory
 
 
 def brute_force_classes(n, boundary):
@@ -109,7 +110,7 @@ class TestCollapseClasses:
         plus_x = pure_state([2 ** -0.5, 2 ** -0.5])
         points = bloch_trajectory(SystemParams(epsilon=2.0, delta=1.0),
                                   BathParams.uniform(n, 1.0, 1.0, 0.1), Thermal(1.0),
-                                  ReductionPlan(Backend.COLLAPSE), plus_x,
+                                  Backend.COLLAPSE, plus_x,
                                   np.linspace(0.0, 5.0, 6), correlated=True)
         for p in points:
             assert np.all(np.isfinite(p.as_array())) and p.norm <= 1.0 + 1e-12
@@ -191,7 +192,23 @@ class TestReduceWeighted:
         assert abs(got - math.fsum(values)) < 1e-10
 
 
-class TestReductionPlan:
-    def test_defaults(self):
-        assert ReductionPlan().backend is Backend.ENUMERATE
-        assert ReductionPlan("collapse").backend is Backend.COLLAPSE
+class TestBackend:
+    def test_names_select_backend(self):
+        sys1, th = SystemParams(epsilon=2.0, delta=1.0), Thermal(1.0)
+        plus_x = pure_state([2 ** -0.5, 2 ** -0.5])
+        times = np.linspace(0.0, 3.0, 4)
+        uniform = BathParams.uniform(6, 1.0, 0.5, 0.1)
+        by_name = bloch_trajectory(sys1, uniform, th, "collapse", plus_x, times, True)
+        assert by_name == bloch_trajectory(sys1, uniform, th, Backend.COLLAPSE, plus_x,
+                                           times, True)
+        # only the collapse route refuses a bath whose couplings vary
+        ragged = BathParams(3, (1.0,) * 3, (1.0, 2.0, 1.0), (0.0, 0.0))
+        bloch_trajectory(sys1, ragged, th, "enumerate", plus_x, times, True)
+        with pytest.raises(ParameterError, match="g_i"):
+            bloch_trajectory(sys1, ragged, th, "collapse", plus_x, times, True)
+        pair = TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0)
+        density_trajectory(pair, ragged, th, "enumerate", bell_state(), times, True)
+        with pytest.raises(ParameterError, match="g_i"):
+            density_trajectory(pair, ragged, th, "collapse", bell_state(), times, True)
+        with pytest.raises(ValueError):
+            bloch_trajectory(sys1, uniform, th, "bogus", plus_x, times, True)

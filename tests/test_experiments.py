@@ -1,16 +1,27 @@
 """Config files, figure presets, CSV output, and the oracle cross-check."""
 
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spinbath
 from spinbath.configspace import Backend
 from spinbath.errors import CapacityError, UsageError
-from spinbath.experiments import (BathSpec, GaussianStats, TimeGrid, config_from_keys,
-                                  list_presets, oracle_check, parse_config_file,
-                                  preset, run)
-from spinbath.model import Boundary
+from spinbath.experiments import (BathSpec, ExperimentConfig, GaussianStats,
+                                  ResultTable, TimeGrid, config_from_keys,
+                                  config_metadata, list_presets, oracle_check,
+                                  parse_config_file, preset, run)
+from spinbath.model import Boundary, SystemParams
+from spinbath.numerics import RNG_ALGORITHM
+from spinbath.two_qubit import TwoQubitParams
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def single_keys(**overrides):
@@ -28,6 +39,51 @@ def single_keys(**overrides):
     }
     keys.update(overrides)
     return keys
+
+
+reals = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def configs(draw):
+    """Small configurations across both modes, all bath styles and all state
+    kinds, as a config file or CSV header can express them."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    boundary = draw(st.sampled_from(list(Boundary)))
+    bonds = n if boundary is Boundary.PERIODIC else n - 1
+    kind = draw(st.sampled_from(["uniform", "explicit", "random"]))
+    if kind == "uniform":
+        bath = BathSpec(n, kind, boundary, eps=draw(reals), g=draw(reals), chi=draw(reals))
+    elif kind == "explicit":
+        bath = BathSpec(n, kind, boundary,
+                        eps_list=tuple(draw(st.lists(reals, min_size=n, max_size=n))),
+                        g_list=tuple(draw(st.lists(reals, min_size=n, max_size=n))),
+                        chi_list=tuple(draw(st.lists(reals, min_size=bonds, max_size=bonds))))
+    else:
+        stats = [GaussianStats(draw(reals), draw(st.floats(min_value=0.0, max_value=2.0)))
+                 for _ in range(3)]
+        bath = BathSpec(n, kind, boundary, seed=draw(st.integers(0, (1 << 64) - 1)),
+                        g_stats=stats[0], eps_stats=stats[1], chi_stats=stats[2])
+    mode = draw(st.sampled_from(["single", "two_qubit"]))
+    if mode == "single":
+        system = SystemParams(draw(reals), draw(reals))
+        state_kind, state_params = "angles", (draw(reals), draw(reals))
+    else:
+        system = TwoQubitParams(*(draw(reals) for _ in range(5)))
+        state_kind = draw(st.sampled_from(["bell", "product", "amplitudes"]))
+        state_params = (tuple(draw(reals) for _ in range(8))
+                        if state_kind == "amplitudes" else ())
+    t_start = draw(reals)
+    grid = TimeGrid(t_start, t_start + draw(st.floats(min_value=0.1, max_value=10.0)),
+                    draw(st.integers(min_value=2, max_value=5)))
+    return ExperimentConfig(
+        mode=mode, system=system, bath=bath, beta=draw(st.floats(min_value=0.0, max_value=5.0)),
+        state_kind=state_kind, state_params=state_params, grid=grid,
+        backend=draw(st.sampled_from(list(Backend))),
+        series=draw(st.sampled_from([("uncorrelated", "correlated"), ("uncorrelated",),
+                                     ("correlated",)])),
+        preset_name=draw(st.none() | st.sampled_from(list_presets())),
+    )
 
 
 class TestTimeGrid:
@@ -170,6 +226,68 @@ class TestConfigParsing:
         path.write_text("mode single\n")
         with pytest.raises(UsageError, match="key = value"):
             parse_config_file(path)
+
+    def test_readme_example_parses(self, tmp_path):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        config = parse_config_file(path)
+        assert config.mode == "single" and config.bath.n_spins == 10
+        assert config.output == "run.csv"
+
+    def test_key_of_other_mode_rejected(self):
+        with pytest.raises(UsageError, match="system.eps1 does not apply to mode single"):
+            config_from_keys(single_keys(**{"system.eps1": "1"}))
+
+    def test_non_finite_real_rejected(self):
+        for value in ("inf", "-inf", "nan"):
+            with pytest.raises(UsageError, match="state.theta must be finite"):
+                config_from_keys(single_keys(**{"state.theta": value}))
+
+    def test_echo_rows_must_match_this_build(self):
+        with pytest.raises(UsageError, match="tool must be spinbath"):
+            config_from_keys(single_keys(tool="spinbath 0.0.0"))
+        random_keys = single_keys(**{"bath.random.seed": "1", "rng.algorithm": "other"})
+        for key in ("bath.eps", "bath.g", "bath.chi"):
+            del random_keys[key]
+        for name in ("g", "eps", "chi"):
+            random_keys.update({f"bath.random.{name}.mean": "1",
+                                f"bath.random.{name}.std": "0.1"})
+        with pytest.raises(UsageError, match="rng.algorithm must be"):
+            config_from_keys(random_keys)
+        assert config_from_keys({**random_keys, "rng.algorithm": RNG_ALGORITHM}).bath.seed == 1
+
+
+class TestReplay:
+    def test_tool_row_names_package_version(self):
+        rows = config_metadata(preset("fig1"))
+        assert rows[0] == ("tool", f"spinbath {spinbath.__version__}")
+
+    @pytest.mark.parametrize("name", list_presets())
+    def test_preset_header_replays(self, name):
+        config = preset(name)
+        replayed = config_from_keys(dict(config_metadata(config)))
+        assert replayed == config
+        assert run(replayed).render() == run(config).render()
+
+    @given(configs())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_configs_round_trip(self, config):
+        # through a written CSV: an explicit open chain of one spin echoes an
+        # empty bond list
+        table = ResultTable(columns=("t",), rows=np.zeros((1, 1)),
+                            metadata=config_metadata(config))
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "run.csv"
+            table.write_csv(path)
+            assert parse_config_file(path) == config
+
+    def test_csv_file_replays(self, tmp_path):
+        config = preset("fig11", seed=5)
+        path = tmp_path / "fig11.csv"
+        run(config).write_csv(path)
+        assert parse_config_file(path) == config
+        assert ("series", "both") in config_metadata(config)
 
 
 class TestPresets:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from spinbath.errors import ParameterError
 from spinbath.model import (BathParams, Boundary, SystemParams, Thermal,
                             bath_sums, bloch_components, class_quantities,
-                            class_sums, config_quantities, correlation_factor,
-                            log_correlation_factor, pure_state, require_uniform)
+                            class_sums, config_quantities, log_correlation_factor,
+                            pure_state, require_uniform)
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -170,6 +170,10 @@ class TestPureState:
     def test_bloch_components_down(self):
         px, py, pz = bloch_components(pure_state([0.0, 1.0]))
         assert (px, py, pz) == pytest.approx((0.0, 0.0, -1.0))
+
+
+def correlation_factor(sys1, th, q, psi):
+    return math.exp(log_correlation_factor(sys1, th, q, psi))
 
 
 class TestCorrelationFactor:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spinbath.errors import ParameterError
 from spinbath.numerics import (RNG_ALGORITHM, GaussianStream, RandomSpec,
-                               gaussian_draw, hermitian_eig, pairwise_sum)
+                               _pairwise_over_rows, gaussian_draw, hermitian_eig)
 
 
 def random_hermitian(rng, dim):
@@ -47,6 +47,10 @@ class TestHermitianEig:
             assert np.all(np.diff(values, axis=-1) >= 0)
             recon = (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-2, -1)
             assert np.abs(recon - m).max() < 1e-12 * max(1.0, np.abs(m).max())
+
+
+def pairwise_sum(values):
+    return float(_pairwise_over_rows(np.asarray(values, dtype=float)))
 
 
 class TestPairwiseSum:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath.configspace import Backend, ReductionPlan
+from spinbath.configspace import Backend
 from spinbath.errors import ParameterError
 from spinbath.model import BathParams, Boundary, SystemParams, Thermal, pure_state
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
@@ -36,21 +36,21 @@ class TestPropagatorStructure:
     def test_identity_at_zero_time(self):
         sys1, bath, psi = random_inputs(17)
         th = Thermal(1.4)
-        plan = ReductionPlan()
-        for prop in (propagator_uncorrelated(sys1, bath, th, plan, 0.0),
-                     propagator_correlated(sys1, bath, th, plan, psi, 0.0)):
+        backend = Backend.ENUMERATE
+        for prop in (propagator_uncorrelated(sys1, bath, th, backend, 0.0),
+                     propagator_correlated(sys1, bath, th, backend, psi, 0.0)):
             assert np.array_equal(prop.normalized(), np.eye(3))
 
     def test_normalizer_positive(self):
         sys1, bath, psi = random_inputs(23)
-        prop = propagator_correlated(sys1, bath, Thermal(2.0), ReductionPlan(), psi, 1.3)
+        prop = propagator_correlated(sys1, bath, Thermal(2.0), Backend.ENUMERATE, psi, 1.3)
         assert prop.normalizer > 0
 
     def test_uncorrelated_normalizer_is_bath_partition(self):
         # sum of thermal weights equals the brute-force bath trace
         sys1, bath, _ = random_inputs(31)
         th = Thermal(1.7)
-        prop = propagator_uncorrelated(sys1, bath, th, ReductionPlan(), 0.9)
+        prop = propagator_uncorrelated(sys1, bath, th, Backend.ENUMERATE, 0.9)
         partition = prop.normalizer * math.exp(prop.log_scale)
         h = build_hamiltonian(sys1, bath)
         expected = float(np.exp(-th.beta * h.bath_diagonal).sum())
@@ -66,9 +66,9 @@ class TestPropagatorStructure:
         sys1, bath, psi = random_inputs(seed)
         th = Thermal(beta)
         if correlated:
-            prop = propagator_correlated(sys1, bath, th, ReductionPlan(), psi, t)
+            prop = propagator_correlated(sys1, bath, th, Backend.ENUMERATE, psi, t)
         else:
-            prop = propagator_uncorrelated(sys1, bath, th, ReductionPlan(), t)
+            prop = propagator_uncorrelated(sys1, bath, th, Backend.ENUMERATE, t)
         s = prop.s
         assert s[0, 1] == pytest.approx(-s[1, 0], abs=1e-12 * prop.normalizer)
         assert s[1, 2] == pytest.approx(-s[2, 1], abs=1e-12 * prop.normalizer)
@@ -81,7 +81,7 @@ class TestPropagatorStructure:
     @settings(max_examples=40, deadline=None)
     def test_map_never_expands_bloch_vectors(self, seed, t):
         sys1, bath, psi = random_inputs(seed)
-        prop = propagator_correlated(sys1, bath, Thermal(1.1), ReductionPlan(), psi, t)
+        prop = propagator_correlated(sys1, bath, Thermal(1.1), Backend.ENUMERATE, psi, t)
         p0 = BlochVector.of_state(psi)
         assert prop.apply(p0).norm <= p0.norm + 1e-9
 
@@ -94,7 +94,7 @@ class TestPureDephasingLimit:
         th = Thermal(2.0)
         psi = PLUS_X
         times = np.linspace(0.0, 6.0, 20)
-        points = bloch_trajectory(sys1, bath, th, ReductionPlan(), psi, times, False)
+        points = bloch_trajectory(sys1, bath, th, Backend.ENUMERATE, psi, times, False)
         for t, p in zip(times, points):
             assert p.px == pytest.approx(math.cos(sys1.epsilon * t), abs=1e-12)
             assert p.py == pytest.approx(math.sin(sys1.epsilon * t), abs=1e-12)
@@ -106,20 +106,20 @@ class TestTrajectories:
         sys1, bath, psi = random_inputs(41)
         p0 = BlochVector.of_state(psi)
         for correlated in (False, True):
-            points = bloch_trajectory(sys1, bath, Thermal(1.0), ReductionPlan(),
+            points = bloch_trajectory(sys1, bath, Thermal(1.0), Backend.ENUMERATE,
                                       psi, np.array([0.0]), correlated)
             assert points[0] == p0
 
     def test_rejects_unsorted_times(self):
         sys1, bath, psi = random_inputs(43)
         with pytest.raises(ParameterError):
-            bloch_trajectory(sys1, bath, Thermal(1.0), ReductionPlan(), psi,
+            bloch_trajectory(sys1, bath, Thermal(1.0), Backend.ENUMERATE, psi,
                              np.array([1.0, 0.5]), False)
 
     def test_rejects_empty_times(self):
         sys1, bath, psi = random_inputs(43)
         with pytest.raises(ParameterError):
-            bloch_trajectory(sys1, bath, Thermal(1.0), ReductionPlan(), psi,
+            bloch_trajectory(sys1, bath, Thermal(1.0), Backend.ENUMERATE, psi,
                              np.array([]), False)
 
     def test_backend_equivalence_uniform_bath(self):
@@ -129,9 +129,9 @@ class TestTrajectories:
         for boundary in Boundary:
             bath = BathParams.uniform(12, 1.0, 1.0, 0.1, boundary)
             for correlated in (False, True):
-                a = bloch_trajectory(sys1, bath, th, ReductionPlan(backend=Backend.ENUMERATE),
+                a = bloch_trajectory(sys1, bath, th, Backend.ENUMERATE,
                                      PLUS_X, times, correlated)
-                b = bloch_trajectory(sys1, bath, th, ReductionPlan(backend=Backend.COLLAPSE),
+                b = bloch_trajectory(sys1, bath, th, Backend.COLLAPSE,
                                      PLUS_X, times, correlated)
                 for pa, pb in zip(a, b):
                     assert np.abs(pa.as_array() - pb.as_array()).max() < 1e-12
@@ -140,8 +140,8 @@ class TestTrajectories:
         sys1, bath, psi = random_inputs(47)
         times = np.linspace(0.0, 8.0, 15)
         th = Thermal(0.0)
-        u = bloch_trajectory(sys1, bath, th, ReductionPlan(), psi, times, False)
-        c = bloch_trajectory(sys1, bath, th, ReductionPlan(), psi, times, True)
+        u = bloch_trajectory(sys1, bath, th, Backend.ENUMERATE, psi, times, False)
+        c = bloch_trajectory(sys1, bath, th, Backend.ENUMERATE, psi, times, True)
         for pu, pc in zip(u, c):
             assert np.abs(pu.as_array() - pc.as_array()).max() < 1e-12
 
@@ -150,8 +150,8 @@ class TestTrajectories:
         bath = BathParams(4, (0.3, -0.8, 1.1, 0.5), (0.0,) * 4, (0.2, -0.4, 0.6))
         th = Thermal(3.0)
         times = np.linspace(0.0, 8.0, 15)
-        u = bloch_trajectory(sys1, bath, th, ReductionPlan(), PLUS_X, times, False)
-        c = bloch_trajectory(sys1, bath, th, ReductionPlan(), PLUS_X, times, True)
+        u = bloch_trajectory(sys1, bath, th, Backend.ENUMERATE, PLUS_X, times, False)
+        c = bloch_trajectory(sys1, bath, th, Backend.ENUMERATE, PLUS_X, times, True)
         for pu, pc in zip(u, c):
             assert np.abs(pu.as_array() - pc.as_array()).max() < 1e-12
 
@@ -162,7 +162,7 @@ class TestTrajectories:
         sys1, bath, psi = random_inputs(seed, n=4)
         th = Thermal(beta)
         times = np.linspace(0.0, 7.0, 9)
-        points = bloch_trajectory(sys1, bath, th, ReductionPlan(), psi, times, correlated)
+        points = bloch_trajectory(sys1, bath, th, Backend.ENUMERATE, psi, times, correlated)
         h = build_hamiltonian(sys1, bath)
         rho0 = initial_state(h, th, psi, correlated)
         for t, p in zip(times, points):
@@ -176,8 +176,8 @@ class TestHighBetaStability:
         sys1 = SystemParams(epsilon=2.0, delta=1.0)
         bath = BathParams.uniform(40, 1.0, 1.0, 0.5)
         th = Thermal(50.0)
-        plan = ReductionPlan(backend=Backend.COLLAPSE)
-        points = bloch_trajectory(sys1, bath, th, plan, PLUS_X, np.linspace(0, 5, 6), True)
+        backend = Backend.COLLAPSE
+        points = bloch_trajectory(sys1, bath, th, backend, PLUS_X, np.linspace(0, 5, 6), True)
         for p in points:
             arr = p.as_array()
             assert np.all(np.isfinite(arr))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath.configspace import Backend, ReductionPlan
+from spinbath.configspace import Backend
 from spinbath.errors import ParameterError
 from spinbath.model import BathParams, Boundary, Thermal, pure_state
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
@@ -66,7 +66,7 @@ class TestInteractingRoute:
             sys2 = TwoQubitParams(lam=lam, **BASE)
             for correlated in (False, True):
                 rho, = density_trajectory(sys2, random_bath(3), Thermal(1.0),
-                                          ReductionPlan(), psi, [0.0], correlated)
+                                          Backend.ENUMERATE, psi, [0.0], correlated)
                 assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-13
 
     @given(st.integers(min_value=0, max_value=10_000),
@@ -79,7 +79,7 @@ class TestInteractingRoute:
         psi = random_pair_state(seed + 1)
         th = Thermal(beta)
         times = np.linspace(0.0, 5.0, 6)
-        states = density_trajectory(sys2, bath, th, ReductionPlan(), psi, times, correlated)
+        states = density_trajectory(sys2, bath, th, Backend.ENUMERATE, psi, times, correlated)
         h = build_hamiltonian(sys2, bath)
         rho0 = initial_state(h, th, psi, correlated)
         for t, rho_a in zip(times, states):
@@ -92,9 +92,9 @@ class TestTrajectories:
         sys2 = TwoQubitParams(lam=2.0, **BASE)
         bath = random_bath(11)
         times = np.linspace(0.0, 6.0, 10)
-        u = density_trajectory(sys2, bath, Thermal(0.0), ReductionPlan(), bell_state(),
+        u = density_trajectory(sys2, bath, Thermal(0.0), Backend.ENUMERATE, bell_state(),
                                times, False)
-        c = density_trajectory(sys2, bath, Thermal(0.0), ReductionPlan(), bell_state(),
+        c = density_trajectory(sys2, bath, Thermal(0.0), Backend.ENUMERATE, bell_state(),
                                times, True)
         for a, b in zip(u, c):
             assert np.abs(a - b).max() < 1e-12
@@ -103,9 +103,9 @@ class TestTrajectories:
         sys2 = TwoQubitParams(**BASE)
         bath = BathParams(3, (0.4, -0.9, 1.2), (0.0, 0.0, 0.0), (0.3, -0.5))
         times = np.linspace(0.0, 6.0, 10)
-        u = density_trajectory(sys2, bath, Thermal(4.0), ReductionPlan(), bell_state(),
+        u = density_trajectory(sys2, bath, Thermal(4.0), Backend.ENUMERATE, bell_state(),
                                times, False)
-        c = density_trajectory(sys2, bath, Thermal(4.0), ReductionPlan(), bell_state(),
+        c = density_trajectory(sys2, bath, Thermal(4.0), Backend.ENUMERATE, bell_state(),
                                times, True)
         for a, b in zip(u, c):
             assert np.abs(a - b).max() < 1e-12
@@ -117,10 +117,10 @@ class TestTrajectories:
             bath = BathParams.uniform(10, 1.0, 1.0, 0.1, boundary)
             for correlated in (False, True):
                 a = density_trajectory(sys2, bath, Thermal(1.0),
-                                       ReductionPlan(backend=Backend.ENUMERATE),
+                                       Backend.ENUMERATE,
                                        bell_state(), times, correlated)
                 b = density_trajectory(sys2, bath, Thermal(1.0),
-                                       ReductionPlan(backend=Backend.COLLAPSE),
+                                       Backend.COLLAPSE,
                                        bell_state(), times, correlated)
                 for ra, rb in zip(a, b):
                     assert np.abs(ra - rb).max() < 1e-12
@@ -130,7 +130,7 @@ class TestTrajectories:
         bath = random_bath(13)
         times = np.linspace(0.0, 8.0, 12)
         for correlated in (False, True):
-            for rho in density_trajectory(sys2, bath, Thermal(2.0), ReductionPlan(),
+            for rho in density_trajectory(sys2, bath, Thermal(2.0), Backend.ENUMERATE,
                                           bell_state(), times, correlated):
                 validate_density(rho)
 
