@@ -21,8 +21,8 @@ from .model import (BathParams, Boundary, ConfigQuantities, SystemParams, Therma
                     log_correlation_factor, pure_state)
 from .numerics import RandomSpec, gaussian_draw, hermitian_eig
 from .oracle import build_hamiltonian, evolve_and_reduce, initial_state
-from .single_qubit import (BlochPropagator, BlochVector, bloch_trajectory,
-                           propagator_correlated, propagator_uncorrelated)
+from .single_qubit import (BlochPropagator, bloch_trajectory, propagator_correlated,
+                           propagator_uncorrelated)
 from .two_qubit import (TwoQubitParams, bell_state, concurrence, density_trajectory,
                         product_state, validate_density)
 
@@ -37,7 +37,7 @@ __all__ = [
     "log_correlation_factor", "pure_state",
     "RandomSpec", "gaussian_draw", "hermitian_eig",
     "build_hamiltonian", "evolve_and_reduce", "initial_state",
-    "BlochPropagator", "BlochVector", "bloch_trajectory",
+    "BlochPropagator", "bloch_trajectory",
     "propagator_correlated", "propagator_uncorrelated",
     "TwoQubitParams", "bell_state", "concurrence", "density_trajectory",
     "product_state", "validate_density",

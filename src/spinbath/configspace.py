@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
-from .model import Boundary
+from .errors import CapacityError, NumericError, ParameterError
+from .model import Boundary, _finite
 from .numerics import _pairwise_over_rows
 
 ENUMERATION_CAP = 24
@@ -99,24 +99,27 @@ def collapse_classes(n_spins: int, boundary: Boundary = Boundary.OPEN) -> np.rec
 def fold_classes(classes: np.recarray, log_weight) -> tuple[np.ndarray, np.ndarray]:
     """Fold (k, w) classes, sorted by k, onto their down-spin counts k.
 
-    log_weight holds one pattern's log weight per class. Returns the index of
-    the first class of each k and, per k, the log of the summed class weights
-    multiplicity * exp(log_weight), all in log space.
+    log_weight holds one pattern's log weights per class, one column per
+    series. Returns the index of the first class of each k and, per k and
+    column, the log of sum multiplicity * exp(log_weight), found in log space.
     """
     first = np.flatnonzero(np.diff(classes.k, prepend=-1))
-    logs = np.asarray(log_weight, dtype=float) + classes.log_multiplicity
+    logs = np.asarray(log_weight, dtype=float) + classes.log_multiplicity[:, None]
     top = np.maximum.reduceat(logs, first)
-    spread = np.exp(logs - np.repeat(top, np.diff(first, append=len(logs))))
+    spread = np.exp(logs - np.repeat(top, np.diff(first, append=len(logs)), axis=0))
     return first, top + np.log(np.add.reduceat(spread, first))
 
 
-def reduce_weighted(term, n_items: int, times, dim: int) -> np.ndarray:
-    """Sum term over n_items items at every time; returns (len(times), dim).
+def reduce_weighted(term, weight, times, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of term over items at every time, weighted by each column of the
+    (items, S) matrix weight; returns the sums (S, len(times), dim) and each
+    column's weight sum, its normalizer (S,), which must be positive.
 
     term(rows, t) gets a slice of item indices and an array of times and
-    returns the items' terms as an array of shape (rows, len(t), dim). times
-    must be a non-empty, finite, ascending 1-d sequence. The summation order
-    depends only on n_items, so results are bit-identical from run to run.
+    returns the items' unweighted terms as an array of shape
+    (rows, len(t), dim). times must be a non-empty, finite, ascending 1-d
+    sequence. The summation order depends only on the item count, so results
+    are bit-identical from run to run.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -127,20 +130,30 @@ def reduce_weighted(term, n_items: int, times, dim: int) -> np.ndarray:
         raise ParameterError("times must be ascending")
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
+    weight = np.asarray(weight, dtype=float)
+    if weight.ndim != 2 or 0 in weight.shape:
+        raise ParameterError(f"weight must be a non-empty (items, S) matrix, got {weight.shape}")
+    n_items = len(weight)
     rows = [slice(i, min(i + ITEM_BLOCK, n_items)) for i in range(0, n_items, ITEM_BLOCK)]
-    if not rows:
-        return np.zeros((t.size, dim))
+    # each column's weight sum, through the same two-level tree as the sweep
+    normalizer = _pairwise_over_rows(np.stack([_pairwise_over_rows(weight[b]) for b in rows]))
+    if not np.all(normalizer > 0.0):
+        raise NumericError(f"weight normalizer is not positive: {normalizer.min()}")
     step = max(1, BLOCK_ELEMENTS // (min(ITEM_BLOCK, n_items) * dim))
     sums = []
     for start in range(0, t.size, step):
         points = t[start:start + step]
         partials = []
         for block in rows:
-            values = term(block, points)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = term(block, points)
             if values.shape != (block.stop - block.start, points.size, dim):
                 raise ParameterError(f"term returned shape {values.shape} for "
                                      f"{block.stop - block.start} items, {points.size} "
                                      f"times and dim {dim}")
-            partials.append(_pairwise_over_rows(values))
+            # one weight column at a time, so no (rows, S, t, dim) product is held
+            partials.append(np.stack([_pairwise_over_rows(values * column[:, None, None])
+                                      for column in weight[block].T]))
         sums.append(_pairwise_over_rows(np.stack(partials)))
-    return np.concatenate(sums)
+    # the terms are bounded, so only an overflowing phase makes a sum inf or nan
+    return _finite("sum over the time grid", np.concatenate(sums, axis=1)), normalizer

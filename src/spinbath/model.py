@@ -158,9 +158,17 @@ def _scalar_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _finite(name: str, value):
+    """value, or a ParameterError naming it when the parameters made an entry
+    overflow to inf or nan; callers compute it with numpy's warnings off."""
+    if not np.all(np.isfinite(value)):
+        raise ParameterError(f"{name} is not finite: the parameters overflow")
+    return value
+
+
 def _quantities_from_sums(sys: SystemParams, th: Thermal,
                           g_sum, eps_sum, chi_sum) -> ConfigQuantities:
-    splitting = sys.epsilon + g_sum
+    splitting = _finite("qubit splitting epsilon + g_sum", sys.epsilon + g_sum)
     rabi = 0.5 * np.hypot(splitting, sys.delta)
     log_weight = -th.beta * (chi_sum + 0.5 * eps_sum)
     return ConfigQuantities(g_sum, eps_sum, chi_sum, *map(_scalar_or_array,

@@ -21,35 +21,16 @@ identity map with no special casing beyond u = v = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .configspace import (Backend, collapse_classes, fold_classes, mask_blocks,
                           reduce_weighted)
-from .errors import NumericError, ParameterError
-from .model import (BathParams, SystemParams, Thermal, bloch_components,
+from .errors import ParameterError
+from .model import (BathParams, SystemParams, Thermal, _finite, bloch_components,
                     class_quantities, config_quantities, log_correlation_factor,
                     pure_state, require_uniform)
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    px: float
-    py: float
-    pz: float
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.px ** 2 + self.py ** 2 + self.pz ** 2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.px, self.py, self.pz], dtype=float)
-
-    @classmethod
-    def of_state(cls, psi) -> "BlochVector":
-        return cls(*bloch_components(psi))
 
 
 @dataclass(frozen=True)
@@ -68,58 +49,54 @@ class BlochPropagator:
     def normalized(self) -> np.ndarray:
         return self.s / self.normalizer
 
-    def apply(self, p: BlochVector) -> BlochVector:
-        out = self.normalized() @ p.as_array()
-        return BlochVector(float(out[0]), float(out[1]), float(out[2]))
+    def apply(self, p) -> np.ndarray:
+        return self.normalized() @ np.asarray(p, dtype=float)
 
 
+# overflowing parameters surface as a named ParameterError, not as warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _weighted_fields(sys: SystemParams, bath: BathParams, th: Thermal,
-                     backend: Backend, psi, correlated: bool):
+                     backend: Backend, psi, correlated: tuple[bool, ...]):
     """Per summed item (a mask, or a down-spin count under collapse): the
-    splitting, the rabi frequency, and the log weight."""
-    def log_weight(q):
-        if correlated:
-            return q.log_weight + log_correlation_factor(sys, th, q, psi)
-        return q.log_weight
+    splitting, the rabi frequency, and the log weights, one column per series."""
+    def log_weights(q):
+        joint = q.log_weight + log_correlation_factor(sys, th, q, psi) if any(correlated) else None
+        return np.stack([joint if flag else q.log_weight for flag in correlated], axis=1)
 
     if Backend(backend) is Backend.COLLAPSE:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
         q = class_quantities(sys, bath, th, classes.k, classes.w)
-        first, folded = fold_classes(classes, log_weight(q))
+        first, folded = fold_classes(classes, log_weights(q))
         return q.splitting[first], q.rabi[first], folded
-    parts = [(q.splitting, q.rabi, log_weight(q)) for q in
+    parts = [(q.splitting, q.rabi, log_weights(q)) for q in
              (config_quantities(sys, bath, th, masks) for masks in mask_blocks(bath.n_spins))]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _bloch_sums(sys: SystemParams, bath: BathParams, th: Thermal, backend: Backend,
-                psi, correlated: bool, times) -> tuple[np.ndarray, np.ndarray, float]:
-    """Entry sums (T, 3, 3), normalizers (T,) and the log-weight shift."""
+                psi, correlated: tuple[bool, ...], times):
+    """Entry sums (S, T, 3, 3), normalizers (S,) and log-weight shifts (S,)."""
+    if not correlated:
+        raise ParameterError("correlated must hold at least one series flag")
     splitting, rabi, log_weight = _weighted_fields(sys, bath, th, backend, psi, correlated)
-    shift = float(log_weight.max())
-    weight = np.exp(log_weight - shift)
+    shift = _finite("log weight", log_weight).max(axis=0)
     # unit direction (u, v); rabi == 0 forces splitting == delta == 0, where
     # the conditional Hamiltonian vanishes and any direction works
     u = np.divide(splitting, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
     v = np.divide(sys.delta, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
 
     def term(rows, t):
-        w, ur, vr = weight[rows, None], u[rows, None], v[rows, None]
+        ur, vr = u[rows, None], v[rows, None]
         cos2 = np.cos(2.0 * rabi[rows, None] * t)
         sin2 = np.sin(2.0 * rabi[rows, None] * t)
         rem = 1.0 - cos2
-        kernel = (cos2 + vr * vr * rem, -ur * sin2, ur * vr * rem,
-                  ur * sin2, cos2, -vr * sin2,
-                  ur * vr * rem, vr * sin2, cos2 + ur * ur * rem)
-        return np.stack([w * entry for entry in kernel]
-                        + [np.broadcast_to(w, cos2.shape)], axis=-1)
+        return np.stack((cos2 + vr * vr * rem, -ur * sin2, ur * vr * rem,
+                         ur * sin2, cos2, -vr * sin2,
+                         ur * vr * rem, vr * sin2, cos2 + ur * ur * rem), axis=-1)
 
-    sums = reduce_weighted(term, len(weight), times, 10)
-    normalizer = sums[:, 9]
-    if not np.all(normalizer > 0.0):
-        raise NumericError(f"weight normalizer is not positive: {normalizer.min()}")
-    return sums[:, :9].reshape(-1, 3, 3), normalizer, shift
+    sums, normalizer = reduce_weighted(term, np.exp(log_weight - shift), times, 9)
+    return sums.reshape(*sums.shape[:2], 3, 3), normalizer, shift
 
 
 def _qubit_state(psi) -> np.ndarray:
@@ -130,10 +107,10 @@ def _qubit_state(psi) -> np.ndarray:
 
 
 def _propagator(sys, bath, th, backend, psi, correlated, t) -> BlochPropagator:
-    s, normalizer, shift = _bloch_sums(sys, bath, th, backend, psi, correlated, [t])
-    matrix = s[0].copy()
+    s, normalizer, shift = _bloch_sums(sys, bath, th, backend, psi, (correlated,), [t])
+    matrix = s[0, 0].copy()
     matrix.setflags(write=False)
-    return BlochPropagator(s=matrix, normalizer=float(normalizer[0]), log_scale=shift)
+    return BlochPropagator(s=matrix, normalizer=float(normalizer[0]), log_scale=float(shift[0]))
 
 
 def propagator_uncorrelated(sys: SystemParams, bath: BathParams, th: Thermal,
@@ -152,11 +129,14 @@ def propagator_correlated(sys: SystemParams, bath: BathParams, th: Thermal,
 
 def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
                      backend: Backend, psi, times,
-                     correlated: bool) -> list[BlochVector]:
-    """Bloch vector of the prepared state psi at each requested time."""
+                     correlated: tuple[bool, ...]) -> np.ndarray:
+    """Bloch vectors of the prepared state psi at each requested time, as a
+    read-only (S, T, 3) array: one series per flag of correlated, False for a
+    product preparation and True for a correlated one, all from one sweep."""
     psi = _qubit_state(psi)
     s, normalizer, _ = _bloch_sums(sys, bath, th, backend, psi, correlated, times)
-    m = s / normalizer[:, None, None]
+    m = s / normalizer[:, None, None, None]
     px, py, pz = bloch_components(psi)
-    p = m[:, :, 0] * px + m[:, :, 1] * py + m[:, :, 2] * pz
-    return [BlochVector(*map(float, row)) for row in p]
+    p = m[..., 0] * px + m[..., 1] * py + m[..., 2] * pz
+    p.setflags(write=False)
+    return p

@@ -22,8 +22,8 @@ import numpy as np
 
 from .configspace import (Backend, collapse_classes, fold_classes, mask_blocks,
                           reduce_weighted)
-from .errors import NumericError, ParameterError
-from .model import (BathParams, Thermal, bath_sums, class_sums, pure_state,
+from .errors import ParameterError
+from .model import (BathParams, Thermal, _finite, bath_sums, class_sums, pure_state,
                     require_uniform)
 from .numerics import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_eig
 
@@ -78,28 +78,34 @@ def conditional_hamiltonian(sys2: TwoQubitParams, g_sum) -> np.ndarray:
     """4x4 Hamiltonian of the pair under one bath pattern, or a stack of them
     for an array of coupling fields g_sum."""
     g = np.asarray(g_sum, dtype=float)[..., None, None]
-    return (0.5 * ((sys2.eps1 + g) * _SZ1 + sys2.delta1 * _SX1
-                   + (sys2.eps2 + g) * _SZ2 + sys2.delta2 * _SX2)
-            + sys2.lam * _SZZ)
+    return _finite("pair Hamiltonian with splittings eps1 + g_sum, eps2 + g_sum",
+                   0.5 * ((sys2.eps1 + g) * _SZ1 + sys2.delta1 * _SX1
+                          + (sys2.eps2 + g) * _SZ2 + sys2.delta2 * _SX2)
+                   + sys2.lam * _SZZ)
 
 
+# overflowing parameters surface as a named ParameterError, not as warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
-                 backend: Backend, psi: np.ndarray, correlated: bool):
+                 backend: Backend, psi: np.ndarray, correlated: tuple[bool, ...]):
     """Per summed item (a mask, or a down-spin count under collapse): the
     conditional energies E (n, 4), the amplitudes A (n, 4, 4) with
-    psi(t) = A @ exp(-iEt), and the log weight."""
+    psi(t) = A @ exp(-iEt), and the log weights, one column per series."""
+    if not correlated:
+        raise ParameterError("correlated must hold at least one series flag")
     if Backend(backend) is Backend.COLLAPSE:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
         g_sum, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
-        first, log_weight = fold_classes(classes, -th.beta * (chi_sum + 0.5 * eps_sum))
-        blocks = [(g_sum[first], log_weight)]
+        first, log_weight = fold_classes(classes, -th.beta * (chi_sum + 0.5 * eps_sum)[:, None])
+        blocks = [(g_sum[first], log_weight[:, 0])]
     else:
         blocks = [(g, -th.beta * (chi + 0.5 * eps)) for g, eps, chi in
                   (bath_sums(bath, masks) for masks in mask_blocks(bath.n_spins))]
     # filled block by block, so the largest array is never held twice
     count = sum(len(g) for g, _ in blocks)
-    fields = np.empty((count, 4)), np.empty((count, 4, 4), dtype=complex), np.empty(count)
+    fields = (np.empty((count, 4)), np.empty((count, 4, 4), dtype=complex),
+              np.empty((count, len(correlated))))
     start = 0
     for g, lw in blocks:
         rows = slice(start, start + len(g))
@@ -109,20 +115,22 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
     return fields
 
 
-def _eigenbasis(sys2: TwoQubitParams, th: Thermal, psi: np.ndarray, correlated: bool,
-                g_sum: np.ndarray, log_weight: np.ndarray):
+def _eigenbasis(sys2: TwoQubitParams, th: Thermal, psi: np.ndarray,
+                correlated: tuple[bool, ...], g_sum: np.ndarray, log_weight: np.ndarray):
     """Energies, amplitudes and log weights of _pair_fields for one batch of
     coupling fields, from one batched eigendecomposition."""
     energies, vectors = hermitian_eig(conditional_hamiltonian(sys2, g_sum))
     overlaps = vectors.conj().swapaxes(-2, -1) @ psi
-    if correlated and th.beta != 0.0:
+    joint = log_weight
+    if any(correlated) and th.beta != 0.0:
         # log <psi| exp(-beta H) |psi> = log sum_j |<v_j|psi>|^2 exp(-beta E_j),
         # with zero populations dropped; stable at any beta
         with np.errstate(divide="ignore"):
             exponents = -th.beta * energies + np.log(np.abs(overlaps) ** 2)
         top = exponents.max(axis=1)
-        log_weight = log_weight + top + np.log(np.exp(exponents - top[:, None]).sum(axis=1))
-    return energies, vectors * overlaps[:, None, :], log_weight
+        joint = log_weight + top + np.log(np.exp(exponents - top[:, None]).sum(axis=1))
+    return (energies, vectors * overlaps[:, None, :],
+            np.stack([joint if flag else log_weight for flag in correlated], axis=1))
 
 
 def validate_density(rho, dim: int = 4) -> np.ndarray:
@@ -166,24 +174,21 @@ def concurrence(rho) -> float:
 
 
 def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
-                       backend: Backend, psi, times, correlated: bool) -> list[np.ndarray]:
-    """Reduced pair states over a time grid."""
+                       backend: Backend, psi, times,
+                       correlated: tuple[bool, ...]) -> np.ndarray:
+    """Reduced pair states over a time grid as a read-only (S, T, 4, 4)
+    array, one series per flag of correlated as in bloch_trajectory."""
     psi = _pair_state(psi)
     energies, amplitudes, log_weight = _pair_fields(sys2, bath, th, backend, psi, correlated)
-    weight = np.exp(log_weight - log_weight.max())
 
     def term(rows, t):
         phases = np.exp(-1j * energies[rows, None, :] * t[:, None])
         evolved = sum(amplitudes[rows, None, :, j] * phases[:, :, j, None] for j in range(4))
-        w = weight[rows, None, None]
-        projector = w[..., None] * evolved[..., :, None] * evolved[..., None, :].conj()
-        return np.concatenate([projector.reshape(*evolved.shape[:2], 16),
-                               np.broadcast_to(w, (*evolved.shape[:2], 1))], axis=-1)
+        projector = evolved[..., :, None] * evolved[..., None, :].conj()
+        return projector.reshape(*evolved.shape[:2], 16)
 
-    sums = reduce_weighted(term, len(weight), times, 17)
-    normalizer = sums[:, 16].real
-    if not np.all(normalizer > 0.0):
-        raise NumericError(f"weight normalizer is not positive: {normalizer.min()}")
-    states = sums[:, :16].reshape(-1, 4, 4) / normalizer[:, None, None]
+    shift = _finite("log weight", log_weight).max(axis=0)
+    sums, normalizer = reduce_weighted(term, np.exp(log_weight - shift), times, 16)
+    states = sums.reshape(*sums.shape[:2], 4, 4) / normalizer[:, None, None, None]
     states.setflags(write=False)
-    return list(states)
+    return states

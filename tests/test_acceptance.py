@@ -51,12 +51,12 @@ def preset_trajectories():
         th, backend = config.thermal(), config.backend
         psi, times = config.state_vector(), config.grid.times()
         if config.mode == "single":
-            u = bloch_trajectory(config.system, bath, th, backend, psi, times, False)
-            c = bloch_trajectory(config.system, bath, th, backend, psi, times, True)
+            u, c = bloch_trajectory(config.system, bath, th, backend, psi, times,
+                                    (False, True))
             out[name] = ("single", times, u, c)
         else:
-            u = density_trajectory(config.system, bath, th, backend, psi, times, False)
-            c = density_trajectory(config.system, bath, th, backend, psi, times, True)
+            u, c = density_trajectory(config.system, bath, th, backend, psi, times,
+                                      (False, True))
             out[name] = ("pair", times, u, c)
     return out
 
@@ -79,13 +79,12 @@ class TestCriterion1:
             h = build_hamiltonian(sys1, bath)
             for beta in (0.0, 1.0, 10.0):
                 th = Thermal(beta)
-                for correlated in (False, True):
-                    points = bloch_trajectory(sys1, bath, th, backend, psi, times,
-                                              correlated)
+                both = bloch_trajectory(sys1, bath, th, backend, psi, times, (False, True))
+                for correlated, points in zip((False, True), both):
                     rho0 = initial_state(h, th, psi, correlated)
                     for t, p in zip(times, points):
                         rho = evolve_and_reduce(h, rho0, float(t))
-                        dev = float(np.abs(p.as_array() - bloch_of_density(rho)).max())
+                        dev = float(np.abs(p - bloch_of_density(rho)).max())
                         worst = max(worst, dev)
         elapsed = time.perf_counter() - start
         ok = worst < 1e-9 and elapsed < 30.0
@@ -110,9 +109,9 @@ class TestCriterion2:
             for psi in (bell_state(), product_state()):
                 for beta in (0.0, 1.0, 10.0):
                     th = Thermal(beta)
-                    for correlated in (False, True):
-                        states = density_trajectory(sys2, bath, th, backend, psi,
-                                                    times, correlated)
+                    both = density_trajectory(sys2, bath, th, backend, psi, times,
+                                              (False, True))
+                    for correlated, states in zip((False, True), both):
                         rho0 = initial_state(h, th, psi, correlated)
                         for t, rho_a in zip(times, states):
                             rho_o = np.asarray(evolve_and_reduce(h, rho0, float(t)))
@@ -141,15 +140,12 @@ class TestCriterion3:
         psi1 = pure_state([2 ** -0.5, 2 ** -0.5])
         worst = 0.0
         for bath, th in ((generic, Thermal(0.0)), (decoupled, Thermal(5.0))):
-            u = bloch_trajectory(sys1, bath, th, backend, psi1, times, False)
-            c = bloch_trajectory(sys1, bath, th, backend, psi1, times, True)
-            worst = max(worst, max(float(np.abs(a.as_array() - b.as_array()).max())
-                                   for a, b in zip(u, c)))
+            u, c = bloch_trajectory(sys1, bath, th, backend, psi1, times, (False, True))
+            worst = max(worst, float(np.abs(u - c).max()))
             sys2 = TwoQubitParams(lam=3.0, **BASE_PAIR)
-            ru = density_trajectory(sys2, bath, th, backend, bell_state(), times, False)
-            rc = density_trajectory(sys2, bath, th, backend, bell_state(), times, True)
-            worst = max(worst, max(float(np.abs(a - b).max())
-                                   for a, b in zip(ru, rc)))
+            ru, rc = density_trajectory(sys2, bath, th, backend, bell_state(), times,
+                                        (False, True))
+            worst = max(worst, float(np.abs(ru - rc).max()))
         ok = worst < 1e-12
         report(3, ok, f"beta=0 and g=0 limits: max correlated-uncorrelated dev "
                       f"{worst:.3e} (tol 1e-12)")
@@ -178,8 +174,8 @@ class TestCriterion4:
                 worst = max(worst, abs(math.expm1(za - zb)))
         big = BathParams.uniform(50, 1.0, 1.0, 0.1)
         start = time.perf_counter()
-        points = bloch_trajectory(sys1, big, th, coll, psi,
-                                  np.linspace(0.0, 20.0, 40), True)
+        points, = bloch_trajectory(sys1, big, th, coll, psi,
+                                   np.linspace(0.0, 20.0, 40), (True,))
         per_point = (time.perf_counter() - start) / len(points)
         ok = worst < 1e-12 and per_point < 1.0
         report(4, ok, f"enumerate vs collapse at N=14: rel dev {worst:.3e} "
@@ -193,7 +189,7 @@ class TestCriterion5:
         for name in ("fig1", "fig2", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10"):
             kind, _, u, c = preset_trajectories[name]
             assert kind == "single"
-            d[name] = max(abs(a.px - b.px) for a, b in zip(u, c))
+            d[name] = float(np.abs(u[:, 0] - c[:, 0]).max())
         checks = [
             d["fig1"] < d["fig4"],
             d["fig2"] < d["fig4"],
@@ -236,8 +232,7 @@ class TestCriterion7:
         lowest_eig = 0.0
         for name, (kind, _, u, c) in preset_trajectories.items():
             if kind == "single":
-                for p in (*u, *c):
-                    worst_norm = max(worst_norm, p.norm)
+                worst_norm = max(worst_norm, float(np.linalg.norm([u, c], axis=-1).max()))
             else:
                 for rho in (*u, *c):
                     worst_herm = max(worst_herm,

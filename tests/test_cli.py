@@ -29,6 +29,20 @@ TINY_SINGLE = (
 )
 
 
+TINY_PAIR = (
+    "mode = two_qubit\n"
+    "system.eps1 = 1\n"
+    "system.eps2 = 2\n"
+    "system.delta1 = 4\n"
+    "system.delta2 = 1\n"
+    "bath.n_spins = 3\n"
+    "bath.eps = 1\n"
+    "bath.g = 0.5\n"
+    "thermal.beta = 1\n"
+    "grid.n_points = 5\n"
+)
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "spinbath.cli", *args],
                           capture_output=True, text=True, **kwargs)
@@ -84,6 +98,24 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: state.theta must be finite")
+
+    @pytest.mark.parametrize("text, message", [
+        (TINY_SINGLE.replace("grid.n_points = 5", "grid.n_points = 10000000000000"),
+         "error: grid.n_points must be in [2, 1000000]"),
+        # overflowing parameters, in each mode
+        (TINY_SINGLE.replace("system.epsilon = 2", "system.epsilon = 1e308")
+         .replace("bath.g = 0.5", "bath.g = 1e308"), "error: qubit splitting"),
+        (TINY_PAIR.replace("system.eps1 = 1", "system.eps1 = 1e308")
+         .replace("bath.g = 0.5", "bath.g = 1e308") + "backend = collapse\n",
+         "error: pair Hamiltonian"),
+    ], ids=["n_points_cap", "single_overflow", "pair_overflow"])
+    def test_out_of_range_exits_2_with_one_line(self, tmp_path, text, message):
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+        proc = run_cli("run", "--config", str(config))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message), proc.stderr
 
     def test_collapse_nonuniform_exits_2(self, tmp_path):
         config = tmp_path / "bad.ini"

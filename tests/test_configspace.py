@@ -11,7 +11,7 @@ from spinbath import configspace
 from spinbath.configspace import (COLLAPSE_CAP, ENUMERATION_CAP, Backend,
                                   collapse_classes, fold_classes, mask_blocks,
                                   reduce_weighted)
-from spinbath.errors import CapacityError, ParameterError
+from spinbath.errors import CapacityError, NumericError, ParameterError
 from spinbath.model import BathParams, Boundary, SystemParams, Thermal, pure_state
 from spinbath.single_qubit import bloch_trajectory
 from spinbath.two_qubit import TwoQubitParams, bell_state, density_trajectory
@@ -111,9 +111,9 @@ class TestCollapseClasses:
         points = bloch_trajectory(SystemParams(epsilon=2.0, delta=1.0),
                                   BathParams.uniform(n, 1.0, 1.0, 0.1), Thermal(1.0),
                                   Backend.COLLAPSE, plus_x,
-                                  np.linspace(0.0, 5.0, 6), correlated=True)
-        for p in points:
-            assert np.all(np.isfinite(p.as_array())) and p.norm <= 1.0 + 1e-12
+                                  np.linspace(0.0, 5.0, 6), correlated=(True,))
+        assert np.all(np.isfinite(points))
+        assert np.linalg.norm(points, axis=-1).max() <= 1.0 + 1e-12
 
 
 def ones(rows, t):
@@ -129,37 +129,51 @@ class TestMaskBlocks:
 
 class TestReduceWeighted:
     def test_counts_patterns_enumerate(self):
-        total = reduce_weighted(ones, 1024, [0.0], 1)
-        assert total[0, 0] == 1024.0
+        total, normalizer = reduce_weighted(ones, np.ones((1024, 1)), [0.0], 1)
+        assert total[0, 0, 0] == normalizer[0] == 1024.0
 
     def test_counts_patterns_collapse(self):
         # folding every class at unit pattern weight counts all 2^N patterns
         for boundary in Boundary:
             classes = collapse_classes(10, boundary)
-            first, folded = fold_classes(classes, np.zeros(len(classes)))
+            first, folded = fold_classes(classes, np.zeros((len(classes), 1)))
             assert np.array_equal(first, np.flatnonzero(np.diff(classes.k, prepend=-1)))
-            assert math.fsum(np.exp(folded)) == pytest.approx(1024.0, rel=1e-14)
+            assert math.fsum(np.exp(folded[:, 0])) == pytest.approx(1024.0, rel=1e-14)
 
     def test_class_multiplicity_is_applied(self):
         items = class_records([0, 1, 1], [0, 1, 2], [math.log(3), math.log(5), math.log(2)])
-        first, folded = fold_classes(items, np.log([1.0, 2.0, 0.5]))
+        first, folded = fold_classes(items, np.log([[1.0], [2.0], [0.5]]))
         assert list(first) == [0, 1]
-        assert np.exp(folded) == pytest.approx([3.0, 5.0 * 2.0 + 2.0 * 0.5], rel=1e-15)
+        assert np.exp(folded[:, 0]) == pytest.approx([3.0, 5.0 * 2.0 + 2.0 * 0.5], rel=1e-15)
 
     def test_fold_takes_multiplicities_beyond_float_range(self):
         # 2^1100 has no float; its log does
         items = class_records([0, 1, 1], [0, 1, 3], [0.0] + 2 * [math.log(2 ** 1100)])
-        _, folded = fold_classes(items, [0.0, -1000.0, -1000.0])
-        assert folded[0] == 0.0
-        assert folded[1] == pytest.approx(1101 * math.log(2.0) - 1000.0, rel=1e-15)
+        _, folded = fold_classes(items, [[0.0], [-1000.0], [-1000.0]])
+        assert folded[0, 0] == 0.0
+        assert folded[1, 0] == pytest.approx(1101 * math.log(2.0) - 1000.0, rel=1e-15)
+
+    def test_fold_columns_match_one_column_folds(self):
+        classes = collapse_classes(30, Boundary.OPEN)
+        log_weight = np.random.default_rng(5).uniform(-50.0, 50.0, (len(classes), 2))
+        first, folded = fold_classes(classes, log_weight)
+        for column in range(2):
+            alone = fold_classes(classes, log_weight[:, column:column + 1])
+            assert np.array_equal(alone[0], first)
+            assert np.array_equal(alone[1][:, 0], folded[:, column])
 
     def test_shape_mismatch(self):
         with pytest.raises(ParameterError, match="shape"):
-            reduce_weighted(lambda rows, t: np.ones((1, t.size, 2)), 4, [0.0], 3)
+            reduce_weighted(lambda rows, t: np.ones((1, t.size, 2)), np.ones((4, 1)), [0.0], 3)
 
     def test_empty_items(self):
-        out = reduce_weighted(ones, 0, [0.0, 1.0], 2)
-        assert np.array_equal(out, np.zeros((2, 2)))
+        for weight in (np.ones((0, 1)), np.ones((4, 0)), np.ones(4)):
+            with pytest.raises(ParameterError, match="weight must be a non-empty"):
+                reduce_weighted(ones, weight, [0.0, 1.0], 2)
+
+    def test_normalizer_must_be_positive(self):
+        with pytest.raises(NumericError, match="not positive"):
+            reduce_weighted(ones, np.array([[1.0, 0.5], [-1.0, 0.5]]), [0.0], 1)
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=1, max_value=3000),
@@ -168,27 +182,34 @@ class TestReduceWeighted:
     def test_time_blocks_bit_identical(self, seed, count, elements):
         rng = np.random.default_rng(seed)
         values = rng.uniform(-1e3, 1e3, (count, 2))
+        weight = rng.uniform(0.0, 1.0, (count, 2))
         times = np.linspace(0.0, 1.0, 9)
 
         def term(rows, t):
             return values[rows, None, :] * (1.0 + t[:, None])
 
-        reference = reduce_weighted(term, count, times, 2)
+        reference, normalizer = reduce_weighted(term, weight, times, 2)
         old = configspace.BLOCK_ELEMENTS
         configspace.BLOCK_ELEMENTS = elements
         try:
-            blocked = reduce_weighted(term, count, times, 2)
+            blocked = reduce_weighted(term, weight, times, 2)
         finally:
             configspace.BLOCK_ELEMENTS = old
-        assert np.array_equal(reference, blocked)
+        assert np.array_equal(reference, blocked[0]) and np.array_equal(normalizer, blocked[1])
         for i, t in enumerate(times):
-            assert np.array_equal(reduce_weighted(term, count, [t], 2)[0], reference[i])
+            assert np.array_equal(reduce_weighted(term, weight, [t], 2)[0][:, 0],
+                                  reference[:, i])
+        # each weight column sums as it would alone
+        for column in range(2):
+            alone = reduce_weighted(term, weight[:, column:column + 1], times, 2)
+            assert np.array_equal(alone[0][0], reference[column])
+            assert alone[1][0] == normalizer[column]
 
     def test_accuracy_near_fsum(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(-1.0, 1.0, 100_000)
-        got = reduce_weighted(lambda rows, t: values[rows, None, None], values.size,
-                              [0.0], 1)[0, 0]
+        got = reduce_weighted(lambda rows, t: values[rows, None, None],
+                              np.ones((values.size, 1)), [0.0], 1)[0][0, 0, 0]
         assert abs(got - math.fsum(values)) < 1e-10
 
 
@@ -198,17 +219,17 @@ class TestBackend:
         plus_x = pure_state([2 ** -0.5, 2 ** -0.5])
         times = np.linspace(0.0, 3.0, 4)
         uniform = BathParams.uniform(6, 1.0, 0.5, 0.1)
-        by_name = bloch_trajectory(sys1, uniform, th, "collapse", plus_x, times, True)
-        assert by_name == bloch_trajectory(sys1, uniform, th, Backend.COLLAPSE, plus_x,
-                                           times, True)
+        by_name = bloch_trajectory(sys1, uniform, th, "collapse", plus_x, times, (True,))
+        assert np.array_equal(by_name, bloch_trajectory(sys1, uniform, th, Backend.COLLAPSE,
+                                                        plus_x, times, (True,)))
         # only the collapse route refuses a bath whose couplings vary
         ragged = BathParams(3, (1.0,) * 3, (1.0, 2.0, 1.0), (0.0, 0.0))
-        bloch_trajectory(sys1, ragged, th, "enumerate", plus_x, times, True)
+        bloch_trajectory(sys1, ragged, th, "enumerate", plus_x, times, (True,))
         with pytest.raises(ParameterError, match="g_i"):
-            bloch_trajectory(sys1, ragged, th, "collapse", plus_x, times, True)
+            bloch_trajectory(sys1, ragged, th, "collapse", plus_x, times, (True,))
         pair = TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0)
-        density_trajectory(pair, ragged, th, "enumerate", bell_state(), times, True)
+        density_trajectory(pair, ragged, th, "enumerate", bell_state(), times, (True,))
         with pytest.raises(ParameterError, match="g_i"):
-            density_trajectory(pair, ragged, th, "collapse", bell_state(), times, True)
+            density_trajectory(pair, ragged, th, "collapse", bell_state(), times, (True,))
         with pytest.raises(ValueError):
-            bloch_trajectory(sys1, uniform, th, "bogus", plus_x, times, True)
+            bloch_trajectory(sys1, uniform, th, "bogus", plus_x, times, (True,))

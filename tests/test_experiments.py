@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinbath
-from spinbath.configspace import Backend
-from spinbath.errors import CapacityError, UsageError
+from spinbath import experiments, single_qubit, two_qubit
+from spinbath.configspace import Backend, collapse_classes
+from spinbath.errors import CapacityError, ParameterError, UsageError
 from spinbath.experiments import (BathSpec, ExperimentConfig, GaussianStats,
                                   ResultTable, TimeGrid, config_from_keys,
                                   config_metadata, list_presets, oracle_check,
@@ -36,6 +37,18 @@ def single_keys(**overrides):
         "thermal.beta": "1",
         "grid.t_end": "4",
         "grid.n_points": "5",
+    }
+    keys.update(overrides)
+    return keys
+
+
+def pair_keys(**overrides):
+    keys = {
+        "mode": "two_qubit",
+        "system.eps1": "1", "system.eps2": "2",
+        "system.delta1": "4", "system.delta2": "1", "system.lambda": "3",
+        "bath.n_spins": "4", "bath.eps": "1", "bath.g": "1", "bath.chi": "0.1",
+        "thermal.beta": "1", "grid.t_end": "4", "grid.n_points": "6",
     }
     keys.update(overrides)
     return keys
@@ -98,6 +111,11 @@ class TestTimeGrid:
     def test_rejects_single_point(self):
         with pytest.raises(UsageError):
             TimeGrid(0.0, 1.0, 1)
+
+    def test_point_cap(self):
+        assert TimeGrid(0.0, 1.0, 1_000_000).n_points == 1_000_000
+        with pytest.raises(UsageError, match=r"grid.n_points must be in \[2, 1000000\]"):
+            TimeGrid(0.0, 1.0, 1_000_001)
 
 
 class TestBathSpec:
@@ -396,6 +414,42 @@ class TestRunAndCsv:
                      "bath.chi_list": "0,0"})
         with pytest.raises(UsageError, match="g_i"):
             run(config_from_keys(keys))
+
+
+class TestSharedSweep:
+    """Both series come from one trajectory call over one bath table."""
+
+    @pytest.mark.parametrize("keys", [single_keys, pair_keys])
+    def test_two_series_collapse_run_builds_classes_once(self, monkeypatch, keys):
+        calls = []
+
+        def counted(function):
+            return lambda *args: calls.append(function.__name__) or function(*args)
+
+        for module in (single_qubit, two_qubit):
+            monkeypatch.setattr(module, "collapse_classes", counted(collapse_classes))
+        for name in ("bloch_trajectory", "density_trajectory"):
+            monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
+        run(config_from_keys(keys(backend="collapse")))
+        trajectory = "bloch_trajectory" if keys is single_keys else "density_trajectory"
+        assert sorted(calls) == sorted(["collapse_classes", trajectory])
+
+    @pytest.mark.parametrize("keys", [single_keys, pair_keys])
+    @pytest.mark.parametrize("backend", ["enumerate", "collapse"])
+    def test_one_series_runs_match_both_byte_for_byte(self, keys, backend):
+        both = run(config_from_keys(keys(backend=backend, series="both")))
+        for column, series in ((1, "uncorrelated"), (2, "correlated")):
+            alone = run(config_from_keys(keys(backend=backend, series=series)))
+            assert alone.rows.shape == (both.rows.shape[0], 2)
+            assert alone.rows[:, 1].tobytes() == both.rows[:, column].tobytes()
+
+    def test_empty_flag_tuple_rejected(self):
+        for keys, trajectory in ((single_keys, experiments.bloch_trajectory),
+                                 (pair_keys, experiments.density_trajectory)):
+            config = config_from_keys(keys())
+            with pytest.raises(ParameterError, match="at least one"):
+                trajectory(config.system, config.bath.materialize(), config.thermal(),
+                           config.backend, config.state_vector(), config.grid.times(), ())
 
 
 class TestOracleCheck:

@@ -64,9 +64,8 @@ class TestInteractingRoute:
     def test_time_zero_projector(self):
         for lam, psi in ((3.0, bell_state()), (0.0, random_pair_state(5))):
             sys2 = TwoQubitParams(lam=lam, **BASE)
-            for correlated in (False, True):
-                rho, = density_trajectory(sys2, random_bath(3), Thermal(1.0),
-                                          Backend.ENUMERATE, psi, [0.0], correlated)
+            for rho, in density_trajectory(sys2, random_bath(3), Thermal(1.0),
+                                           Backend.ENUMERATE, psi, [0.0], (False, True)):
                 assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-13
 
     @given(st.integers(min_value=0, max_value=10_000),
@@ -79,7 +78,8 @@ class TestInteractingRoute:
         psi = random_pair_state(seed + 1)
         th = Thermal(beta)
         times = np.linspace(0.0, 5.0, 6)
-        states = density_trajectory(sys2, bath, th, Backend.ENUMERATE, psi, times, correlated)
+        states, = density_trajectory(sys2, bath, th, Backend.ENUMERATE, psi, times,
+                                     (correlated,))
         h = build_hamiltonian(sys2, bath)
         rho0 = initial_state(h, th, psi, correlated)
         for t, rho_a in zip(times, states):
@@ -92,46 +92,36 @@ class TestTrajectories:
         sys2 = TwoQubitParams(lam=2.0, **BASE)
         bath = random_bath(11)
         times = np.linspace(0.0, 6.0, 10)
-        u = density_trajectory(sys2, bath, Thermal(0.0), Backend.ENUMERATE, bell_state(),
-                               times, False)
-        c = density_trajectory(sys2, bath, Thermal(0.0), Backend.ENUMERATE, bell_state(),
-                               times, True)
-        for a, b in zip(u, c):
-            assert np.abs(a - b).max() < 1e-12
+        u, c = density_trajectory(sys2, bath, Thermal(0.0), Backend.ENUMERATE, bell_state(),
+                                  times, (False, True))
+        assert np.abs(u - c).max() < 1e-12
 
     def test_decoupled_correlations_vanish(self):
         sys2 = TwoQubitParams(**BASE)
         bath = BathParams(3, (0.4, -0.9, 1.2), (0.0, 0.0, 0.0), (0.3, -0.5))
         times = np.linspace(0.0, 6.0, 10)
-        u = density_trajectory(sys2, bath, Thermal(4.0), Backend.ENUMERATE, bell_state(),
-                               times, False)
-        c = density_trajectory(sys2, bath, Thermal(4.0), Backend.ENUMERATE, bell_state(),
-                               times, True)
-        for a, b in zip(u, c):
-            assert np.abs(a - b).max() < 1e-12
+        u, c = density_trajectory(sys2, bath, Thermal(4.0), Backend.ENUMERATE, bell_state(),
+                                  times, (False, True))
+        assert np.abs(u - c).max() < 1e-12
 
     def test_backend_equivalence_uniform_bath(self):
         sys2 = TwoQubitParams(lam=3.0, **BASE)
         times = np.linspace(0.0, 5.0, 8)
         for boundary in Boundary:
             bath = BathParams.uniform(10, 1.0, 1.0, 0.1, boundary)
-            for correlated in (False, True):
-                a = density_trajectory(sys2, bath, Thermal(1.0),
-                                       Backend.ENUMERATE,
-                                       bell_state(), times, correlated)
-                b = density_trajectory(sys2, bath, Thermal(1.0),
-                                       Backend.COLLAPSE,
-                                       bell_state(), times, correlated)
-                for ra, rb in zip(a, b):
-                    assert np.abs(ra - rb).max() < 1e-12
+            a = density_trajectory(sys2, bath, Thermal(1.0), Backend.ENUMERATE,
+                                   bell_state(), times, (False, True))
+            b = density_trajectory(sys2, bath, Thermal(1.0), Backend.COLLAPSE,
+                                   bell_state(), times, (False, True))
+            assert np.abs(a - b).max() < 1e-12
 
     def test_every_output_is_a_valid_state(self):
         sys2 = TwoQubitParams(lam=3.0, **BASE)
         bath = random_bath(13)
         times = np.linspace(0.0, 8.0, 12)
-        for correlated in (False, True):
-            for rho in density_trajectory(sys2, bath, Thermal(2.0), Backend.ENUMERATE,
-                                          bell_state(), times, correlated):
+        for series in density_trajectory(sys2, bath, Thermal(2.0), Backend.ENUMERATE,
+                                         bell_state(), times, (False, True)):
+            for rho in series:
                 validate_density(rho)
 
 
