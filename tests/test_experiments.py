@@ -462,14 +462,7 @@ class TestOracleCheck:
         assert all(dev < 1e-9 for _, dev in report.entries)
 
     def test_two_qubit_entries(self):
-        keys = {
-            "mode": "two_qubit",
-            "system.eps1": "1", "system.eps2": "2",
-            "system.delta1": "4", "system.delta2": "1", "system.lambda": "3",
-            "bath.n_spins": "5", "bath.eps": "1", "bath.g": "1", "bath.chi": "0.1",
-            "thermal.beta": "1", "grid.t_end": "4", "grid.n_points": "6",
-        }
-        report = oracle_check(config_from_keys(keys), n_override=3)
+        report = oracle_check(config_from_keys(pair_keys(**{"bath.n_spins": "5"})), n_override=3)
         assert report.passed
         assert {name for name, _ in report.entries} == {
             "rho_uncorrelated", "rho_correlated",
