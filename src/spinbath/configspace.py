@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, NumericError, ParameterError
+from .errors import CapacityError, ParameterError
 from .model import Boundary, _finite
 from .numerics import _pairwise_over_rows
 
@@ -43,16 +43,23 @@ class Backend(enum.Enum):
     COLLAPSE = "collapse"
 
 
-def mask_blocks(n_spins: int):
-    """Every bath bitmask for n_spins spins, as ascending arrays of at most
-    ITEM_BLOCK masks; enforces the enumeration cap."""
+def _require_capacity(n_spins: int, backend: Backend) -> None:
+    """Raise unless backend can sum a bath of n_spins spins."""
     if n_spins < 1:
         raise ParameterError(f"n_spins must be >= 1, got {n_spins}")
-    if n_spins > ENUMERATION_CAP:
+    if Backend(backend) is Backend.ENUMERATE and n_spins > ENUMERATION_CAP:
         raise CapacityError(
             f"enumerating 2^{n_spins} configurations exceeds the cap of 2^{ENUMERATION_CAP}; "
             "use the collapse backend (uniform parameters required)"
         )
+    if Backend(backend) is Backend.COLLAPSE and n_spins > COLLAPSE_CAP:
+        raise CapacityError(f"n_spins {n_spins} exceeds the collapse cap {COLLAPSE_CAP}")
+
+
+def mask_blocks(n_spins: int):
+    """Every bath bitmask for n_spins spins, as ascending arrays of at most
+    ITEM_BLOCK masks; enforces the enumeration cap."""
+    _require_capacity(n_spins, Backend.ENUMERATE)
     total = 1 << n_spins
     return (np.arange(start, min(start + ITEM_BLOCK, total))
             for start in range(0, total, ITEM_BLOCK))
@@ -72,10 +79,7 @@ def collapse_classes(n_spins: int, boundary: Boundary = Boundary.OPEN) -> np.rec
     w) or 2 N / w (ring). Logs of the binomials come from one table of log
     factorials, so no N overflows; the multiplicities sum to 2^N.
     """
-    if n_spins < 1:
-        raise ParameterError(f"n_spins must be >= 1, got {n_spins}")
-    if n_spins > COLLAPSE_CAP:
-        raise CapacityError(f"n_spins {n_spins} exceeds the collapse cap {COLLAPSE_CAP}")
+    _require_capacity(n_spins, Backend.COLLAPSE)
     n = n_spins
     down = np.arange(n + 1)
     m = np.minimum(down, n - down)
@@ -99,27 +103,30 @@ def collapse_classes(n_spins: int, boundary: Boundary = Boundary.OPEN) -> np.rec
 def fold_classes(classes: np.recarray, log_weight) -> tuple[np.ndarray, np.ndarray]:
     """Fold (k, w) classes, sorted by k, onto their down-spin counts k.
 
-    log_weight holds one pattern's log weights per class, one column per
-    series. Returns the index of the first class of each k and, per k and
-    column, the log of sum multiplicity * exp(log_weight), found in log space.
+    log_weight holds one pattern's log weight per class. Returns the index of
+    the first class of each k and, per k, the log of
+    sum multiplicity * exp(log_weight), found in log space.
     """
     first = np.flatnonzero(np.diff(classes.k, prepend=-1))
-    logs = np.asarray(log_weight, dtype=float) + classes.log_multiplicity[:, None]
+    logs = np.asarray(log_weight, dtype=float) + classes.log_multiplicity
     top = np.maximum.reduceat(logs, first)
-    spread = np.exp(logs - np.repeat(top, np.diff(first, append=len(logs)), axis=0))
+    spread = np.exp(logs - np.repeat(top, np.diff(first, append=len(logs))))
     return first, top + np.log(np.add.reduceat(spread, first))
 
 
-def reduce_weighted(term, weight, times, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of term over items at every time, weighted by each column of the
-    (items, S) matrix weight; returns the sums (S, len(times), dim) and each
-    column's weight sum, its normalizer (S,), which must be positive.
+def reduce_weighted(term, log_weight, times, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted means of term over items at every time, one per column of the
+    (items, S) matrix log_weight of log weights; returns the read-only means
+    (S, len(times), dim) and each column's log weight sum, its log partition
+    (S,).
 
     term(rows, t) gets a slice of item indices and an array of times and
     returns the items' unweighted terms as an array of shape
     (rows, len(t), dim). times must be a non-empty, finite, ascending 1-d
-    sequence. The summation order depends only on the item count, so results
-    are bit-identical from run to run.
+    sequence. Each column is shifted by its largest log weight before the
+    exp, so no weight overflows and every normalizer is at least 1. The
+    summation order depends only on the item count, so results are
+    bit-identical from run to run.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -130,17 +137,19 @@ def reduce_weighted(term, weight, times, dim: int) -> tuple[np.ndarray, np.ndarr
         raise ParameterError("times must be ascending")
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
-    weight = np.asarray(weight, dtype=float)
-    if weight.ndim != 2 or 0 in weight.shape:
-        raise ParameterError(f"weight must be a non-empty (items, S) matrix, got {weight.shape}")
-    n_items = len(weight)
+    log_weight = np.asarray(log_weight, dtype=float)
+    if log_weight.ndim != 2 or 0 in log_weight.shape:
+        raise ParameterError(
+            f"log_weight must be a non-empty (items, S) matrix, got {log_weight.shape}")
+    shift = _finite("log weight", log_weight).max(axis=0)
+    weight = log_weight - shift
+    np.exp(weight, out=weight)
+    n_items, n_series = weight.shape
     rows = [slice(i, min(i + ITEM_BLOCK, n_items)) for i in range(0, n_items, ITEM_BLOCK)]
     # each column's weight sum, through the same two-level tree as the sweep
     normalizer = _pairwise_over_rows(np.stack([_pairwise_over_rows(weight[b]) for b in rows]))
-    if not np.all(normalizer > 0.0):
-        raise NumericError(f"weight normalizer is not positive: {normalizer.min()}")
     step = max(1, BLOCK_ELEMENTS // (min(ITEM_BLOCK, n_items) * dim))
-    sums = []
+    means = None
     for start in range(0, t.size, step):
         points = t[start:start + step]
         partials = []
@@ -154,6 +163,10 @@ def reduce_weighted(term, weight, times, dim: int) -> tuple[np.ndarray, np.ndarr
             # one weight column at a time, so no (rows, S, t, dim) product is held
             partials.append(np.stack([_pairwise_over_rows(values * column[:, None, None])
                                       for column in weight[block].T]))
-        sums.append(_pairwise_over_rows(np.stack(partials)))
-    # the terms are bounded, so only an overflowing phase makes a sum inf or nan
-    return _finite("sum over the time grid", np.concatenate(sums, axis=1)), normalizer
+        if means is None:
+            means = np.empty((n_series, t.size, dim), dtype=values.dtype)
+        means[:, start:start + points.size] = _pairwise_over_rows(np.stack(partials))
+    means /= normalizer[:, None, None]
+    means.setflags(write=False)
+    # the terms are bounded, so only an overflowing phase makes a mean inf or nan
+    return _finite("sum over the time grid", means), shift + np.log(normalizer)

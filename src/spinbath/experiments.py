@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .configspace import Backend
+from .configspace import Backend, _require_capacity
 from .errors import CapacityError, ParameterError, UsageError
 from .model import (BathParams, Boundary, SystemParams, Thermal, pure_state,
                     require_uniform)
@@ -431,6 +431,8 @@ def write_text(path, text: str) -> None:
 
 def run(config: ExperimentConfig) -> ResultTable:
     """Compute the configured trajectories and return the plot-ready table."""
+    # before materialize(), which draws a random bath's parameters one by one
+    _require_capacity(config.bath.n_spins, config.backend)
     bath = config.bath.materialize()
     if config.backend is Backend.COLLAPSE:
         try:
@@ -579,6 +581,8 @@ def oracle_check(config: ExperimentConfig, n_override: int,
     analytic_beta_skew is a test hook: it scales the analytic path's inverse
     temperature so the detector can be shown to trip on a corrupted weight.
     """
+    if n_override < 1:
+        raise UsageError(f"oracle bath size must be >= 1, got {n_override}")
     n_system = 1 if config.mode == "single" else 2
     if (1 << (n_system + n_override)) > DIMENSION_CAP:
         raise CapacityError(

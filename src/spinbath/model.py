@@ -246,9 +246,10 @@ def bloch_components(psi) -> tuple[float, float, float]:
     return 2.0 * cross.real, 2.0 * cross.imag, pz
 
 
-def log_correlation_factor(sys: SystemParams, th: Thermal, q: ConfigQuantities,
+def log_correlation_factor(sys: SystemParams, th: Thermal, splitting, rabi,
                            psi) -> float:
-    """log of the correlation factor, elementwise when q holds arrays.
+    """log of the correlation factor for a pattern's qubit splitting and rabi
+    frequency (see ConfigQuantities), elementwise over arrays of them.
 
     The correlation factor is the weight correction from a correlated
     system-bath preparation: <psi| exp(-beta h) |psi> for the conditional
@@ -269,8 +270,8 @@ def log_correlation_factor(sys: SystemParams, th: Thermal, q: ConfigQuantities,
     beta*rabi so beta = 0 returns exactly 0.0.
     """
     px, _, pz = bloch_components(psi)
-    mean_h = 0.5 * (q.splitting * pz + sys.delta * px)
-    rabi = np.asarray(q.rabi)
+    mean_h = 0.5 * (splitting * pz + sys.delta * px)
+    rabi = np.asarray(rabi)
     exponent = th.beta * rabi
     small = exponent < SMALL_EXPONENT
     # both branches are evaluated everywhere; each is kept only where valid

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NumericError, ParameterError
-from .model import BathParams, Boundary, SystemParams, pure_state
+from .model import BathParams, SystemParams, pure_state
 from .numerics import SIGMA_X, hermitian_eig
 from .two_qubit import TwoQubitParams
 
@@ -65,21 +65,18 @@ def _z_values(total_qubits: int, factor: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def _bath_bond_pairs(bath: BathParams):
-    n = bath.n_spins
-    if bath.boundary is Boundary.PERIODIC:
-        return [(i, (i + 1) % n) for i in range(n)]
-    return [(i, i + 1) for i in range(n - 1)]
-
-
-def _bath_only_diagonal(bath: BathParams) -> np.ndarray:
+def _bath_fields(bath: BathParams) -> tuple[np.ndarray, np.ndarray]:
+    """Bath energy and coupling field of every bath basis state."""
     z = [_z_values(bath.n_spins, i) for i in range(bath.n_spins)]
     diag = np.zeros(1 << bath.n_spins)
+    field = np.zeros(1 << bath.n_spins)
     for i in range(bath.n_spins):
         diag += 0.5 * bath.eps_i[i] * z[i]
-    for (i, j), chi in zip(_bath_bond_pairs(bath), bath.chi_i):
-        diag += chi * z[i] * z[j]
-    return diag
+        field += bath.g_i[i] * z[i]
+    # bond i couples sites i and i+1, the last one wrapping on a ring
+    for i, chi in enumerate(bath.chi_i):
+        diag += chi * z[i] * z[(i + 1) % bath.n_spins]
+    return diag, field
 
 
 def _embed_sigma_x(total_qubits: int, factor: int) -> np.ndarray:
@@ -103,22 +100,17 @@ def build_hamiltonian(sys, bath: BathParams) -> FullHamiltonian:
             f"oracle dimension 2^{total} exceeds the cap {DIMENSION_CAP}; "
             f"reduce the bath below {int(math.log2(DIMENSION_CAP)) - n_system + 1} spins"
         )
-    bath_z = [_z_values(total, n_system + i) for i in range(bath.n_spins)]
-    coupling_field = np.zeros(1 << total)
-    for i in range(bath.n_spins):
-        coupling_field += bath.g_i[i] * bath_z[i]
-    diag = np.zeros(1 << total)
-    for i in range(bath.n_spins):
-        diag += 0.5 * bath.eps_i[i] * bath_z[i]
-    for (i, j), chi in zip(_bath_bond_pairs(bath), bath.chi_i):
-        diag += chi * bath_z[i] * bath_z[j]
+    # system factors are the most significant bits, so each joint-space
+    # array is its bath-only array once per system basis state
+    bath_diagonal, field = _bath_fields(bath)
+    diag = np.tile(bath_diagonal, 1 << n_system)
+    coupling_field = np.tile(field, 1 << n_system)
+    z0 = _z_values(total, 0)
     if n_system == 1:
-        z0 = _z_values(total, 0)
         diag += 0.5 * sys.epsilon * z0 + 0.5 * z0 * coupling_field
         matrix = np.diag(diag.astype(complex))
         matrix += 0.5 * sys.delta * _embed_sigma_x(total, 0)
     else:
-        z0 = _z_values(total, 0)
         z1 = _z_values(total, 1)
         diag += (0.5 * sys.eps1 * z0 + 0.5 * sys.eps2 * z1 + sys.lam * z0 * z1
                  + 0.5 * (z0 + z1) * coupling_field)
@@ -129,7 +121,7 @@ def build_hamiltonian(sys, bath: BathParams) -> FullHamiltonian:
     for array in (matrix, energies, vectors):
         array.setflags(write=False)
     return FullHamiltonian(matrix=matrix, n_system=n_system, n_bath=bath.n_spins,
-                           bath_diagonal=_bath_only_diagonal(bath),
+                           bath_diagonal=bath_diagonal,
                            energies=energies, vectors=vectors)
 
 

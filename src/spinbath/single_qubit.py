@@ -28,59 +28,57 @@ import numpy as np
 from .configspace import (Backend, collapse_classes, fold_classes, mask_blocks,
                           reduce_weighted)
 from .errors import ParameterError
-from .model import (BathParams, SystemParams, Thermal, _finite, bloch_components,
+from .model import (BathParams, SystemParams, Thermal, bloch_components,
                     class_quantities, config_quantities, log_correlation_factor,
                     pure_state, require_uniform)
 
 
 @dataclass(frozen=True)
 class BlochPropagator:
-    """Raw entry sums s, their normalizer, and the shared log-weight shift.
+    """Normalized Bloch map at one time, and the log of the partition-style
+    weight sum it was normalized by (in log space, so it never overflows at
+    large beta*N)."""
 
-    The physical normalizer (the partition-style sum the entries are divided
-    by) is normalizer * exp(log_scale); the shift cancels in apply() and is
-    kept so weights never overflow at large beta*N.
-    """
-
-    s: np.ndarray
-    normalizer: float
-    log_scale: float = 0.0
-
-    def normalized(self) -> np.ndarray:
-        return self.s / self.normalizer
+    matrix: np.ndarray
+    log_partition: float
 
     def apply(self, p) -> np.ndarray:
-        return self.normalized() @ np.asarray(p, dtype=float)
+        return self.matrix @ np.asarray(p, dtype=float)
 
 
 # overflowing parameters surface as a named ParameterError, not as warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _weighted_fields(sys: SystemParams, bath: BathParams, th: Thermal,
-                     backend: Backend, psi, correlated: tuple[bool, ...]):
+def _qubit_fields(sys: SystemParams, bath: BathParams, th: Thermal,
+                  backend: Backend, psi, correlated: tuple[bool, ...]):
     """Per summed item (a mask, or a down-spin count under collapse): the
     splitting, the rabi frequency, and the log weights, one column per series."""
-    def log_weights(q):
-        joint = q.log_weight + log_correlation_factor(sys, th, q, psi) if any(correlated) else None
-        return np.stack([joint if flag else q.log_weight for flag in correlated], axis=1)
-
+    if not correlated:
+        raise ParameterError("correlated must hold at least one series flag")
     if Backend(backend) is Backend.COLLAPSE:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
         q = class_quantities(sys, bath, th, classes.k, classes.w)
-        first, folded = fold_classes(classes, log_weights(q))
-        return q.splitting[first], q.rabi[first], folded
-    parts = [(q.splitting, q.rabi, log_weights(q)) for q in
-             (config_quantities(sys, bath, th, masks) for masks in mask_blocks(bath.n_spins))]
+        # splitting and rabi depend on k alone, so the folded items read them
+        # at each k's first class, and the correlation factor runs on those
+        first, log_weight = fold_classes(classes, q.log_weight)
+        blocks = [(q.splitting[first], q.rabi[first], log_weight)]
+    else:
+        blocks = ((q.splitting, q.rabi, q.log_weight) for q in
+                  (config_quantities(sys, bath, th, masks) for masks in mask_blocks(bath.n_spins)))
+    parts = []
+    # block by block, so the factor's temporaries stay block-sized
+    for splitting, rabi, log_weight in blocks:
+        joint = (log_weight + log_correlation_factor(sys, th, splitting, rabi, psi)
+                 if any(correlated) else None)
+        parts.append((splitting, rabi, np.stack([joint if flag else log_weight
+                                                 for flag in correlated], axis=1)))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _bloch_sums(sys: SystemParams, bath: BathParams, th: Thermal, backend: Backend,
+def _bloch_maps(sys: SystemParams, bath: BathParams, th: Thermal, backend: Backend,
                 psi, correlated: tuple[bool, ...], times):
-    """Entry sums (S, T, 3, 3), normalizers (S,) and log-weight shifts (S,)."""
-    if not correlated:
-        raise ParameterError("correlated must hold at least one series flag")
-    splitting, rabi, log_weight = _weighted_fields(sys, bath, th, backend, psi, correlated)
-    shift = _finite("log weight", log_weight).max(axis=0)
+    """Normalized Bloch maps (S, T, 3, 3) and log partitions (S,)."""
+    splitting, rabi, log_weight = _qubit_fields(sys, bath, th, backend, psi, correlated)
     # unit direction (u, v); rabi == 0 forces splitting == delta == 0, where
     # the conditional Hamiltonian vanishes and any direction works
     u = np.divide(splitting, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
@@ -95,22 +93,13 @@ def _bloch_sums(sys: SystemParams, bath: BathParams, th: Thermal, backend: Backe
                          ur * sin2, cos2, -vr * sin2,
                          ur * vr * rem, vr * sin2, cos2 + ur * ur * rem), axis=-1)
 
-    sums, normalizer = reduce_weighted(term, np.exp(log_weight - shift), times, 9)
-    return sums.reshape(*sums.shape[:2], 3, 3), normalizer, shift
-
-
-def _qubit_state(psi) -> np.ndarray:
-    psi = pure_state(psi)
-    if psi.shape != (2,):
-        raise ParameterError(f"expected a single-qubit state, got shape {psi.shape}")
-    return psi
+    maps, log_partition = reduce_weighted(term, log_weight, times, 9)
+    return maps.reshape(*maps.shape[:2], 3, 3), log_partition
 
 
 def _propagator(sys, bath, th, backend, psi, correlated, t) -> BlochPropagator:
-    s, normalizer, shift = _bloch_sums(sys, bath, th, backend, psi, (correlated,), [t])
-    matrix = s[0, 0].copy()
-    matrix.setflags(write=False)
-    return BlochPropagator(s=matrix, normalizer=float(normalizer[0]), log_scale=float(shift[0]))
+    maps, log_partition = _bloch_maps(sys, bath, th, backend, psi, (correlated,), [t])
+    return BlochPropagator(matrix=maps[0, 0], log_partition=float(log_partition[0]))
 
 
 def propagator_uncorrelated(sys: SystemParams, bath: BathParams, th: Thermal,
@@ -124,7 +113,7 @@ def propagator_correlated(sys: SystemParams, bath: BathParams, th: Thermal,
     """Bloch map at time t for a jointly thermalized, projectively prepared
     state. psi is both the prepared qubit state and the state whose pattern
     weights the map carries."""
-    return _propagator(sys, bath, th, backend, _qubit_state(psi), True, t)
+    return _propagator(sys, bath, th, backend, pure_state(psi), True, t)
 
 
 def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
@@ -133,10 +122,9 @@ def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
     """Bloch vectors of the prepared state psi at each requested time, as a
     read-only (S, T, 3) array: one series per flag of correlated, False for a
     product preparation and True for a correlated one, all from one sweep."""
-    psi = _qubit_state(psi)
-    s, normalizer, _ = _bloch_sums(sys, bath, th, backend, psi, correlated, times)
-    m = s / normalizer[:, None, None, None]
+    psi = pure_state(psi)
     px, py, pz = bloch_components(psi)
+    m, _ = _bloch_maps(sys, bath, th, backend, psi, correlated, times)
     p = m[..., 0] * px + m[..., 1] * py + m[..., 2] * pz
     p.setflags(write=False)
     return p

@@ -97,8 +97,8 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
         g_sum, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
-        first, log_weight = fold_classes(classes, -th.beta * (chi_sum + 0.5 * eps_sum)[:, None])
-        blocks = [(g_sum[first], log_weight[:, 0])]
+        first, log_weight = fold_classes(classes, -th.beta * (chi_sum + 0.5 * eps_sum))
+        blocks = [(g_sum[first], log_weight)]
     else:
         blocks = [(g, -th.beta * (chi + 0.5 * eps)) for g, eps, chi in
                   (bath_sums(bath, masks) for masks in mask_blocks(bath.n_spins))]
@@ -133,11 +133,11 @@ def _eigenbasis(sys2: TwoQubitParams, th: Thermal, psi: np.ndarray,
             np.stack([joint if flag else log_weight for flag in correlated], axis=1))
 
 
-def validate_density(rho, dim: int = 4) -> np.ndarray:
+def validate_density(rho) -> np.ndarray:
     """Check Hermiticity, unit trace, and positivity; return rho unchanged."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ParameterError(f"expected a {dim}x{dim} matrix, got shape {rho.shape}")
+    if rho.shape != (4, 4):
+        raise ParameterError(f"expected a 4x4 matrix, got shape {rho.shape}")
     herm_dev = float(np.abs(rho - rho.conj().T).max())
     if herm_dev > HERMITICITY_TOL:
         raise ParameterError(f"density matrix not Hermitian: deviation {herm_dev:.3e}")
@@ -187,8 +187,5 @@ def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
         projector = evolved[..., :, None] * evolved[..., None, :].conj()
         return projector.reshape(*evolved.shape[:2], 16)
 
-    shift = _finite("log weight", log_weight).max(axis=0)
-    sums, normalizer = reduce_weighted(term, np.exp(log_weight - shift), times, 16)
-    states = sums.reshape(*sums.shape[:2], 4, 4) / normalizer[:, None, None, None]
-    states.setflags(write=False)
-    return states
+    states, _ = reduce_weighted(term, log_weight, times, 16)
+    return states.reshape(*states.shape[:2], 4, 4)

@@ -231,6 +231,12 @@ class TestOracleCheckCommand:
         proc = run_cli("oracle-check", "no_such_thing", "--n", "3")
         assert proc.returncode == 2
 
+    def test_negative_bath_size_exits_2_with_one_line(self):
+        proc = run_cli("oracle-check", "fig4", "--n=-5")
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: oracle bath size"), proc.stderr
+
 
 class TestInProcessEntry:
     def test_main_returns_int(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from spinbath import configspace
 from spinbath.configspace import (COLLAPSE_CAP, ENUMERATION_CAP, Backend,
                                   collapse_classes, fold_classes, mask_blocks,
                                   reduce_weighted)
-from spinbath.errors import CapacityError, NumericError, ParameterError
+from spinbath.errors import CapacityError, ParameterError
 from spinbath.model import BathParams, Boundary, SystemParams, Thermal, pure_state
 from spinbath.single_qubit import bloch_trajectory
 from spinbath.two_qubit import TwoQubitParams, bell_state, density_trajectory
@@ -129,51 +129,73 @@ class TestMaskBlocks:
 
 class TestReduceWeighted:
     def test_counts_patterns_enumerate(self):
-        total, normalizer = reduce_weighted(ones, np.ones((1024, 1)), [0.0], 1)
-        assert total[0, 0, 0] == normalizer[0] == 1024.0
+        means, log_partition = reduce_weighted(ones, np.zeros((1024, 1)), [0.0], 1)
+        assert means[0, 0, 0] == 1.0
+        assert log_partition[0] == math.log(1024.0)
 
     def test_counts_patterns_collapse(self):
         # folding every class at unit pattern weight counts all 2^N patterns
         for boundary in Boundary:
             classes = collapse_classes(10, boundary)
-            first, folded = fold_classes(classes, np.zeros((len(classes), 1)))
+            first, folded = fold_classes(classes, np.zeros(len(classes)))
             assert np.array_equal(first, np.flatnonzero(np.diff(classes.k, prepend=-1)))
-            assert math.fsum(np.exp(folded[:, 0])) == pytest.approx(1024.0, rel=1e-14)
+            assert math.fsum(np.exp(folded)) == pytest.approx(1024.0, rel=1e-14)
 
     def test_class_multiplicity_is_applied(self):
         items = class_records([0, 1, 1], [0, 1, 2], [math.log(3), math.log(5), math.log(2)])
-        first, folded = fold_classes(items, np.log([[1.0], [2.0], [0.5]]))
+        first, folded = fold_classes(items, np.log([1.0, 2.0, 0.5]))
         assert list(first) == [0, 1]
-        assert np.exp(folded[:, 0]) == pytest.approx([3.0, 5.0 * 2.0 + 2.0 * 0.5], rel=1e-15)
+        assert np.exp(folded) == pytest.approx([3.0, 5.0 * 2.0 + 2.0 * 0.5], rel=1e-15)
 
     def test_fold_takes_multiplicities_beyond_float_range(self):
         # 2^1100 has no float; its log does
         items = class_records([0, 1, 1], [0, 1, 3], [0.0] + 2 * [math.log(2 ** 1100)])
-        _, folded = fold_classes(items, [[0.0], [-1000.0], [-1000.0]])
-        assert folded[0, 0] == 0.0
-        assert folded[1, 0] == pytest.approx(1101 * math.log(2.0) - 1000.0, rel=1e-15)
+        _, folded = fold_classes(items, [0.0, -1000.0, -1000.0])
+        assert folded[0] == 0.0
+        assert folded[1] == pytest.approx(1101 * math.log(2.0) - 1000.0, rel=1e-15)
 
-    def test_fold_columns_match_one_column_folds(self):
+    def test_per_k_term_commutes_with_fold(self):
+        # a log-weight term that depends on k alone may be added before or
+        # after the fold; the single-qubit correlation factor is added after
         classes = collapse_classes(30, Boundary.OPEN)
-        log_weight = np.random.default_rng(5).uniform(-50.0, 50.0, (len(classes), 2))
+        rng = np.random.default_rng(5)
+        log_weight = rng.uniform(-50.0, 50.0, len(classes))
+        per_k = rng.uniform(-50.0, 50.0, 31)
         first, folded = fold_classes(classes, log_weight)
-        for column in range(2):
-            alone = fold_classes(classes, log_weight[:, column:column + 1])
-            assert np.array_equal(alone[0], first)
-            assert np.array_equal(alone[1][:, 0], folded[:, column])
+        _, before = fold_classes(classes, log_weight + per_k[classes.k])
+        assert np.abs(folded + per_k[classes.k[first]] - before).max() < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ParameterError, match="shape"):
-            reduce_weighted(lambda rows, t: np.ones((1, t.size, 2)), np.ones((4, 1)), [0.0], 3)
+            reduce_weighted(lambda rows, t: np.ones((1, t.size, 2)), np.zeros((4, 1)), [0.0], 3)
 
     def test_empty_items(self):
-        for weight in (np.ones((0, 1)), np.ones((4, 0)), np.ones(4)):
+        for log_weight in (np.zeros((0, 1)), np.zeros((4, 0)), np.zeros(4)):
             with pytest.raises(ParameterError, match="weight must be a non-empty"):
-                reduce_weighted(ones, weight, [0.0, 1.0], 2)
+                reduce_weighted(ones, log_weight, [0.0, 1.0], 2)
 
-    def test_normalizer_must_be_positive(self):
-        with pytest.raises(NumericError, match="not positive"):
-            reduce_weighted(ones, np.array([[1.0, 0.5], [-1.0, 0.5]]), [0.0], 1)
+    def test_non_finite_log_weight(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ParameterError, match="log weight is not finite"):
+                reduce_weighted(ones, np.array([[0.0], [bad]]), [0.0], 1)
+
+    def test_log_weights_beyond_float_range(self):
+        # exp(1000) overflows; the per-column shift keeps the means exact
+        values = np.array([1.0, 3.0])
+
+        def term(rows, t):
+            return np.broadcast_to(values[rows, None, None], (len(values[rows]), t.size, 1))
+
+        log_weight = np.array([[1000.0, -1000.0], [1000.0 + math.log(3.0), -1000.0]])
+        means, log_partition = reduce_weighted(term, log_weight, [0.0, 1.0], 1)
+        assert means[0, :, 0] == pytest.approx([2.5, 2.5], rel=1e-15)
+        assert np.array_equal(means[1, :, 0], [2.0, 2.0])
+        assert log_partition == pytest.approx([1000.0 + math.log(4.0),
+                                               -1000.0 + math.log(2.0)], rel=1e-15)
+
+    def test_means_are_read_only(self):
+        means, _ = reduce_weighted(ones, np.zeros((3, 2)), [0.0, 1.0], 1)
+        assert means.shape == (2, 2, 1) and not means.flags.writeable
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=1, max_value=3000),
@@ -182,35 +204,36 @@ class TestReduceWeighted:
     def test_time_blocks_bit_identical(self, seed, count, elements):
         rng = np.random.default_rng(seed)
         values = rng.uniform(-1e3, 1e3, (count, 2))
-        weight = rng.uniform(0.0, 1.0, (count, 2))
+        log_weight = rng.uniform(-30.0, 30.0, (count, 2))
         times = np.linspace(0.0, 1.0, 9)
 
         def term(rows, t):
             return values[rows, None, :] * (1.0 + t[:, None])
 
-        reference, normalizer = reduce_weighted(term, weight, times, 2)
+        reference, log_partition = reduce_weighted(term, log_weight, times, 2)
         old = configspace.BLOCK_ELEMENTS
         configspace.BLOCK_ELEMENTS = elements
         try:
-            blocked = reduce_weighted(term, weight, times, 2)
+            blocked = reduce_weighted(term, log_weight, times, 2)
         finally:
             configspace.BLOCK_ELEMENTS = old
-        assert np.array_equal(reference, blocked[0]) and np.array_equal(normalizer, blocked[1])
+        assert np.array_equal(reference, blocked[0])
+        assert np.array_equal(log_partition, blocked[1])
         for i, t in enumerate(times):
-            assert np.array_equal(reduce_weighted(term, weight, [t], 2)[0][:, 0],
+            assert np.array_equal(reduce_weighted(term, log_weight, [t], 2)[0][:, 0],
                                   reference[:, i])
         # each weight column sums as it would alone
         for column in range(2):
-            alone = reduce_weighted(term, weight[:, column:column + 1], times, 2)
+            alone = reduce_weighted(term, log_weight[:, column:column + 1], times, 2)
             assert np.array_equal(alone[0][0], reference[column])
-            assert alone[1][0] == normalizer[column]
+            assert alone[1][0] == log_partition[column]
 
     def test_accuracy_near_fsum(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(-1.0, 1.0, 100_000)
         got = reduce_weighted(lambda rows, t: values[rows, None, None],
-                              np.ones((values.size, 1)), [0.0], 1)[0][0, 0, 0]
-        assert abs(got - math.fsum(values)) < 1e-10
+                              np.zeros((values.size, 1)), [0.0], 1)[0][0, 0, 0]
+        assert abs(got * values.size - math.fsum(values)) < 1e-10
 
 
 class TestBackend:

@@ -1,5 +1,7 @@
 """Config files, figure presets, CSV output, and the oracle cross-check."""
 
+import contextlib
+import io
 import math
 import re
 import tempfile
@@ -253,6 +255,14 @@ class TestConfigParsing:
         assert config.mode == "single" and config.bath.n_spins == 10
         assert config.output == "run.csv"
 
+    def test_readme_library_example_runs(self):
+        block = re.search(r"```python\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(block, {})
+        values = [float(word) for word in out.getvalue().split()]
+        assert len(values) == 2 and all(math.isfinite(v) for v in values)
+
     def test_key_of_other_mode_rejected(self):
         with pytest.raises(UsageError, match="system.eps1 does not apply to mode single"):
             config_from_keys(single_keys(**{"system.eps1": "1"}))
@@ -406,6 +416,22 @@ class TestRunAndCsv:
     def test_series_filter_drops_column(self):
         table = run(config_from_keys(single_keys(series="uncorrelated")))
         assert table.columns == ("t", "px_uncorrelated")
+
+    @pytest.mark.parametrize("backend, n_spins", [("enumerate", 25), ("collapse", 3_000_000)])
+    def test_over_cap_random_bath_is_not_drawn(self, monkeypatch, backend, n_spins):
+        # the cap is checked before a random bath's parameters are drawn
+        def refuse(*args):
+            raise AssertionError("gaussian_draw called")
+
+        monkeypatch.setattr(experiments, "gaussian_draw", refuse)
+        keys = {**single_keys(backend=backend), "bath.n_spins": str(n_spins),
+                "bath.random.seed": "3"}
+        for name in ("g", "eps", "chi"):
+            keys.update({f"bath.random.{name}.mean": "1", f"bath.random.{name}.std": "0.1"})
+        for name in ("bath.eps", "bath.g", "bath.chi"):
+            del keys[name]
+        with pytest.raises(CapacityError, match="cap"):
+            run(config_from_keys(keys))
 
     def test_collapse_requires_uniform(self):
         keys = single_keys(backend="collapse")

@@ -173,7 +173,7 @@ class TestPureState:
 
 
 def correlation_factor(sys1, th, q, psi):
-    return math.exp(log_correlation_factor(sys1, th, q, psi))
+    return math.exp(log_correlation_factor(sys1, th, q.splitting, q.rabi, psi))
 
 
 class TestCorrelationFactor:
@@ -183,7 +183,7 @@ class TestCorrelationFactor:
         q = config_quantities(sys1, bath, Thermal(0.0), 0b010)
         psi = pure_state([0.6, 0.8])
         assert correlation_factor(sys1, Thermal(0.0), q, psi) == 1.0
-        assert log_correlation_factor(sys1, Thermal(0.0), q, psi) == 0.0
+        assert log_correlation_factor(sys1, Thermal(0.0), q.splitting, q.rabi, psi) == 0.0
 
     def test_zero_tunneling_eigenstate(self):
         # psi = |0> and delta = 0: factor is exactly exp(-beta*splitting/2)
@@ -236,7 +236,7 @@ class TestCorrelationFactor:
         if np.linalg.norm(amps) < 1e-6:
             amps = np.array([1.0, 0.0])
         psi = pure_state(amps / np.linalg.norm(amps))
-        log_a = log_correlation_factor(sys1, th, q, psi)
+        log_a = log_correlation_factor(sys1, th, q.splitting, q.rabi, psi)
         assert math.isfinite(log_a)
         # factor is an expectation of a positive operator: strictly positive
         assert log_a >= -th.beta * q.rabi - 1e-9

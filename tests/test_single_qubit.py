@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath.configspace import Backend
+from spinbath import single_qubit
+from spinbath.configspace import Backend, collapse_classes
 from spinbath.errors import ParameterError
 from spinbath.model import (BathParams, Boundary, SystemParams, Thermal, bloch_components,
-                            pure_state)
+                            log_correlation_factor, pure_state)
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from spinbath.single_qubit import (bloch_trajectory, propagator_correlated,
                                    propagator_uncorrelated)
@@ -40,19 +41,23 @@ class TestPropagatorStructure:
         backend = Backend.ENUMERATE
         for prop in (propagator_uncorrelated(sys1, bath, th, backend, 0.0),
                      propagator_correlated(sys1, bath, th, backend, psi, 0.0)):
-            assert np.array_equal(prop.normalized(), np.eye(3))
+            assert np.array_equal(prop.matrix, np.eye(3))
+            assert not prop.matrix.flags.writeable
 
     def test_normalizer_positive(self):
+        # the partition is kept as its log, finite even where exp() of it
+        # would overflow or underflow
         sys1, bath, psi = random_inputs(23)
-        prop = propagator_correlated(sys1, bath, Thermal(2.0), Backend.ENUMERATE, psi, 1.3)
-        assert prop.normalizer > 0
+        for beta in (2.0, 2000.0):
+            prop = propagator_correlated(sys1, bath, Thermal(beta), Backend.ENUMERATE, psi, 1.3)
+            assert math.isfinite(prop.log_partition)
 
     def test_uncorrelated_normalizer_is_bath_partition(self):
         # sum of thermal weights equals the brute-force bath trace
         sys1, bath, _ = random_inputs(31)
         th = Thermal(1.7)
         prop = propagator_uncorrelated(sys1, bath, th, Backend.ENUMERATE, 0.9)
-        partition = prop.normalizer * math.exp(prop.log_scale)
+        partition = math.exp(prop.log_partition)
         h = build_hamiltonian(sys1, bath)
         expected = float(np.exp(-th.beta * h.bath_diagonal).sum())
         assert partition == pytest.approx(expected, rel=1e-12)
@@ -70,12 +75,11 @@ class TestPropagatorStructure:
             prop = propagator_correlated(sys1, bath, th, Backend.ENUMERATE, psi, t)
         else:
             prop = propagator_uncorrelated(sys1, bath, th, Backend.ENUMERATE, t)
-        s = prop.s
-        assert s[0, 1] == pytest.approx(-s[1, 0], abs=1e-12 * prop.normalizer)
-        assert s[1, 2] == pytest.approx(-s[2, 1], abs=1e-12 * prop.normalizer)
-        assert s[0, 2] == pytest.approx(s[2, 0], abs=1e-12 * prop.normalizer)
-        assert s[1, 1] == pytest.approx(np.trace(s) - s[0, 0] - s[2, 2],
-                                        abs=1e-12 * prop.normalizer)
+        m = prop.matrix
+        assert m[0, 1] == pytest.approx(-m[1, 0], abs=1e-12)
+        assert m[1, 2] == pytest.approx(-m[2, 1], abs=1e-12)
+        assert m[0, 2] == pytest.approx(m[2, 0], abs=1e-12)
+        assert m[1, 1] == pytest.approx(np.trace(m) - m[0, 0] - m[2, 2], abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.floats(min_value=0.0, max_value=12.0, allow_nan=False))
@@ -160,6 +164,25 @@ class TestTrajectories:
         for t, p in zip(times, points):
             rho = evolve_and_reduce(h, rho0, float(t))
             assert np.abs(p - bloch_of_density(rho)).max() < 1e-9
+
+
+class TestCollapseFold:
+    def test_correlation_factor_sees_folded_items(self, monkeypatch):
+        # the factor depends on a pattern through k alone, so it is taken on
+        # the N + 1 down-spin counts, not on the (k, w) classes
+        sizes = []
+
+        def recorded(sys1, th, splitting, rabi, psi):
+            sizes.append((len(splitting), len(rabi)))
+            return log_correlation_factor(sys1, th, splitting, rabi, psi)
+
+        monkeypatch.setattr(single_qubit, "log_correlation_factor", recorded)
+        n = 50
+        bath = BathParams.uniform(n, 1.0, 1.0, 0.1)
+        assert len(collapse_classes(n, bath.boundary)) > 10 * (n + 1)
+        bloch_trajectory(SystemParams(epsilon=2.0, delta=1.0), bath, Thermal(1.0),
+                         Backend.COLLAPSE, PLUS_X, np.linspace(0.0, 1.0, 3), (False, True))
+        assert sizes == [(n + 1, n + 1)]
 
 
 class TestHighBetaStability:
