@@ -14,6 +14,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -241,50 +242,70 @@ _TEXT = _Type(lambda key, text: text)
 
 @dataclass(frozen=True)
 class _Key:
-    """One config key: its type, its default (None: the key is required) and
-    the mode, bath style or two-qubit state style it applies to (None: all)."""
+    """One config key: its type, its default (None: the key is required), the
+    mode, bath style or two-qubit state style it applies to (None: all), and
+    how its value is read from a configuration (default: the attribute path
+    of its name; a None value is not echoed)."""
 
     name: str
     type: _Type
     default: object = None
     when: str | None = None
+    get: Callable[[ExperimentConfig], object] | None = None
+
+    def __post_init__(self):
+        if self.get is None:
+            object.__setattr__(self, "get", attrgetter(self.name))
 
 
 _MODE = _Key("mode", _words(*MODES))
 # in echo order; `output` is never echoed, since where a run is written is no
 # part of the run
 CONFIG_KEYS = (
-    _Key("tool", _words(TOOL), TOOL),
-    _Key("preset", _TEXT, ""),
+    _Key("tool", _words(TOOL), TOOL, get=lambda config: TOOL),
+    _Key("preset", _TEXT, "", get=attrgetter("preset_name")),
     _MODE,
     _Key("system.epsilon", _REAL, when="single"),
     _Key("system.delta", _REAL, when="single"),
     *(_Key(f"system.{name}", _REAL, when="two_qubit")
       for name in ("eps1", "eps2", "delta1", "delta2")),
-    _Key("system.lambda", _REAL, 0.0, "two_qubit"),
+    _Key("system.lambda", _REAL, 0.0, "two_qubit", attrgetter("system.lam")),
     _Key("bath.n_spins", _INT),
-    _Key("bath.boundary", _words(*(b.value for b in Boundary)), Boundary.OPEN.value),
+    _Key("bath.boundary", _words(*(b.value for b in Boundary)), Boundary.OPEN.value,
+         get=attrgetter("bath.boundary.value")),
     _Key("bath.eps", _REAL, when="uniform"),
     _Key("bath.g", _REAL, when="uniform"),
     _Key("bath.chi", _REAL, 0.0, "uniform"),
     *(_Key(f"bath.{name}_list", _reals(), when="explicit") for name in ("eps", "g", "chi")),
-    _Key("bath.random.seed", _INT, when="random"),
-    *(_Key(f"bath.random.{name}.{stat}", _REAL, when="random")
+    _Key("bath.random.seed", _INT, when="random", get=attrgetter("bath.seed")),
+    *(_Key(f"bath.random.{name}.{stat}", _REAL, when="random",
+           get=attrgetter(f"bath.{name}_stats.{stat}"))
       for name in ("g", "eps", "chi") for stat in ("mean", "std")),
-    _Key("rng.algorithm", _words(RNG_ALGORITHM), RNG_ALGORITHM, "random"),
-    _Key("thermal.beta", _REAL),
-    _Key("state.theta", _REAL, math.pi / 2.0, "single"),
-    _Key("state.phi", _REAL, 0.0, "single"),
-    _Key("state.amplitudes", _reals(8), when="amplitudes"),
-    _Key("state.name", _words("bell", "product"), "bell", "named"),
+    _Key("rng.algorithm", _words(RNG_ALGORITHM), RNG_ALGORITHM, "random",
+         lambda config: RNG_ALGORITHM),
+    _Key("thermal.beta", _REAL, get=attrgetter("beta")),
+    _Key("state.theta", _REAL, math.pi / 2.0, "single", lambda config: config.state_params[0]),
+    _Key("state.phi", _REAL, 0.0, "single", lambda config: config.state_params[1]),
+    _Key("state.amplitudes", _reals(8), when="amplitudes", get=attrgetter("state_params")),
+    _Key("state.name", _words("bell", "product"), "bell", "named", attrgetter("state_kind")),
     _Key("grid.t_start", _REAL, 0.0),
     _Key("grid.t_end", _REAL, 20.0, "single"),
     _Key("grid.t_end", _REAL, 10.0, "two_qubit"),
     _Key("grid.n_points", _INT, 400),
-    _Key("backend", _words(*(b.value for b in Backend)), Backend.ENUMERATE.value),
-    _Key("series", _words(*_SERIES_CHOICES), "both"),
-    _Key("output", _TEXT, ""),
+    _Key("backend", _words(*(b.value for b in Backend)), Backend.ENUMERATE.value,
+         get=attrgetter("backend.value")),
+    _Key("series", _words(*_SERIES_CHOICES), "both",
+         get=lambda config: next(word for word, series in _SERIES_CHOICES.items()
+                                 if series == config.series)),
+    _Key("output", _TEXT, "", get=lambda config: None),
 )
+
+
+def _applying(mode: str, bath_style: str, state_style: str) -> list[_Key]:
+    """The rows of CONFIG_KEYS that apply to a mode, a bath style and, in
+    two_qubit mode, a state style."""
+    active = {None, mode, bath_style, state_style if mode == "two_qubit" else None}
+    return [key for key in CONFIG_KEYS if key.when in active]
 
 
 def _style(keys, styles: tuple[str, ...], conflict: str) -> str:
@@ -311,13 +332,11 @@ def config_from_keys(keys: dict[str, str]) -> ExperimentConfig:
     if unknown:
         raise UsageError(f"unknown key {unknown[0]!r} in config")
     mode = _read(_MODE, keys)
-    active = {None, mode, _style(keys, ("uniform", "explicit", "random"),
-                                 "mix of uniform, explicit-list and random bath keys; "
-                                 "pick one style")}
-    if mode == "two_qubit":
-        active.add(_style(keys, ("named", "amplitudes"),
-                          "give either state.name or state.amplitudes, not both"))
-    applying = [key for key in CONFIG_KEYS if key.when in active]
+    applying = _applying(
+        mode, _style(keys, ("uniform", "explicit", "random"),
+                     "mix of uniform, explicit-list and random bath keys; pick one style"),
+        _style(keys, ("named", "amplitudes"),
+               "give either state.name or state.amplitudes, not both"))
     for name in keys:
         if all(key.name != name for key in applying):
             raise UsageError(f"{name} does not apply to mode {mode}")
@@ -352,52 +371,13 @@ def config_from_keys(keys: dict[str, str]) -> ExperimentConfig:
     )
 
 
-def _key_values(config: ExperimentConfig) -> dict:
-    """The value, as the key's type reads it, of every key config sets."""
-    sys, bath, grid = config.system, config.bath, config.grid
-    values = {
-        "tool": TOOL, "preset": config.preset_name, "mode": config.mode,
-        "bath.n_spins": bath.n_spins, "bath.boundary": bath.boundary.value,
-        "thermal.beta": config.beta, "grid.t_start": grid.t_start,
-        "grid.t_end": grid.t_end, "grid.n_points": grid.n_points,
-        "backend": config.backend.value,
-        "series": next(word for word, series in _SERIES_CHOICES.items()
-                       if series == config.series),
-    }
-    if config.mode == "single":
-        values.update({"system.epsilon": sys.epsilon, "system.delta": sys.delta,
-                       "state.theta": config.state_params[0],
-                       "state.phi": config.state_params[1]})
-    else:
-        values.update({"system.eps1": sys.eps1, "system.eps2": sys.eps2,
-                       "system.delta1": sys.delta1, "system.delta2": sys.delta2,
-                       "system.lambda": sys.lam})
-        if config.state_kind == "amplitudes":
-            values["state.amplitudes"] = config.state_params
-        else:
-            values["state.name"] = config.state_kind
-    if bath.kind == "uniform":
-        values.update({"bath.eps": bath.eps, "bath.g": bath.g, "bath.chi": bath.chi})
-    elif bath.kind == "explicit":
-        values.update({"bath.eps_list": bath.eps_list, "bath.g_list": bath.g_list,
-                       "bath.chi_list": bath.chi_list})
-    else:
-        values.update({"bath.random.seed": bath.seed, "rng.algorithm": RNG_ALGORITHM})
-        for name in ("g", "eps", "chi"):
-            stats = getattr(bath, f"{name}_stats")
-            values.update({f"bath.random.{name}.mean": stats.mean,
-                           f"bath.random.{name}.std": stats.std})
-    return values
-
-
 def config_metadata(config: ExperimentConfig) -> tuple[tuple[str, str], ...]:
     """Canonical (key, value) echo of a configuration in CONFIG_KEYS order; no
     timestamps, and config_from_keys reads it back to an equal configuration."""
-    values = _key_values(config)
-    # a dict, so that a key with one row per mode is echoed once
-    echo = {key.name: key.type.show(values[key.name]) for key in CONFIG_KEYS
-            if values.get(key.name) is not None}
-    return tuple(echo.items())
+    state_style = "amplitudes" if config.state_kind == "amplitudes" else "named"
+    return tuple((key.name, key.type.show(value))
+                 for key in _applying(config.mode, config.bath.kind, state_style)
+                 if (value := key.get(config)) is not None)
 
 
 @dataclass(frozen=True)
@@ -448,7 +428,7 @@ def run(config: ExperimentConfig) -> ResultTable:
     if config.mode == "single":
         prefix, values = "px", computed[..., 0]
     else:
-        prefix, values = "C", [[concurrence(rho) for rho in states] for states in computed]
+        prefix, values = "C", concurrence(computed)
     return ResultTable(columns=("t", *(f"{prefix}_{series}" for series in config.series)),
                        rows=np.column_stack([times, *values]),
                        metadata=config_metadata(config))
@@ -569,8 +549,9 @@ class OracleReport:
 
 
 def _bloch_of_density(rho: np.ndarray) -> np.ndarray:
-    return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag,
-                     (rho[0, 0] - rho[1, 1]).real])
+    """Bloch vectors (..., 3) of a stack of single-qubit density matrices."""
+    return np.stack([2.0 * rho[..., 0, 1].real, -2.0 * rho[..., 0, 1].imag,
+                     (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
 
 
 def oracle_check(config: ExperimentConfig, n_override: int,
@@ -602,15 +583,12 @@ def oracle_check(config: ExperimentConfig, n_override: int,
     # the brute-force reference evolves each series on its own
     for series, correlated, computed in zip(small.series, flags, analytic):
         rho0 = initial_state(h, th, psi, correlated)
-        reduced = [evolve_and_reduce(h, rho0, float(t)) for t in times]
+        reduced = np.array([evolve_and_reduce(h, rho0, float(t)) for t in times])
         if small.mode == "single":
-            deviation = max(float(np.abs(p - _bloch_of_density(rho)).max())
-                            for p, rho in zip(computed, reduced))
-            entries.append((f"bloch_{series}", deviation))
+            entries.append((f"bloch_{series}",
+                            float(np.abs(computed - _bloch_of_density(reduced)).max())))
         else:
-            rho_dev = max(float(np.abs(a - b).max()) for a, b in zip(computed, reduced))
-            conc_dev = max(abs(concurrence(a) - concurrence(np.asarray(b)))
-                           for a, b in zip(computed, reduced))
-            entries.append((f"rho_{series}", rho_dev))
-            entries.append((f"concurrence_{series}", conc_dev))
+            entries.append((f"rho_{series}", float(np.abs(computed - reduced).max())))
+            entries.append((f"concurrence_{series}",
+                            float(np.abs(concurrence(computed) - concurrence(reduced)).max())))
     return OracleReport(n_spins=n_override, entries=tuple(entries))

@@ -203,14 +203,12 @@ class TestCriterion5:
 class TestCriterion6:
     def test_entanglement_phenomenology(self, preset_trajectories):
         _, _, u16, c16 = preset_trajectories["fig16"]
-        conc_u16 = [concurrence(r) for r in u16]
-        conc_c16 = [concurrence(r) for r in c16]
+        conc_u16, conc_c16 = concurrence(u16), concurrence(c16)
         sudden_death = min(conc_u16) == 0.0
         protected = min(conc_c16) > 0.5
 
         _, _, u19, c19 = preset_trajectories["fig19"]
-        conc_u19 = [concurrence(r) for r in u19]
-        conc_c19 = [concurrence(r) for r in c19]
+        conc_u19, conc_c19 = concurrence(u19), concurrence(c19)
         generated = max(conc_u19) > 0.0 and max(conc_c19) > 0.0
         split = max(abs(a - b) for a, b in zip(conc_u19, conc_c19)) > 0.05
 

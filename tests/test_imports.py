@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module (no linter
-is installed, so this is the unused-import check)."""
+"""Every name a package module imports is used in that module, and every
+private top-level definition is read by some package module (no linter is
+installed, so these are the unused-import and dead-definition checks)."""
 
 import ast
 from pathlib import Path
@@ -20,6 +21,45 @@ def unused_imports(source: str) -> list[str]:
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used)
+
+
+def private_definitions(source: str) -> set[str]:
+    """Top-level _names that source defines by def, class or assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(source: str) -> set[str]:
+    """Names source reads, bare or as a module attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unread_private_definitions(sources: list[str]) -> list[str]:
+    defined = set().union(*map(private_definitions, sources))
+    return sorted(defined - set().union(*map(read_names, sources)))
+
+
+def test_checker_finds_unread_private_definitions():
+    sources = ["_A = 1\n_B: int = 2\ndef _f():\n    return _A\nclass _C:\n    pass\n",
+               "import m\nm._f()\n"]
+    assert unread_private_definitions(sources) == ["_B", "_C"]
+
+
+def test_every_private_definition_is_read():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_definitions(sources) == []
 
 
 def test_checker_finds_unused_names():

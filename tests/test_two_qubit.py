@@ -1,13 +1,14 @@
 """Two-qubit reduced dynamics, state validation, and concurrence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath.configspace import Backend
+from spinbath.configspace import ITEM_BLOCK, Backend
 from spinbath.errors import ParameterError
 from spinbath.model import BathParams, Boundary, Thermal, pure_state
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
@@ -119,10 +120,8 @@ class TestTrajectories:
         sys2 = TwoQubitParams(lam=3.0, **BASE)
         bath = random_bath(13)
         times = np.linspace(0.0, 8.0, 12)
-        for series in density_trajectory(sys2, bath, Thermal(2.0), Backend.ENUMERATE,
-                                         bell_state(), times, (False, True)):
-            for rho in series:
-                validate_density(rho)
+        validate_density(density_trajectory(sys2, bath, Thermal(2.0), Backend.ENUMERATE,
+                                            bell_state(), times, (False, True)))
 
 
 class TestValidateDensity:
@@ -145,8 +144,42 @@ class TestValidateDensity:
         with pytest.raises(ParameterError):
             validate_density(np.eye(3, dtype=complex) / 3.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("check", [validate_density, concurrence])
+    def test_rejects_non_finite_without_warning(self, check, bad):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="non-finite"):
+                check(rho)
+
+    @pytest.mark.parametrize("check", [validate_density, concurrence])
+    def test_stack_rejects_one_bad_matrix_in_second_block(self, check):
+        stack = np.tile(np.eye(4, dtype=complex) / 4.0, (2 * ITEM_BLOCK, 1, 1))
+        stack[ITEM_BLOCK + 3] = np.diag([0.6, 0.5, -0.1, 0.0])
+        with pytest.raises(ParameterError, match="eigenvalue"):
+            check(stack)
+
+
+def random_mixed_states(seed, count):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((count, 4, 4)) + 1j * rng.standard_normal((count, 4, 4))
+    rho = raw @ raw.conj().swapaxes(-2, -1)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
 
 class TestConcurrence:
+    @pytest.mark.parametrize("shape", [(4,), (2 * ITEM_BLOCK + 5,), (2, 2),
+                                       (3, ITEM_BLOCK + 1)])
+    def test_stack_matches_each_matrix_bit_for_bit(self, shape):
+        states = random_mixed_states(len(shape), math.prod(shape))
+        one_by_one = np.array([concurrence(rho) for rho in states]).reshape(shape)
+        assert np.array_equal(concurrence(states.reshape(*shape, 4, 4)), one_by_one)
+
+    def test_single_matrix_gives_a_float(self):
+        assert isinstance(concurrence(np.eye(4, dtype=complex) / 4.0), float)
+
     def test_bell_state_is_maximal(self):
         rho = np.outer(bell_state(), bell_state().conj())
         assert concurrence(rho) == pytest.approx(1.0, abs=1e-12)
