@@ -583,7 +583,7 @@ def oracle_check(config: ExperimentConfig, n_override: int,
     # the brute-force reference evolves each series on its own
     for series, correlated, computed in zip(small.series, flags, analytic):
         rho0 = initial_state(h, th, psi, correlated)
-        reduced = np.array([evolve_and_reduce(h, rho0, float(t)) for t in times])
+        reduced = evolve_and_reduce(h, rho0, times)
         if small.mode == "single":
             entries.append((f"bloch_{series}",
                             float(np.abs(computed - _bloch_of_density(reduced)).max())))

@@ -29,8 +29,8 @@ from .configspace import (Backend, collapse_classes, fold_classes, mask_blocks,
                           reduce_weighted)
 from .errors import ParameterError
 from .model import (BathParams, SystemParams, Thermal, bloch_components,
-                    class_quantities, config_quantities, log_correlation_factor,
-                    pure_state, require_uniform)
+                    class_quantities, class_sums, config_quantities,
+                    log_correlation_factor, pure_state, require_uniform)
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,12 @@ def _qubit_fields(sys: SystemParams, bath: BathParams, th: Thermal,
     if Backend(backend) is Backend.COLLAPSE:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
-        q = class_quantities(sys, bath, th, classes.k, classes.w)
-        # splitting and rabi depend on k alone, so the folded items read them
-        # at each k's first class, and the correlation factor runs on those
-        first, log_weight = fold_classes(classes, q.log_weight)
-        blocks = [(q.splitting[first], q.rabi[first], log_weight)]
+        _, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
+        first, log_weight = fold_classes(classes, -th.beta * (chi_sum + 0.5 * eps_sum))
+        # splitting and rabi depend on k alone, so the folded items take them
+        # from each k's first class, and the correlation factor runs on those
+        q = class_quantities(sys, bath, th, classes.k[first], classes.w[first])
+        blocks = [(q.splitting, q.rabi, log_weight)]
     else:
         blocks = ((q.splitting, q.rabi, q.log_weight) for q in
                   (config_quantities(sys, bath, th, masks) for masks in mask_blocks(bath.n_spins)))

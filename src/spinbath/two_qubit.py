@@ -133,10 +133,9 @@ def _eigenbasis(sys2: TwoQubitParams, th: Thermal, psi: np.ndarray,
             np.stack([joint if flag else log_weight for flag in correlated], axis=1))
 
 
-def validate_density(rho) -> np.ndarray:
-    """Check finiteness, Hermiticity, unit trace, and positivity of a 4x4
-    density matrix or of each in a (..., 4, 4) stack; return it as a complex
-    array."""
+def _checked_entries(rho) -> np.ndarray:
+    """rho as a complex array after the finiteness, Hermiticity and unit-trace
+    checks of validate_density, which then checks positivity."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ParameterError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
@@ -148,9 +147,21 @@ def validate_density(rho) -> np.ndarray:
     trace_dev = float(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     if trace_dev > TRACE_TOL:
         raise ParameterError(f"density matrix trace off unity by {trace_dev:.3e}")
-    smallest = float(np.linalg.eigvalsh(rho).min(initial=0.0))
+    return rho
+
+
+def _check_floor(eigenvalues) -> None:
+    smallest = float(np.min(eigenvalues, initial=0.0))
     if smallest < EIGENVALUE_FLOOR:
         raise ParameterError(f"density matrix has eigenvalue {smallest:.3e} below floor")
+
+
+def validate_density(rho) -> np.ndarray:
+    """Check finiteness, Hermiticity, unit trace, and positivity of a 4x4
+    density matrix or of each in a (..., 4, 4) stack; return it as a complex
+    array."""
+    rho = _checked_entries(rho)
+    _check_floor(np.linalg.eigvalsh(rho))
     return rho
 
 
@@ -170,15 +181,16 @@ def concurrence(rho):
     the degenerate spectra that Bell-like states produce; singular values
     of the symmetric factor stay accurate to machine precision.
 
-    Stacks are validated and decomposed ITEM_BLOCK matrices at a time.
+    Stacks are validated and decomposed ITEM_BLOCK matrices at a time; the
+    positivity check reads the populations of the same decomposition.
     """
     rho = np.asarray(rho, dtype=complex)
     # a wrong shape fails validation before any decomposition
     stack = rho.reshape(-1, 4, 4) if rho.shape[-2:] == (4, 4) else validate_density(rho)
     values = np.empty(len(stack))
     for start in range(0, len(stack), ITEM_BLOCK):
-        block = validate_density(stack[start:start + ITEM_BLOCK])
-        populations, vectors = np.linalg.eigh(block)
+        populations, vectors = np.linalg.eigh(_checked_entries(stack[start:start + ITEM_BLOCK]))
+        _check_floor(populations)
         factor = vectors * np.sqrt(np.clip(populations, 0.0, None))[..., None, :]
         roots = np.linalg.svd(factor.swapaxes(-2, -1) @ _SPIN_FLIP @ factor, compute_uv=False)
         excess = roots[:, 0] - roots[:, 1] - roots[:, 2] - roots[:, 3]

@@ -37,8 +37,9 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def bloch_of_density(rho):
-    return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag,
-                     (rho[0, 0] - rho[1, 1]).real])
+    """Bloch vectors (..., 3) of one qubit density matrix or a stack of them."""
+    return np.stack([2.0 * rho[..., 0, 1].real, -2.0 * rho[..., 0, 1].imag,
+                     (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
 
 
 @pytest.fixture(scope="session")
@@ -81,11 +82,8 @@ class TestCriterion1:
                 th = Thermal(beta)
                 both = bloch_trajectory(sys1, bath, th, backend, psi, times, (False, True))
                 for correlated, points in zip((False, True), both):
-                    rho0 = initial_state(h, th, psi, correlated)
-                    for t, p in zip(times, points):
-                        rho = evolve_and_reduce(h, rho0, float(t))
-                        dev = float(np.abs(p - bloch_of_density(rho)).max())
-                        worst = max(worst, dev)
+                    rho = evolve_and_reduce(h, initial_state(h, th, psi, correlated), times)
+                    worst = max(worst, float(np.abs(points - bloch_of_density(rho)).max()))
         elapsed = time.perf_counter() - start
         ok = worst < 1e-9 and elapsed < 30.0
         report(1, ok, f"single-qubit vs oracle: max dev {worst:.3e} (tol 1e-9), "
@@ -112,13 +110,11 @@ class TestCriterion2:
                     both = density_trajectory(sys2, bath, th, backend, psi, times,
                                               (False, True))
                     for correlated, states in zip((False, True), both):
-                        rho0 = initial_state(h, th, psi, correlated)
-                        for t, rho_a in zip(times, states):
-                            rho_o = np.asarray(evolve_and_reduce(h, rho0, float(t)))
-                            worst_rho = max(worst_rho,
-                                            float(np.abs(rho_a - rho_o).max()))
-                            worst_conc = max(worst_conc,
-                                             abs(concurrence(rho_a) - concurrence(rho_o)))
+                        rho_o = evolve_and_reduce(h, initial_state(h, th, psi, correlated),
+                                                  times)
+                        worst_rho = max(worst_rho, float(np.abs(states - rho_o).max()))
+                        worst_conc = max(worst_conc, float(np.abs(
+                            concurrence(states) - concurrence(rho_o)).max()))
         elapsed = time.perf_counter() - start
         ok = worst_rho < 1e-9 and worst_conc < 1e-9 and elapsed < 60.0
         report(2, ok, f"two-qubit vs oracle: rho dev {worst_rho:.3e}, "

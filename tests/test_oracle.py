@@ -10,17 +10,30 @@ from spinbath.errors import CapacityError, ParameterError
 from spinbath.model import BathParams, Boundary, SystemParams, Thermal, bath_sums, pure_state
 from spinbath.oracle import (DIMENSION_CAP, build_hamiltonian, evolve_and_reduce,
                              initial_state)
-from spinbath.two_qubit import TwoQubitParams
+from spinbath.two_qubit import TwoQubitParams, bell_state
 
 
 def small_system():
     return SystemParams(epsilon=0.8, delta=1.1)
 
 
-def small_bath(n=3, seed=0):
+def small_bath(n=3, seed=0, boundary=Boundary.OPEN):
     rng = np.random.default_rng(seed)
+    bonds = n if boundary is Boundary.PERIODIC else n - 1
     return BathParams(n, tuple(rng.uniform(-2, 2, n)), tuple(rng.uniform(-2, 2, n)),
-                      tuple(rng.uniform(-1, 1, n - 1)))
+                      tuple(rng.uniform(-1, 1, bonds)), boundary)
+
+
+def textbook_reduce(h, rho0, t):
+    """Tr_B[U rho0 U^dagger] with U = V exp(-iEt) V^dagger, one time at a time."""
+    unitary = (h.vectors * np.exp(-1j * h.energies * t)) @ h.vectors.conj().T
+    evolved = unitary @ rho0 @ unitary.conj().T
+    ds, db = h.system_dim, h.bath_dim
+    return np.einsum("ibjb->ij", evolved.reshape(ds, db, ds, db))
+
+
+PAIR = TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0, lam=3.0)
+TIMES = np.linspace(0.0, 6.0, 13)
 
 
 class TestBuildHamiltonian:
@@ -34,7 +47,7 @@ class TestBuildHamiltonian:
         calls = []
         monkeypatch.setattr(oracle, "hermitian_eig", lambda m: calls.append(m))
         rho0 = initial_state(h, Thermal(1.0), pure_state([0.6, 0.8]), correlated=True)
-        for t in (0.0, 1.0):
+        for t in (0.0, 1.0, TIMES):
             evolve_and_reduce(h, rho0, t)
         assert calls == []
 
@@ -158,3 +171,104 @@ class TestEvolveAndReduce:
         rho0 = initial_state(h, Thermal(1.0), psi, correlated=True)
         rho = evolve_and_reduce(h, rho0, 2.0)
         assert np.trace(rho @ rho).real <= 1.0 + 1e-12
+
+
+class TestBatchedTimes:
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_matches_textbook_partial_trace(self, pair, boundary):
+        worst = 0.0
+        for seed in range(3):
+            bath = small_bath(3 if pair else 4, seed=seed, boundary=boundary)
+            h = build_hamiltonian(PAIR if pair else small_system(), bath)
+            rng = np.random.default_rng(100 + seed)
+            amps = rng.standard_normal(h.system_dim) + 1j * rng.standard_normal(h.system_dim)
+            psi = pure_state(amps / np.linalg.norm(amps))
+            for beta in (0.0, 1.5, 200.0):
+                for correlated in (False, True):
+                    rho0 = initial_state(h, Thermal(beta), psi, correlated)
+                    batched = evolve_and_reduce(h, rho0, TIMES)
+                    assert batched.shape == (TIMES.size, h.system_dim, h.system_dim)
+                    expected = np.array([textbook_reduce(h, rho0, t) for t in TIMES])
+                    worst = max(worst, float(np.abs(batched - expected).max()))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_single_time_is_row_of_array_call(self, pair):
+        h = build_hamiltonian(PAIR if pair else small_system(), small_bath(3, seed=12))
+        psi = pure_state(np.full(h.system_dim, h.system_dim ** -0.5))
+        rho0 = initial_state(h, Thermal(1.5), psi, correlated=True)
+        batched = evolve_and_reduce(h, rho0, TIMES)
+        for i, t in enumerate(TIMES):
+            single = evolve_and_reduce(h, rho0, float(t))
+            assert single.shape == (h.system_dim, h.system_dim)
+            assert np.abs(single - batched[i]).max() < 1e-14
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_chunk_size_does_not_matter(self, pair, monkeypatch):
+        h = build_hamiltonian(PAIR if pair else small_system(), small_bath(4, seed=13))
+        psi = pure_state(np.full(h.system_dim, h.system_dim ** -0.5))
+        rho0 = initial_state(h, Thermal(1.5), psi, correlated=True)
+        reference = evolve_and_reduce(h, rho0, TIMES)
+        kernel_size = h.system_dim ** 2 * h.matrix.shape[0] ** 2
+        # one eigenvector index per chunk, then the whole kernel in one chunk
+        for elements in (1, kernel_size, 4 * kernel_size):
+            monkeypatch.setattr(oracle, "KERNEL_ELEMENTS", elements)
+            assert np.abs(evolve_and_reduce(h, rho0, TIMES) - reference).max() < 1e-13
+
+    def test_time_blocks_do_not_matter(self):
+        # more times than the joint dimension take several time blocks
+        h = build_hamiltonian(small_system(), small_bath(2, seed=14))
+        rho0 = initial_state(h, Thermal(1.0), pure_state([0.6, 0.8]), correlated=True)
+        times = np.linspace(0.0, 9.0, 3 * h.matrix.shape[0] + 1)
+        batched = evolve_and_reduce(h, rho0, times)
+        expected = np.array([textbook_reduce(h, rho0, t) for t in times])
+        assert np.abs(batched - expected).max() < 1e-12
+
+    def test_rerun_is_bit_identical(self):
+        h = build_hamiltonian(PAIR, small_bath(3, seed=15))
+        rho0 = initial_state(h, Thermal(1.5), bell_state(), correlated=True)
+        first = evolve_and_reduce(h, rho0, TIMES)
+        assert np.array_equal(first, evolve_and_reduce(h, rho0, TIMES))
+
+    def test_empty_times(self):
+        h = build_hamiltonian(small_system(), small_bath(2))
+        rho0 = initial_state(h, Thermal(1.0), pure_state([1.0, 0.0]), correlated=False)
+        assert evolve_and_reduce(h, rho0, []).shape == (0, 2, 2)
+
+
+class TestEvolveInputs:
+    @pytest.fixture
+    def setup(self):
+        h = build_hamiltonian(small_system(), small_bath(2))
+        return h, initial_state(h, Thermal(1.0), pure_state([0.6, 0.8]), correlated=True)
+
+    def test_wrong_shape_rho0(self, setup):
+        h, rho0 = setup
+        for bad in (rho0[:4, :4], rho0[0], np.zeros((8, 8, 1))):
+            with pytest.raises(ParameterError, match=r"rho0 must have shape \(8, 8\)"):
+                evolve_and_reduce(h, bad, 1.0)
+
+    def test_non_finite_rho0(self, setup):
+        h, rho0 = setup
+        for value in (np.nan, np.inf, complex(0.0, np.nan)):
+            bad = rho0.copy()
+            bad[1, 2] = value
+            with pytest.raises(ParameterError, match="rho0 has non-finite entries"):
+                evolve_and_reduce(h, bad, 1.0)
+
+    def test_non_numeric_rho0(self, setup):
+        h, _ = setup
+        with pytest.raises(ParameterError, match="rho0 must be numeric"):
+            evolve_and_reduce(h, [["a"] * 8] * 8, 1.0)
+
+    def test_bad_times(self, setup):
+        h, rho0 = setup
+        with pytest.raises(ParameterError, match="1-d array"):
+            evolve_and_reduce(h, rho0, np.zeros((2, 3)))
+        for bad in (np.nan, np.inf, [0.0, np.nan], None):
+            with pytest.raises(ParameterError, match="time must be finite"):
+                evolve_and_reduce(h, rho0, bad)
+        for bad in (1j, "soon", [0.0, [1.0]]):
+            with pytest.raises(ParameterError, match="time must be numeric"):
+                evolve_and_reduce(h, rho0, bad)

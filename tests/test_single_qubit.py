@@ -11,7 +11,7 @@ from spinbath import single_qubit
 from spinbath.configspace import Backend, collapse_classes
 from spinbath.errors import ParameterError
 from spinbath.model import (BathParams, Boundary, SystemParams, Thermal, bloch_components,
-                            log_correlation_factor, pure_state)
+                            class_quantities, log_correlation_factor, pure_state)
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from spinbath.single_qubit import (bloch_trajectory, propagator_correlated,
                                    propagator_uncorrelated)
@@ -30,8 +30,9 @@ def random_inputs(seed, n=4):
 
 
 def bloch_of_density(rho):
-    return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag,
-                     (rho[0, 0] - rho[1, 1]).real])
+    """Bloch vectors (..., 3) of one qubit density matrix or a stack of them."""
+    return np.stack([2.0 * rho[..., 0, 1].real, -2.0 * rho[..., 0, 1].imag,
+                     (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
 
 
 class TestPropagatorStructure:
@@ -160,10 +161,8 @@ class TestTrajectories:
         times = np.linspace(0.0, 7.0, 9)
         points, = bloch_trajectory(sys1, bath, th, Backend.ENUMERATE, psi, times, (correlated,))
         h = build_hamiltonian(sys1, bath)
-        rho0 = initial_state(h, th, psi, correlated)
-        for t, p in zip(times, points):
-            rho = evolve_and_reduce(h, rho0, float(t))
-            assert np.abs(p - bloch_of_density(rho)).max() < 1e-9
+        rho = evolve_and_reduce(h, initial_state(h, th, psi, correlated), times)
+        assert np.abs(points - bloch_of_density(rho)).max() < 1e-9
 
 
 class TestCollapseFold:
@@ -183,6 +182,22 @@ class TestCollapseFold:
         bloch_trajectory(SystemParams(epsilon=2.0, delta=1.0), bath, Thermal(1.0),
                          Backend.COLLAPSE, PLUS_X, np.linspace(0.0, 1.0, 3), (False, True))
         assert sizes == [(n + 1, n + 1)]
+
+    def test_class_quantities_sees_folded_items(self, monkeypatch):
+        # per-class log weights come from class_sums; splitting and rabi are
+        # needed only on the N + 1 down-spin counts
+        sizes = []
+
+        def recorded(sys1, bath, th, k, w):
+            sizes.append(len(k))
+            return class_quantities(sys1, bath, th, k, w)
+
+        monkeypatch.setattr(single_qubit, "class_quantities", recorded)
+        n = 50
+        bath = BathParams.uniform(n, 1.0, 1.0, 0.1, Boundary.PERIODIC)
+        bloch_trajectory(SystemParams(epsilon=2.0, delta=1.0), bath, Thermal(1.0),
+                         Backend.COLLAPSE, PLUS_X, np.linspace(0.0, 1.0, 3), (False, True))
+        assert sizes == [n + 1]
 
 
 class TestHighBetaStability:

@@ -82,10 +82,8 @@ class TestInteractingRoute:
         states, = density_trajectory(sys2, bath, th, Backend.ENUMERATE, psi, times,
                                      (correlated,))
         h = build_hamiltonian(sys2, bath)
-        rho0 = initial_state(h, th, psi, correlated)
-        for t, rho_a in zip(times, states):
-            rho_o = evolve_and_reduce(h, rho0, float(t))
-            assert np.abs(rho_a - rho_o).max() < 1e-9
+        rho_o = evolve_and_reduce(h, initial_state(h, th, psi, correlated), times)
+        assert np.abs(states - rho_o).max() < 1e-9
 
 
 class TestTrajectories:
@@ -155,6 +153,19 @@ class TestValidateDensity:
                 check(rho)
 
     @pytest.mark.parametrize("check", [validate_density, concurrence])
+    def test_checks_run_in_order(self, check):
+        # finite, Hermitian, trace, floor; the skewed and doubled cases also
+        # fail the floor, so only the order of the checks picks their message
+        negative = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
+        skewed = negative.copy()
+        skewed[0, 1] = 0.1
+        cases = ((np.full((4, 4), np.nan), "non-finite"), (skewed, "Hermitian"),
+                 (2.0 * negative, "trace"), (negative, "eigenvalue"))
+        for rho, message in cases:
+            with pytest.raises(ParameterError, match=message):
+                check(rho)
+
+    @pytest.mark.parametrize("check", [validate_density, concurrence])
     def test_stack_rejects_one_bad_matrix_in_second_block(self, check):
         stack = np.tile(np.eye(4, dtype=complex) / 4.0, (2 * ITEM_BLOCK, 1, 1))
         stack[ITEM_BLOCK + 3] = np.diag([0.6, 0.5, -0.1, 0.0])
@@ -176,6 +187,16 @@ class TestConcurrence:
         states = random_mixed_states(len(shape), math.prod(shape))
         one_by_one = np.array([concurrence(rho) for rho in states]).reshape(shape)
         assert np.array_equal(concurrence(states.reshape(*shape, 4, 4)), one_by_one)
+
+    def test_decomposes_each_matrix_once(self, monkeypatch):
+        # the positivity floor reads the populations of concurrence's own eigh
+        def unexpected(*args):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unexpected)
+        assert concurrence(random_mixed_states(7, 5)).shape == (5,)
+        with pytest.raises(ParameterError, match="eigenvalue"):
+            concurrence(np.diag([0.6, 0.5, -0.1, 0.0]))
 
     def test_single_matrix_gives_a_float(self):
         assert isinstance(concurrence(np.eye(4, dtype=complex) / 4.0), float)
