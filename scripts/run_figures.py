@@ -12,6 +12,9 @@ import pathlib
 import sys
 import time
 
+# the package of this checkout, ahead of any installed copy
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
 from spinbath.cli import main as cli_main
 from spinbath.experiments import list_presets
 

@@ -1,14 +1,14 @@
 """Bath configuration enumeration and deterministic weighted reductions.
 
-Two backends feed every propagator sum:
+Two backends list the bath items, and the qubits see an item through its
+coupling field g_sum alone, so both fold their items onto the distinct
+fields (fold_fields) before any qubit work:
 
   enumerate  every bit pattern of N bath spins, exact for arbitrary per-site
              parameters, cost 2^N;
   collapse   degeneracy classes (k down spins, w domain walls) that share all
              per-pattern scalars when the bath parameters are uniform, cost
-             O(N^2) classes, which is what makes N = 50 runs instant. The
-             qubit only sees the coupling field, which depends on k alone, so
-             the classes fold onto the N + 1 down-spin counts before the sum.
+             O(N^2) classes, which is what makes N = 50 runs instant.
 
 Reductions are bit-identical from run to run: items are summed in fixed
 blocks of ITEM_BLOCK through a pairwise tree, and block sums combine through
@@ -100,18 +100,22 @@ def collapse_classes(n_spins: int, boundary: Boundary = Boundary.OPEN) -> np.rec
     return np.rec.fromarrays([k, w, log_multiplicity], names="k,w,log_multiplicity")
 
 
-def fold_classes(classes: np.recarray, log_weight) -> tuple[np.ndarray, np.ndarray]:
-    """Fold (k, w) classes, sorted by k, onto their down-spin counts k.
+def fold_fields(field, log_weight) -> tuple[np.ndarray, np.ndarray]:
+    """Fold items onto their distinct coupling fields.
 
-    log_weight holds one pattern's log weight per class. Returns the index of
-    the first class of each k and, per k, the log of
-    sum multiplicity * exp(log_weight), found in log space.
+    log_weight holds each item's log weight (a collapse class's carries its
+    log multiplicity). Returns, in ascending field order, the index of each
+    field's first item and the log of the field's summed weights, found in
+    log space. Fields that compare equal merge, so -0.0 joins 0.0.
     """
-    first = np.flatnonzero(np.diff(classes.k, prepend=-1))
-    logs = np.asarray(log_weight, dtype=float) + classes.log_multiplicity
+    order = np.argsort(field, kind="stable")
+    first = np.flatnonzero(np.diff(np.asarray(field)[order], prepend=np.nan) != 0)
+    logs = np.asarray(log_weight, dtype=float)[order]
     top = np.maximum.reduceat(logs, first)
-    spread = np.exp(logs - np.repeat(top, np.diff(first, append=len(logs))))
-    return first, top + np.log(np.add.reduceat(spread, first))
+    logs -= np.repeat(top, np.diff(first, append=len(logs)))
+    np.exp(logs, out=logs)
+    top += np.log(np.add.reduceat(logs, first))
+    return order[first], top
 
 
 def reduce_weighted(term, log_weight, times, dim: int) -> tuple[np.ndarray, np.ndarray]:

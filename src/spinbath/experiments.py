@@ -49,8 +49,9 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise UsageError("grid.t_start and grid.t_end must be finite")
+        if not math.isfinite(self.t_end - self.t_start):
+            raise UsageError("grid.t_start, grid.t_end and their span must be finite, "
+                             f"got [{self.t_start}, {self.t_end}]")
         if self.t_end <= self.t_start:
             raise UsageError(
                 f"grid.t_end must exceed grid.t_start, got [{self.t_start}, {self.t_end}]"

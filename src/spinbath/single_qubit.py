@@ -4,11 +4,12 @@ Because the bath couples through sigma_z only, the qubit evolves under a
 different 2x2 Hamiltonian for each bath pattern, and the reduced state is the
 thermally weighted mixture of those conditional evolutions. On the Bloch
 sphere the mixture is a linear map: p(t) = S(t) p(0) / Z, where S sums a 3x3
-rotation-like kernel over patterns and Z sums the weights. A correlated
+rotation-like kernel over the patterns' distinct coupling fields, each with
+its patterns' summed weight, and Z sums the weights. A correlated
 preparation (system projected out of a jointly thermalized state) only
-changes the weights, multiplying each by the pattern's correlation factor.
+changes the weights, multiplying each by the field's correlation factor.
 
-Entry kernel, per pattern, with c = cos(2*rabi*t), s = sin(2*rabi*t) and the
+Entry kernel, per field, with c = cos(2*rabi*t), s = sin(2*rabi*t) and the
 unit direction (u, v) = (splitting, delta)/(2*rabi):
 
         [ c + v^2 (1-c)    -u s       u v (1-c) ]
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configspace import (Backend, collapse_classes, fold_classes, mask_blocks,
-                          reduce_weighted)
+from .configspace import (ITEM_BLOCK, Backend, collapse_classes, fold_fields,
+                          mask_blocks, reduce_weighted)
 from .errors import ParameterError
 from .model import (BathParams, SystemParams, Thermal, bloch_components,
                     class_quantities, class_sums, config_quantities,
@@ -50,30 +51,34 @@ class BlochPropagator:
 @np.errstate(over="ignore", invalid="ignore")
 def _qubit_fields(sys: SystemParams, bath: BathParams, th: Thermal,
                   backend: Backend, psi, correlated: tuple[bool, ...]):
-    """Per summed item (a mask, or a down-spin count under collapse): the
-    splitting, the rabi frequency, and the log weights, one column per series."""
+    """Per distinct coupling field, in ascending order: the splitting, the
+    rabi frequency, and the log weights, one column per series."""
     if not correlated:
         raise ParameterError("correlated must hold at least one series flag")
     if Backend(backend) is Backend.COLLAPSE:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
-        _, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
-        first, log_weight = fold_classes(classes, -th.beta * (chi_sum + 0.5 * eps_sum))
-        # splitting and rabi depend on k alone, so the folded items take them
-        # from each k's first class, and the correlation factor runs on those
+        g_sum, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
+        first, log_weight = fold_fields(
+            g_sum, -th.beta * (chi_sum + 0.5 * eps_sum) + classes.log_multiplicity)
         q = class_quantities(sys, bath, th, classes.k[first], classes.w[first])
-        blocks = [(q.splitting, q.rabi, log_weight)]
+        splitting, rabi = q.splitting, q.rabi
     else:
-        blocks = ((q.splitting, q.rabi, q.log_weight) for q in
-                  (config_quantities(sys, bath, th, masks) for masks in mask_blocks(bath.n_spins)))
-    parts = []
-    # block by block, so the factor's temporaries stay block-sized
-    for splitting, rabi, log_weight in blocks:
-        joint = (log_weight + log_correlation_factor(sys, th, splitting, rabi, psi)
-                 if any(correlated) else None)
-        parts.append((splitting, rabi, np.stack([joint if flag else log_weight
-                                                 for flag in correlated], axis=1)))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+        # filled block by block, so no array is held twice
+        quantities = np.empty((4, 1 << bath.n_spins))
+        for masks in mask_blocks(bath.n_spins):
+            q = config_quantities(sys, bath, th, masks)
+            quantities[:, masks] = q.g_sum, q.log_weight, q.splitting, q.rabi
+        first, log_weight = fold_fields(*quantities[:2])
+        splitting, rabi = quantities[2:, first]
+    log_weights = np.repeat(log_weight[:, None], len(correlated), axis=1)
+    if any(correlated):
+        # slice by slice, so the factor's temporaries stay block-sized
+        for start in range(0, len(first), ITEM_BLOCK):
+            rows = slice(start, start + ITEM_BLOCK)
+            log_weights[rows, np.array(correlated)] += log_correlation_factor(
+                sys, th, splitting[rows], rabi[rows], psi)[:, None]
+    return splitting, rabi, log_weights
 
 
 def _bloch_maps(sys: SystemParams, bath: BathParams, th: Thermal, backend: Backend,

@@ -3,8 +3,9 @@
 Both qubits couple through sigma_z to the same bath field, so each bath
 pattern drives an independent 4x4 problem built from the pattern-shifted
 splittings (eps1 + g_sum, eps2 + g_sum) and the qubit-qubit coupling lam.
-The conditional Hamiltonians of all summed items are diagonalized in one
-batch, and each item's state evolves as V exp(-iEt) V^dagger psi. The
+Patterns that share g_sum share that problem, so they are folded onto their
+distinct fields, whose conditional Hamiltonians are diagonalized in batches;
+each field's state evolves as V exp(-iEt) V^dagger psi. The
 reduced pair state is the weighted mixture over patterns, with the same
 uncorrelated/correlated weight choice as the single-qubit case, and
 entanglement is scored by the standard spin-flip concurrence.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configspace import (ITEM_BLOCK, Backend, collapse_classes, fold_classes,
+from .configspace import (ITEM_BLOCK, Backend, collapse_classes, fold_fields,
                           mask_blocks, reduce_weighted)
 from .errors import ParameterError
 from .model import (BathParams, Thermal, _finite, bath_sums, class_sums, pure_state,
@@ -88,49 +89,43 @@ def conditional_hamiltonian(sys2: TwoQubitParams, g_sum) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
                  backend: Backend, psi: np.ndarray, correlated: tuple[bool, ...]):
-    """Per summed item (a mask, or a down-spin count under collapse): the
-    conditional energies E (n, 4), the amplitudes A (n, 4, 4) with
-    psi(t) = A @ exp(-iEt), and the log weights, one column per series."""
+    """Per distinct coupling field, in ascending order: the conditional
+    energies E (n, 4), the amplitudes A (n, 4, 4) with psi(t) = A @ exp(-iEt),
+    and the log weights, one column per series."""
     if not correlated:
         raise ParameterError("correlated must hold at least one series flag")
     if Backend(backend) is Backend.COLLAPSE:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
         g_sum, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
-        first, log_weight = fold_classes(classes, -th.beta * (chi_sum + 0.5 * eps_sum))
-        blocks = [(g_sum[first], log_weight)]
+        log_multiplicity = classes.log_multiplicity
     else:
-        blocks = [(g, -th.beta * (chi + 0.5 * eps)) for g, eps, chi in
-                  (bath_sums(bath, masks) for masks in mask_blocks(bath.n_spins))]
+        g_sum, eps_sum, chi_sum = sums = np.empty((3, 1 << bath.n_spins))
+        for masks in mask_blocks(bath.n_spins):
+            sums[:, masks] = bath_sums(bath, masks)
+        log_multiplicity = 0.0
+    first, log_weight = fold_fields(g_sum, -th.beta * (chi_sum + 0.5 * eps_sum) + log_multiplicity)
+    g_sum = g_sum[first]
     # filled block by block, so the largest array is never held twice
-    count = sum(len(g) for g, _ in blocks)
-    fields = (np.empty((count, 4)), np.empty((count, 4, 4), dtype=complex),
-              np.empty((count, len(correlated))))
-    start = 0
-    for g, lw in blocks:
-        rows = slice(start, start + len(g))
-        for field, part in zip(fields, _eigenbasis(sys2, th, psi, correlated, g, lw)):
-            field[rows] = part
-        start = rows.stop
+    energies, amplitudes, log_weights = fields = (
+        np.empty((len(first), 4)), np.empty((len(first), 4, 4), dtype=complex),
+        np.empty((len(first), len(correlated))))
+    for start in range(0, len(first), ITEM_BLOCK):
+        rows = slice(start, start + ITEM_BLOCK)
+        energies[rows], vectors = hermitian_eig(conditional_hamiltonian(sys2, g_sum[rows]))
+        overlaps = vectors.conj().swapaxes(-2, -1) @ psi
+        amplitudes[rows] = vectors * overlaps[:, None, :]
+        joint = log_weight[rows]
+        if any(correlated) and th.beta != 0.0:
+            # log <psi| exp(-beta H) |psi> = log sum_j |<v_j|psi>|^2 exp(-beta E_j),
+            # with zero populations dropped; stable at any beta
+            with np.errstate(divide="ignore"):
+                exponents = -th.beta * energies[rows] + np.log(np.abs(overlaps) ** 2)
+            top = exponents.max(axis=1)
+            joint = joint + top + np.log(np.exp(exponents - top[:, None]).sum(axis=1))
+        log_weights[rows] = np.stack([joint if flag else log_weight[rows]
+                                      for flag in correlated], axis=1)
     return fields
-
-
-def _eigenbasis(sys2: TwoQubitParams, th: Thermal, psi: np.ndarray,
-                correlated: tuple[bool, ...], g_sum: np.ndarray, log_weight: np.ndarray):
-    """Energies, amplitudes and log weights of _pair_fields for one batch of
-    coupling fields, from one batched eigendecomposition."""
-    energies, vectors = hermitian_eig(conditional_hamiltonian(sys2, g_sum))
-    overlaps = vectors.conj().swapaxes(-2, -1) @ psi
-    joint = log_weight
-    if any(correlated) and th.beta != 0.0:
-        # log <psi| exp(-beta H) |psi> = log sum_j |<v_j|psi>|^2 exp(-beta E_j),
-        # with zero populations dropped; stable at any beta
-        with np.errstate(divide="ignore"):
-            exponents = -th.beta * energies + np.log(np.abs(overlaps) ** 2)
-        top = exponents.max(axis=1)
-        joint = log_weight + top + np.log(np.exp(exponents - top[:, None]).sum(axis=1))
-    return (energies, vectors * overlaps[:, None, :],
-            np.stack([joint if flag else log_weight for flag in correlated], axis=1))
 
 
 def _checked_entries(rho) -> np.ndarray:

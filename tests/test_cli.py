@@ -108,7 +108,9 @@ class TestRun:
         (TINY_PAIR.replace("system.eps1 = 1", "system.eps1 = 1e308")
          .replace("bath.g = 0.5", "bath.g = 1e308") + "backend = collapse\n",
          "error: pair Hamiltonian"),
-    ], ids=["n_points_cap", "single_overflow", "pair_overflow"])
+        (TINY_SINGLE.replace("grid.t_end = 4", "grid.t_start = -1e308\ngrid.t_end = 1e308"),
+         "error: grid.t_start, grid.t_end and their span must be finite"),
+    ], ids=["n_points_cap", "single_overflow", "pair_overflow", "grid_overflow"])
     def test_out_of_range_exits_2_with_one_line(self, tmp_path, text, message):
         config = tmp_path / "bad.ini"
         config.write_text(text)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spinbath import configspace
 from spinbath.configspace import (COLLAPSE_CAP, ENUMERATION_CAP, Backend,
-                                  collapse_classes, fold_classes, mask_blocks,
+                                  collapse_classes, fold_fields, mask_blocks,
                                   reduce_weighted)
 from spinbath.errors import CapacityError, ParameterError
 from spinbath.model import BathParams, Boundary, SystemParams, Thermal, pure_state
@@ -137,32 +137,34 @@ class TestReduceWeighted:
         # folding every class at unit pattern weight counts all 2^N patterns
         for boundary in Boundary:
             classes = collapse_classes(10, boundary)
-            first, folded = fold_classes(classes, np.zeros(len(classes)))
+            first, folded = fold_fields(classes.k, classes.log_multiplicity)
             assert np.array_equal(first, np.flatnonzero(np.diff(classes.k, prepend=-1)))
             assert math.fsum(np.exp(folded)) == pytest.approx(1024.0, rel=1e-14)
 
     def test_class_multiplicity_is_applied(self):
         items = class_records([0, 1, 1], [0, 1, 2], [math.log(3), math.log(5), math.log(2)])
-        first, folded = fold_classes(items, np.log([1.0, 2.0, 0.5]))
+        first, folded = fold_fields(items.k, np.log([1.0, 2.0, 0.5]) + items.log_multiplicity)
         assert list(first) == [0, 1]
         assert np.exp(folded) == pytest.approx([3.0, 5.0 * 2.0 + 2.0 * 0.5], rel=1e-15)
 
     def test_fold_takes_multiplicities_beyond_float_range(self):
         # 2^1100 has no float; its log does
         items = class_records([0, 1, 1], [0, 1, 3], [0.0] + 2 * [math.log(2 ** 1100)])
-        _, folded = fold_classes(items, [0.0, -1000.0, -1000.0])
+        _, folded = fold_fields(items.k, np.array([0.0, -1000.0, -1000.0])
+                                + items.log_multiplicity)
         assert folded[0] == 0.0
         assert folded[1] == pytest.approx(1101 * math.log(2.0) - 1000.0, rel=1e-15)
 
     def test_per_k_term_commutes_with_fold(self):
-        # a log-weight term that depends on k alone may be added before or
-        # after the fold; the single-qubit correlation factor is added after
+        # a log-weight term that depends on the field alone may be added
+        # before or after the fold; the single-qubit correlation factor is
+        # added after
         classes = collapse_classes(30, Boundary.OPEN)
         rng = np.random.default_rng(5)
         log_weight = rng.uniform(-50.0, 50.0, len(classes))
         per_k = rng.uniform(-50.0, 50.0, 31)
-        first, folded = fold_classes(classes, log_weight)
-        _, before = fold_classes(classes, log_weight + per_k[classes.k])
+        first, folded = fold_fields(classes.k, log_weight)
+        _, before = fold_fields(classes.k, log_weight + per_k[classes.k])
         assert np.abs(folded + per_k[classes.k[first]] - before).max() < 1e-12
 
     def test_shape_mismatch(self):
@@ -234,6 +236,40 @@ class TestReduceWeighted:
         got = reduce_weighted(lambda rows, t: values[rows, None, None],
                               np.zeros((values.size, 1)), [0.0], 1)[0][0, 0, 0]
         assert abs(got * values.size - math.fsum(values)) < 1e-10
+
+
+class TestFoldFields:
+    def test_ties_out_of_order(self):
+        # fields come back ascending, each with its first item and the
+        # log-sum-exp of every item that shares it
+        field = np.array([2.0, 1.0, 2.0, 1.0, 3.0])
+        log_weight = np.log([1.0, 2.0, 4.0, 8.0, 16.0])
+        first, folded = fold_fields(field, log_weight)
+        assert first.tolist() == [1, 0, 4]
+        assert np.exp(folded) == pytest.approx([10.0, 5.0, 16.0], rel=1e-15)
+
+    def test_distinct_fields_keep_their_weights(self):
+        rng = np.random.default_rng(3)
+        field = rng.normal(size=200)
+        log_weight = rng.uniform(-700.0, 700.0, 200)
+        first, folded = fold_fields(field, log_weight)
+        assert np.array_equal(first, np.argsort(field))
+        assert np.array_equal(folded, log_weight[first])
+
+    def test_signed_zeros_merge(self):
+        first, folded = fold_fields(np.array([0.0, -1.0, -0.0]), np.log([1.0, 2.0, 3.0]))
+        assert first.tolist() == [1, 0]
+        assert np.exp(folded) == pytest.approx([2.0, 4.0], rel=1e-15)
+
+    def test_rerun_bit_identical(self):
+        rng = np.random.default_rng(8)
+        field = rng.integers(-5, 5, 5000) * 0.1
+        log_weight = rng.uniform(-30.0, 30.0, 5000)
+        first, folded = fold_fields(field, log_weight)
+        again = fold_fields(field.copy(), log_weight.copy())
+        assert np.array_equal(first, again[0])
+        assert np.array_equal(folded, again[1])
+        assert len(first) == len(np.unique(field))
 
 
 class TestBackend:

@@ -22,7 +22,8 @@ from spinbath.experiments import (BathSpec, ExperimentConfig, GaussianStats,
                                   parse_config_file, preset, run)
 from spinbath.model import Boundary, SystemParams
 from spinbath.numerics import RNG_ALGORITHM
-from spinbath.two_qubit import TwoQubitParams
+from spinbath.single_qubit import bloch_trajectory
+from spinbath.two_qubit import TwoQubitParams, density_trajectory
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -60,20 +61,23 @@ reals = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
 @st.composite
-def configs(draw):
+def configs(draw, max_spins=4, bath_values=reals,
+            betas=st.floats(min_value=0.0, max_value=5.0)):
     """Small configurations across both modes, all bath styles and all state
-    kinds, as a config file or CSV header can express them."""
-    n = draw(st.integers(min_value=1, max_value=4))
+    kinds, as a config file or CSV header can express them. Uniform and
+    explicit bath parameters come from bath_values."""
+    n = draw(st.integers(min_value=1, max_value=max_spins))
     boundary = draw(st.sampled_from(list(Boundary)))
     bonds = n if boundary is Boundary.PERIODIC else n - 1
     kind = draw(st.sampled_from(["uniform", "explicit", "random"]))
     if kind == "uniform":
-        bath = BathSpec(n, kind, boundary, eps=draw(reals), g=draw(reals), chi=draw(reals))
+        bath = BathSpec(n, kind, boundary, eps=draw(bath_values), g=draw(bath_values),
+                        chi=draw(bath_values))
     elif kind == "explicit":
-        bath = BathSpec(n, kind, boundary,
-                        eps_list=tuple(draw(st.lists(reals, min_size=n, max_size=n))),
-                        g_list=tuple(draw(st.lists(reals, min_size=n, max_size=n))),
-                        chi_list=tuple(draw(st.lists(reals, min_size=bonds, max_size=bonds))))
+        lists = [tuple(draw(st.lists(bath_values, min_size=size, max_size=size)))
+                 for size in (n, n, bonds)]
+        bath = BathSpec(n, kind, boundary, eps_list=lists[0], g_list=lists[1],
+                        chi_list=lists[2])
     else:
         stats = [GaussianStats(draw(reals), draw(st.floats(min_value=0.0, max_value=2.0)))
                  for _ in range(3)]
@@ -92,7 +96,7 @@ def configs(draw):
     grid = TimeGrid(t_start, t_start + draw(st.floats(min_value=0.1, max_value=10.0)),
                     draw(st.integers(min_value=2, max_value=5)))
     return ExperimentConfig(
-        mode=mode, system=system, bath=bath, beta=draw(st.floats(min_value=0.0, max_value=5.0)),
+        mode=mode, system=system, bath=bath, beta=draw(betas),
         state_kind=state_kind, state_params=state_params, grid=grid,
         backend=draw(st.sampled_from(list(Backend))),
         series=draw(st.sampled_from([("uncorrelated", "correlated"), ("uncorrelated",),
@@ -493,6 +497,21 @@ class TestOracleCheck:
         assert {name for name, _ in report.entries} == {
             "rho_uncorrelated", "rho_correlated",
             "concurrence_uncorrelated", "concurrence_correlated"}
+
+    # bath values from a small set, so coupling fields tie and partial folds run
+    @given(configs(max_spins=5, bath_values=st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                   betas=st.sampled_from([0.0, 0.3, 2.0, 20.0])))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_generated_configs_match_the_oracle(self, config):
+        assert oracle_check(config, config.bath.n_spins).passed
+        if config.bath.kind == "uniform":
+            trajectory = bloch_trajectory if config.mode == "single" else density_trajectory
+            flags = tuple(series == "correlated" for series in config.series)
+            enumerated, collapsed = (
+                trajectory(config.system, config.bath.materialize(), config.thermal(), backend,
+                           config.state_vector(), config.grid.times(), flags)
+                for backend in Backend)
+            assert np.abs(enumerated - collapsed).max() <= 1e-12
 
     def test_corrupted_weights_trip_the_check(self):
         config = config_from_keys(single_keys())

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath import single_qubit
+from spinbath import single_qubit, two_qubit
 from spinbath.configspace import Backend, collapse_classes
 from spinbath.errors import ParameterError
 from spinbath.model import (BathParams, Boundary, SystemParams, Thermal, bloch_components,
                             class_quantities, log_correlation_factor, pure_state)
+from spinbath.numerics import hermitian_eig
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from spinbath.single_qubit import (bloch_trajectory, propagator_correlated,
                                    propagator_uncorrelated)
+from spinbath.two_qubit import TwoQubitParams, bell_state, density_trajectory
 
 PLUS_X = pure_state([2 ** -0.5, 2 ** -0.5])
 
@@ -198,6 +200,33 @@ class TestCollapseFold:
         bloch_trajectory(SystemParams(epsilon=2.0, delta=1.0), bath, Thermal(1.0),
                          Backend.COLLAPSE, PLUS_X, np.linspace(0.0, 1.0, 3), (False, True))
         assert sizes == [n + 1]
+
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["uniform_g", "gaussian_g"])
+    def test_enumerate_sees_folded_fields(self, monkeypatch, gaussian):
+        # with g = 1, exactly representable, the 2^N masks fold onto the N + 1
+        # fields g (N - 2k) before any qubit work; Gaussian couplings give
+        # every mask its own field
+        rows = []
+
+        def factor(sys1, th, splitting, rabi, psi):
+            rows.append(len(splitting))
+            return log_correlation_factor(sys1, th, splitting, rabi, psi)
+
+        def eig(matrix):
+            rows.append(len(matrix))
+            return hermitian_eig(matrix)
+
+        monkeypatch.setattr(single_qubit, "log_correlation_factor", factor)
+        monkeypatch.setattr(two_qubit, "hermitian_eig", eig)
+        n = 10
+        g = np.random.default_rng(4).normal(1.0, 0.2, n) if gaussian else np.ones(n)
+        bath = BathParams(n, (1.0,) * n, tuple(g), (0.1,) * (n - 1))
+        times, th = np.linspace(0.0, 1.0, 3), Thermal(1.0)
+        bloch_trajectory(SystemParams(epsilon=2.0, delta=1.0), bath, th, Backend.ENUMERATE,
+                         PLUS_X, times, (False, True))
+        density_trajectory(TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0, lam=3.0),
+                           bath, th, Backend.ENUMERATE, bell_state(), times, (False, True))
+        assert rows == 2 * [1 << n if gaussian else n + 1]
 
 
 class TestHighBetaStability:
