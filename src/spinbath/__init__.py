@@ -17,14 +17,14 @@ from .errors import (CapacityError, NumericError, ParameterError, SpinbathError,
 from .experiments import (ExperimentConfig, OracleReport, ResultTable, TimeGrid,
                           list_presets, oracle_check, parse_config_file, preset, run)
 from .model import (BathParams, Boundary, ConfigQuantities, SystemParams, Thermal,
-                    bath_sums, bloch_components, class_quantities, config_quantities,
-                    log_correlation_factor, pure_state)
+                    TwoQubitParams, bath_sums, bloch_components, class_quantities,
+                    config_quantities, log_correlation_factor, pure_state)
 from .numerics import RandomSpec, gaussian_draw, hermitian_eig
 from .oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from .single_qubit import (BlochPropagator, bloch_trajectory, propagator_correlated,
                            propagator_uncorrelated)
-from .two_qubit import (TwoQubitParams, bell_state, concurrence, density_trajectory,
-                        product_state, validate_density)
+from .two_qubit import (bell_state, concurrence, density_trajectory, product_state,
+                        validate_density)
 
 __all__ = [
     "__version__",

@@ -10,11 +10,10 @@ fields (fold_fields) before any qubit work:
              per-pattern scalars when the bath parameters are uniform, cost
              O(N^2) classes, which is what makes N = 50 runs instant.
 
-Reductions are bit-identical from run to run: items are summed in fixed
-blocks of ITEM_BLOCK through a pairwise tree, and block sums combine through
-a second pairwise tree, so the summation order depends only on the item
-count. Time points are independent, so how they are split into blocks
-changes nothing.
+Reductions are bit-identical from run to run: items are summed by one
+pairwise tree over the fields, evaluated block by block (ITEM_BLOCK is a
+power of two), so the summation order depends only on the item count. Time
+points are independent, so how they are split into blocks changes nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ from .numerics import _pairwise_over_rows
 ENUMERATION_CAP = 24
 # a two-series, 40-point run at the cap peaks below 1 GB (measured in README)
 COLLAPSE_CAP = 3_500
-# items per block, for per-configuration setup and for the time sweep
+# items per block, for setup and the sweep; a power of two, so block sums
+# combine into the one pairwise tree over all items
 ITEM_BLOCK = 1024
 # the sweep takes as many time points per block as keep items x times x dim
 # within this many elements (at least one point)
@@ -118,6 +118,15 @@ def fold_fields(field, log_weight) -> tuple[np.ndarray, np.ndarray]:
     return order[first], top
 
 
+def series_log_weights(log_weight, log_factor, correlated: tuple[bool, ...]) -> np.ndarray:
+    """The (fields, S) log weights: column s is log_weight, plus the
+    correlation factor log_factor (read only then) where correlated[s]."""
+    if not correlated:
+        raise ParameterError("correlated must hold at least one series flag")
+    return np.stack([log_weight + log_factor if flag else log_weight
+                     for flag in correlated], axis=1)
+
+
 def reduce_weighted(term, log_weight, times, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Weighted means of term over items at every time, one per column of the
     (items, S) matrix log_weight of log weights; returns the read-only means
@@ -150,8 +159,8 @@ def reduce_weighted(term, log_weight, times, dim: int) -> tuple[np.ndarray, np.n
     np.exp(weight, out=weight)
     n_items, n_series = weight.shape
     rows = [slice(i, min(i + ITEM_BLOCK, n_items)) for i in range(0, n_items, ITEM_BLOCK)]
-    # each column's weight sum, through the same two-level tree as the sweep
-    normalizer = _pairwise_over_rows(np.stack([_pairwise_over_rows(weight[b]) for b in rows]))
+    # each column's weight sum, through the one tree the sweep evaluates by blocks
+    normalizer = _pairwise_over_rows(weight)
     step = max(1, BLOCK_ELEMENTS // (min(ITEM_BLOCK, n_items) * dim))
     means = None
     for start in range(0, t.size, step):

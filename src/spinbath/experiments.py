@@ -21,13 +21,12 @@ import numpy as np
 from . import __version__
 from .configspace import Backend, _require_capacity
 from .errors import CapacityError, ParameterError, UsageError
-from .model import (BathParams, Boundary, SystemParams, Thermal, pure_state,
-                    require_uniform)
+from .model import (BathParams, Boundary, SystemParams, Thermal, TwoQubitParams,
+                    pure_state, require_uniform)
 from .numerics import RNG_ALGORITHM, RandomSpec, gaussian_draw
 from .oracle import DIMENSION_CAP, build_hamiltonian, evolve_and_reduce, initial_state
 from .single_qubit import bloch_trajectory
-from .two_qubit import (TwoQubitParams, bell_state, concurrence,
-                        density_trajectory, product_state)
+from .two_qubit import bell_state, concurrence, density_trajectory, product_state
 
 TOOL = f"spinbath {__version__}"
 ORACLE_TOLERANCE = 1e-9

@@ -10,8 +10,9 @@ of N spins with nearest-neighbour Ising-z bonds (hbar = 1 throughout):
 Every bath operator above is diagonal in the product z basis, so each bath
 bit pattern reduces the central qubit to an independent 2x2 problem. This
 module computes the scalars attached to one bit pattern: the net coupling
-field, the bath energy, the thermal weight, and the correlation factor that
-distinguishes a correlated system-bath preparation from a product one.
+field, the bath energy, the thermal weight, and the correlation factor
+(log_thermal_overlap, for one qubit and for a pair) that distinguishes a
+correlated system-bath preparation from a product one.
 
 Bit convention (fixed, tested): mask bit i (bit 0 least significant) holds
 bath site i+1; bit value 0 is spin up (+1 under sigma_z), 1 is spin down (-1).
@@ -28,8 +29,6 @@ import numpy as np
 from .errors import ParameterError
 
 STATE_NORM_TOL = 1e-12
-# below this, cosh/sinh switch to their linear series (exact at beta = 0)
-SMALL_EXPONENT = 1e-8
 
 
 class Boundary(enum.Enum):
@@ -54,6 +53,22 @@ class SystemParams:
     def __post_init__(self):
         _check_finite_scalar("epsilon", self.epsilon)
         _check_finite_scalar("delta", self.delta)
+
+
+@dataclass(frozen=True)
+class TwoQubitParams:
+    """Level spacings and tunnelings of the two qubits, plus their mutual
+    sigma_z sigma_z coupling strength lam."""
+
+    eps1: float
+    eps2: float
+    delta1: float
+    delta2: float
+    lam: float = 0.0
+
+    def __post_init__(self):
+        for name in ("eps1", "eps2", "delta1", "delta2", "lam"):
+            _check_finite_scalar(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -166,11 +181,17 @@ def _finite(name: str, value):
     return value
 
 
+def log_thermal_weight(beta: float, eps_sum, chi_sum):
+    """log of the thermal weight exp(-beta*(chi_sum + eps_sum/2)) of a bath
+    pattern with these signed sums (see ConfigQuantities), elementwise."""
+    return -beta * (chi_sum + 0.5 * eps_sum)
+
+
 def _quantities_from_sums(sys: SystemParams, th: Thermal,
                           g_sum, eps_sum, chi_sum) -> ConfigQuantities:
     splitting = _finite("qubit splitting epsilon + g_sum", sys.epsilon + g_sum)
     rabi = 0.5 * np.hypot(splitting, sys.delta)
-    log_weight = -th.beta * (chi_sum + 0.5 * eps_sum)
+    log_weight = log_thermal_weight(th.beta, eps_sum, chi_sum)
     return ConfigQuantities(g_sum, eps_sum, chi_sum, *map(_scalar_or_array,
                                                           (splitting, rabi, log_weight)))
 
@@ -246,6 +267,18 @@ def bloch_components(psi) -> tuple[float, float, float]:
     return 2.0 * cross.real, 2.0 * cross.imag, pz
 
 
+def log_thermal_overlap(beta: float, energies, populations):
+    """log <psi| exp(-beta h) |psi> = log sum_j p_j exp(-beta E_j) over the
+    last axis, for h's eigenvalues E_j and psi's populations p_j on them.
+    np.logaddexp keeps it finite at any beta; zero populations drop out, and
+    beta = 0 gives exactly 0.0 (populations sum to 1 only up to rounding)."""
+    if beta == 0.0:
+        return _scalar_or_array(np.zeros(np.shape(populations)[:-1]))
+    with np.errstate(divide="ignore"):
+        exponents = np.log(populations) - beta * np.asarray(energies)
+    return _scalar_or_array(np.logaddexp.reduce(exponents, axis=-1))
+
+
 def log_correlation_factor(sys: SystemParams, th: Thermal, splitting, rabi,
                            psi) -> float:
     """log of the correlation factor for a pattern's qubit splitting and rabi
@@ -258,27 +291,15 @@ def log_correlation_factor(sys: SystemParams, th: Thermal, splitting, rabi,
     prepared by projecting the system out of a global thermal state instead
     of attaching an independent thermal bath.
 
-    Evaluated from the spectral projections of the conditional qubit
-    Hamiltonian h = (splitting/2) sigma_z + (delta/2) sigma_x, whose
-    eigenvalues are +-rabi:
-
-        factor = exp(-beta*rabi) * q_plus + exp(+beta*rabi) * q_minus
-
-    with q_plus/q_minus the populations of psi on the upper/lower eigenstate,
-    q_± = (1 ± <h>/rabi)/2. The ratio <h>/rabi is bounded by 1, so there is
-    no singularity as rabi -> 0; a linear series takes over for tiny
-    beta*rabi so beta = 0 returns exactly 0.0.
+    h = (splitting/2) sigma_z + (delta/2) sigma_x has eigenvalues +-rabi, on
+    which psi has populations q_± = (1 ± <h>/rabi)/2 (both 1/2 where rabi = 0
+    and h vanishes), so log_thermal_overlap gives the factor
+    exp(-beta*rabi) q_+ + exp(beta*rabi) q_-, with no singularity at rabi -> 0.
     """
     px, _, pz = bloch_components(psi)
     mean_h = 0.5 * (splitting * pz + sys.delta * px)
     rabi = np.asarray(rabi)
-    exponent = th.beta * rabi
-    small = exponent < SMALL_EXPONENT
-    # both branches are evaluated everywhere; each is kept only where valid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(small, 0.0, mean_h / rabi)
-        upper = np.log(np.maximum(0.0, 0.5 * (1.0 + ratio)))
-        lower = np.log(np.maximum(0.0, 0.5 * (1.0 - ratio)))
-        out = np.where(small, np.log1p(-th.beta * mean_h),
-                       np.logaddexp(-exponent + upper, exponent + lower))
-    return _scalar_or_array(out)
+    ratio = np.divide(mean_h, rabi, out=np.zeros(rabi.shape), where=rabi != 0.0)
+    # rounding can push |ratio| past 1; a population is never negative
+    populations = np.maximum(0.0, 0.5 * (1.0 + np.stack((ratio, -ratio), axis=-1)))
+    return log_thermal_overlap(th.beta, np.stack((rabi, -rabi), axis=-1), populations)

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NumericError, ParameterError
-from .model import BathParams, SystemParams, pure_state
+from .model import BathParams, SystemParams, TwoQubitParams, pure_state
 from .numerics import SIGMA_X, hermitian_eig
-from .two_qubit import TwoQubitParams
 
-DIMENSION_CAP = 2 ** 13
+# a two-series check at the cap takes about 7 minutes and 1.6 GB (README)
+DIMENSION_CAP = 2 ** 12
 # complex elements per chunk of the partial-trace kernel in evolve_and_reduce
 KERNEL_ELEMENTS = 1 << 14
 

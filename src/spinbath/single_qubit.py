@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configspace import (ITEM_BLOCK, Backend, collapse_classes, fold_fields,
-                          mask_blocks, reduce_weighted)
-from .errors import ParameterError
+                          mask_blocks, reduce_weighted, series_log_weights)
 from .model import (BathParams, SystemParams, Thermal, bloch_components,
                     class_quantities, class_sums, config_quantities,
-                    log_correlation_factor, pure_state, require_uniform)
+                    log_correlation_factor, log_thermal_weight, pure_state,
+                    require_uniform)
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,12 @@ def _qubit_fields(sys: SystemParams, bath: BathParams, th: Thermal,
                   backend: Backend, psi, correlated: tuple[bool, ...]):
     """Per distinct coupling field, in ascending order: the splitting, the
     rabi frequency, and the log weights, one column per series."""
-    if not correlated:
-        raise ParameterError("correlated must hold at least one series flag")
     if Backend(backend) is Backend.COLLAPSE:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
         g_sum, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
         first, log_weight = fold_fields(
-            g_sum, -th.beta * (chi_sum + 0.5 * eps_sum) + classes.log_multiplicity)
+            g_sum, log_thermal_weight(th.beta, eps_sum, chi_sum) + classes.log_multiplicity)
         q = class_quantities(sys, bath, th, classes.k[first], classes.w[first])
         splitting, rabi = q.splitting, q.rabi
     else:
@@ -71,14 +69,14 @@ def _qubit_fields(sys: SystemParams, bath: BathParams, th: Thermal,
             quantities[:, masks] = q.g_sum, q.log_weight, q.splitting, q.rabi
         first, log_weight = fold_fields(*quantities[:2])
         splitting, rabi = quantities[2:, first]
-    log_weights = np.repeat(log_weight[:, None], len(correlated), axis=1)
+    log_factor = None  # psi is None when no series is correlated
     if any(correlated):
+        log_factor = np.empty(len(first))
         # slice by slice, so the factor's temporaries stay block-sized
         for start in range(0, len(first), ITEM_BLOCK):
             rows = slice(start, start + ITEM_BLOCK)
-            log_weights[rows, np.array(correlated)] += log_correlation_factor(
-                sys, th, splitting[rows], rabi[rows], psi)[:, None]
-    return splitting, rabi, log_weights
+            log_factor[rows] = log_correlation_factor(sys, th, splitting[rows], rabi[rows], psi)
+    return splitting, rabi, series_log_weights(log_weight, log_factor, correlated)
 
 
 def _bloch_maps(sys: SystemParams, bath: BathParams, th: Thermal, backend: Backend,

@@ -17,15 +17,14 @@ index 0 is both up and index 3 both down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .configspace import (ITEM_BLOCK, Backend, collapse_classes, fold_fields,
-                          mask_blocks, reduce_weighted)
+                          mask_blocks, reduce_weighted, series_log_weights)
 from .errors import ParameterError
-from .model import (BathParams, Thermal, _finite, bath_sums, class_sums, pure_state,
-                    require_uniform)
+from .model import (BathParams, Thermal, TwoQubitParams, _finite, bath_sums, class_sums,
+                    log_thermal_overlap, log_thermal_weight, pure_state, require_uniform)
 from .numerics import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_eig
 
 HERMITICITY_TOL = 1e-12
@@ -40,23 +39,6 @@ _SZZ = np.kron(SIGMA_Z, SIGMA_Z)
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 for _m in (_SZ1, _SX1, _SZ2, _SX2, _SZZ, _SPIN_FLIP):
     _m.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class TwoQubitParams:
-    """Level spacings and tunnelings of the two qubits, plus their mutual
-    sigma_z sigma_z coupling strength lam."""
-
-    eps1: float
-    eps2: float
-    delta1: float
-    delta2: float
-    lam: float = 0.0
-
-    def __post_init__(self):
-        for name in ("eps1", "eps2", "delta1", "delta2", "lam"):
-            if not math.isfinite(float(getattr(self, name))):
-                raise ParameterError(f"{name} must be finite")
 
 
 def bell_state() -> np.ndarray:
@@ -92,8 +74,6 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
     """Per distinct coupling field, in ascending order: the conditional
     energies E (n, 4), the amplitudes A (n, 4, 4) with psi(t) = A @ exp(-iEt),
     and the log weights, one column per series."""
-    if not correlated:
-        raise ParameterError("correlated must hold at least one series flag")
     if Backend(backend) is Backend.COLLAPSE:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
@@ -104,28 +84,20 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
         for masks in mask_blocks(bath.n_spins):
             sums[:, masks] = bath_sums(bath, masks)
         log_multiplicity = 0.0
-    first, log_weight = fold_fields(g_sum, -th.beta * (chi_sum + 0.5 * eps_sum) + log_multiplicity)
+    first, log_weight = fold_fields(
+        g_sum, log_thermal_weight(th.beta, eps_sum, chi_sum) + log_multiplicity)
     g_sum = g_sum[first]
     # filled block by block, so the largest array is never held twice
-    energies, amplitudes, log_weights = fields = (
+    energies, amplitudes, log_factor = (
         np.empty((len(first), 4)), np.empty((len(first), 4, 4), dtype=complex),
-        np.empty((len(first), len(correlated))))
+        np.empty(len(first)))
     for start in range(0, len(first), ITEM_BLOCK):
         rows = slice(start, start + ITEM_BLOCK)
         energies[rows], vectors = hermitian_eig(conditional_hamiltonian(sys2, g_sum[rows]))
         overlaps = vectors.conj().swapaxes(-2, -1) @ psi
         amplitudes[rows] = vectors * overlaps[:, None, :]
-        joint = log_weight[rows]
-        if any(correlated) and th.beta != 0.0:
-            # log <psi| exp(-beta H) |psi> = log sum_j |<v_j|psi>|^2 exp(-beta E_j),
-            # with zero populations dropped; stable at any beta
-            with np.errstate(divide="ignore"):
-                exponents = -th.beta * energies[rows] + np.log(np.abs(overlaps) ** 2)
-            top = exponents.max(axis=1)
-            joint = joint + top + np.log(np.exp(exponents - top[:, None]).sum(axis=1))
-        log_weights[rows] = np.stack([joint if flag else log_weight[rows]
-                                      for flag in correlated], axis=1)
-    return fields
+        log_factor[rows] = log_thermal_overlap(th.beta, energies[rows], np.abs(overlaps) ** 2)
+    return energies, amplitudes, series_log_weights(log_weight, log_factor, correlated)
 
 
 def _checked_entries(rho) -> np.ndarray:

@@ -230,6 +230,24 @@ class TestReduceWeighted:
             assert np.array_equal(alone[0][0], reference[column])
             assert alone[1][0] == log_partition[column]
 
+    def test_item_block_changes_no_bit(self, monkeypatch):
+        # ITEM_BLOCK is a power of two, so the blockwise sweep and the
+        # normalizer evaluate one pairwise tree over all items
+        rng = np.random.default_rng(4)
+        values = rng.uniform(-1.0, 1.0, (3001, 3))
+        log_weight = rng.uniform(-20.0, 20.0, (3001, 2))
+
+        def term(rows, t):
+            return values[rows, None, :] * np.cos(t)[:, None]
+
+        results = []
+        for block in (256, 1024, 4096):
+            monkeypatch.setattr(configspace, "ITEM_BLOCK", block)
+            results.append(reduce_weighted(term, log_weight, np.linspace(0.0, 2.0, 5), 3))
+        for means, log_partition in results[1:]:
+            assert np.array_equal(means, results[0][0])
+            assert np.array_equal(log_partition, results[0][1])
+
     def test_accuracy_near_fsum(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(-1.0, 1.0, 100_000)

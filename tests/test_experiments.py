@@ -523,6 +523,18 @@ class TestOracleCheck:
         with pytest.raises(CapacityError):
             oracle_check(config, n_override=20)
 
+    # one spin over README's limits (N <= 11 for one qubit, N <= 10 for a pair)
+    @pytest.mark.parametrize("keys, n_spins", [(single_keys(), 12), (pair_keys(), 11)],
+                             ids=["single", "pair"])
+    def test_one_spin_over_the_limit_is_refused_first(self, monkeypatch, keys, n_spins):
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        for name in ("bloch_trajectory", "density_trajectory", "build_hamiltonian"):
+            monkeypatch.setattr(experiments, name, refuse)
+        with pytest.raises(CapacityError, match=r"2\^13 exceeds"):
+            oracle_check(config_from_keys(keys), n_override=n_spins)
+
     def test_report_lines_mention_verdict(self):
         config = config_from_keys(single_keys())
         report = oracle_check(config, n_override=2)

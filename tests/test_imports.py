@@ -62,6 +62,29 @@ def test_every_private_definition_is_read():
     assert unread_private_definitions(sources) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Last dotted component of every module source imports from."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # `from . import x` imports the module x
+            modules.update([node.module] if node.module else
+                           (alias.name for alias in node.names))
+    return {module.rpartition(".")[2] for module in modules}
+
+
+def test_checker_finds_imported_modules():
+    source = "import a.b\nfrom .c import d\nfrom . import e\nfrom ..f.g import h\n"
+    assert imported_modules(source) == {"b", "c", "e", "g"}
+
+
+def test_oracle_imports_none_of_the_code_it_checks():
+    source = (PACKAGE / "oracle.py").read_text()
+    assert imported_modules(source) & {"single_qubit", "two_qubit", "configspace"} == set()
+
+
 def test_checker_finds_unused_names():
     source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nnp.sum(e)\n"
     assert unused_imports(source) == ["c", "os"]

@@ -11,7 +11,7 @@ from spinbath.errors import ParameterError
 from spinbath.model import (BathParams, Boundary, SystemParams, Thermal,
                             bath_sums, bloch_components, class_quantities,
                             class_sums, config_quantities, log_correlation_factor,
-                            pure_state, require_uniform)
+                            log_thermal_overlap, pure_state, require_uniform)
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -241,3 +241,58 @@ class TestCorrelationFactor:
         # factor is an expectation of a positive operator: strictly positive
         assert log_a >= -th.beta * q.rabi - 1e-9
         assert log_a <= th.beta * q.rabi + 1e-9
+
+
+def random_hermitian(rng, dim):
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return raw + raw.conj().T
+
+
+def random_state(rng, dim):
+    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return raw / np.linalg.norm(raw)
+
+
+class TestThermalOverlap:
+    def test_infinite_temperature_is_exactly_zero(self):
+        rng = np.random.default_rng(2)
+        energies = rng.uniform(-3.0, 3.0, (5, 4))
+        populations = np.abs(rng.standard_normal((5, 4))) ** 2
+        populations /= populations.sum(axis=1, keepdims=True)
+        assert np.array_equal(log_thermal_overlap(0.0, energies, populations), np.zeros(5))
+        assert log_thermal_overlap(0.0, energies[0], populations[0]) == 0.0
+
+    @pytest.mark.parametrize("beta", [0.3, 5.0, 2000.0])
+    def test_eigenvector_is_exactly_its_boltzmann_exponent(self, beta):
+        energies = np.array([-1.5, -0.25, 0.5, 2.0])
+        for j in range(4):
+            populations = np.eye(4)[j]
+            assert log_thermal_overlap(beta, energies, populations) == -beta * energies[j]
+
+    def test_single_qubit_eigenstate_is_exact(self):
+        # delta = 0 and psi = |0>: the factor is exactly exp(-beta*rabi)
+        sys1 = SystemParams(epsilon=1.5, delta=0.0)
+        th = Thermal(2.0)
+        q = config_quantities(sys1, BathParams.uniform(2, 0.0, 0.25, 0.0), th, 0)
+        factor = log_correlation_factor(sys1, th, q.splitting, q.rabi, pure_state([1.0, 0.0]))
+        assert factor == -th.beta * q.rabi
+
+    def test_finite_at_low_temperature(self):
+        energies = np.array([-3.0, -1.0, 2.0, 5.0])
+        populations = np.array([0.1, 0.2, 0.3, 0.4])
+        got = log_thermal_overlap(2000.0, energies, populations)
+        assert math.isfinite(got)
+        assert got == pytest.approx(6000.0 + math.log(0.1), rel=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("beta", [0.3, 5.0])
+    def test_matches_spectral_sum(self, dim, beta):
+        rng = np.random.default_rng(dim)
+        stack = np.array([random_hermitian(rng, dim) for _ in range(8)])
+        psi = random_state(rng, dim)
+        energies, vectors = np.linalg.eigh(stack)
+        overlaps = vectors.conj().swapaxes(-2, -1) @ psi
+        got = log_thermal_overlap(beta, energies, np.abs(overlaps) ** 2)
+        expected = [np.log((psi.conj() @ (v * np.exp(-beta * e)) @ v.conj().T @ psi).real)
+                    for e, v in zip(energies, vectors)]
+        assert np.abs(got - expected).max() < 1e-13

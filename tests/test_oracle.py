@@ -67,6 +67,20 @@ class TestBuildHamiltonian:
         with pytest.raises(CapacityError):
             build_hamiltonian(small_system(), bath)
 
+    # README's limits: N <= 11 for one qubit, N <= 10 for a pair
+    @pytest.mark.parametrize("system, limit", [(small_system(), 11), (PAIR, 10)],
+                             ids=["single", "pair"])
+    def test_one_spin_over_the_limit_is_refused_before_building(self, monkeypatch,
+                                                                system, limit):
+        def build(bath):
+            raise AssertionError("Hamiltonian built")
+
+        monkeypatch.setattr(oracle, "_bath_fields", build)
+        with pytest.raises(CapacityError, match=f"below {limit + 1} spins"):
+            build_hamiltonian(system, BathParams.uniform(limit + 1, 1.0, 1.0, 0.0))
+        with pytest.raises(AssertionError, match="Hamiltonian built"):
+            build_hamiltonian(system, BathParams.uniform(limit, 1.0, 1.0, 0.0))
+
     def test_rejects_unknown_system(self):
         with pytest.raises(ParameterError):
             build_hamiltonian(object(), small_bath())
