@@ -173,9 +173,7 @@ def reduce_weighted(term, log_weight, times, dim: int) -> tuple[np.ndarray, np.n
                 raise ParameterError(f"term returned shape {values.shape} for "
                                      f"{block.stop - block.start} items, {points.size} "
                                      f"times and dim {dim}")
-            # one weight column at a time, so no (rows, S, t, dim) product is held
-            partials.append(np.stack([_pairwise_over_rows(values * column[:, None, None])
-                                      for column in weight[block].T]))
+            partials.append(_pairwise_over_rows(values[:, None] * weight[block, :, None, None]))
         if means is None:
             means = np.empty((n_series, t.size, dim), dtype=values.dtype)
         means[:, start:start + points.size] = _pairwise_over_rows(np.stack(partials))

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import __version__
 from .configspace import Backend, _require_capacity
-from .errors import CapacityError, ParameterError, UsageError
+from .errors import ParameterError, UsageError
 from .model import (BathParams, Boundary, SystemParams, Thermal, TwoQubitParams,
                     pure_state, require_uniform)
 from .numerics import RNG_ALGORITHM, RandomSpec, gaussian_draw
-from .oracle import DIMENSION_CAP, build_hamiltonian, evolve_and_reduce, initial_state
+from .oracle import build_hamiltonian, evolve_and_reduce, initial_state, require_dimension
 from .single_qubit import bloch_trajectory
 from .two_qubit import bell_state, concurrence, density_trajectory, product_state
 
@@ -172,13 +172,14 @@ class ExperimentConfig:
         if self.state_kind == "product":
             return product_state()
         if self.state_kind == "amplitudes":
-            raw = self.state_params
-            vec = np.array([complex(raw[2 * i], raw[2 * i + 1])
-                            for i in range(len(raw) // 2)])
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
+            # (re, im) pairs, scaled by the largest part so the norm neither
+            # overflows nor underflows
+            parts = np.array(self.state_params, dtype=float)
+            largest = np.abs(parts).max()
+            if largest == 0.0:
                 raise UsageError("state.amplitudes must not all be zero")
-            return pure_state(vec / norm)
+            vec = (parts / largest).view(complex)
+            return pure_state(vec / np.linalg.norm(vec))
         raise UsageError(f"unknown state kind {self.state_kind!r}")
 
     def thermal(self) -> Thermal:
@@ -564,11 +565,7 @@ def oracle_check(config: ExperimentConfig, n_override: int,
     """
     if n_override < 1:
         raise UsageError(f"oracle bath size must be >= 1, got {n_override}")
-    n_system = 1 if config.mode == "single" else 2
-    if (1 << (n_system + n_override)) > DIMENSION_CAP:
-        raise CapacityError(
-            f"oracle dimension 2^{n_system + n_override} exceeds the cap {DIMENSION_CAP}"
-        )
+    require_dimension(1 if config.mode == "single" else 2, n_override)
     small = replace(config, bath=config.bath.resized(n_override))
     bath = small.bath.materialize()
     th = small.thermal()

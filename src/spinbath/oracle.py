@@ -6,12 +6,16 @@ eigendecomposition, and partial-trace the bath away. No per-pattern
 structure is exploited, which is the point; the fast modules must agree
 with this one to be believed.
 
-Evolution and partial trace run in the joint eigenbasis H = V diag(E) V^dagger:
+The Hamiltonian is built directly on basis indices: each sigma_z term is a
+diagonal of +-1 values read off one bit, and each 0.5 delta sigma_x term
+links every index to the index with that factor's bit flipped. Evolution
+and partial trace run in the joint eigenbasis H = V diag(E) V^dagger:
 
     rho_S(t) = Tr_B[V exp(-iEt) (V^dagger rho0 V) exp(iEt) V^dagger],
 
-so V^dagger rho0 V and the partial-trace kernel are formed once and every
-time point of a grid costs only phase products (see evolve_and_reduce).
+so V^dagger rho0 V and the partial-trace kernel are formed once, in chunks
+no larger than V, and every time point of a grid costs only phase products
+(see evolve_and_reduce).
 
 Tensor ordering (the single convention every module cites): factors are
 ordered [system qubit 1, (system qubit 2,)] then bath sites 1..N, most
@@ -24,19 +28,16 @@ that mask with its N bits reversed. Bit value 1 is spin down in both.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, NumericError, ParameterError
 from .model import BathParams, SystemParams, TwoQubitParams, pure_state
-from .numerics import SIGMA_X, hermitian_eig
+from .numerics import hermitian_eig
 
-# a two-series check at the cap takes about 7 minutes and 1.6 GB (README)
+# a two-series check at the cap takes at most 4 minutes and 2 GB (README)
 DIMENSION_CAP = 2 ** 12
-# complex elements per chunk of the partial-trace kernel in evolve_and_reduce
-KERNEL_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -88,44 +89,47 @@ def _bath_fields(bath: BathParams) -> tuple[np.ndarray, np.ndarray]:
     return diag, field
 
 
-def _embed_sigma_x(total_qubits: int, factor: int) -> np.ndarray:
-    left = np.eye(1 << factor, dtype=complex)
-    right = np.eye(1 << (total_qubits - factor - 1), dtype=complex)
-    return np.kron(np.kron(left, SIGMA_X), right)
+def require_dimension(n_system: int, n_bath: int) -> None:
+    """Raise unless the joint space of n_system qubits and n_bath bath spins
+    fits under DIMENSION_CAP."""
+    # compared on exponents, so a huge n_bath never builds a huge integer
+    largest = DIMENSION_CAP.bit_length() - 1 - n_system
+    if n_bath > largest:
+        raise CapacityError(
+            f"oracle dimension 2^{n_system + n_bath} exceeds the cap {DIMENSION_CAP}; "
+            f"reduce the bath below {largest + 1} spins"
+        )
+
+
+def _qubits(sys) -> tuple[tuple[tuple[float, float], ...], float]:
+    """Per-qubit (splitting, tunneling) pairs and the pair coupling, 0 for
+    one qubit."""
+    if isinstance(sys, SystemParams):
+        return ((sys.epsilon, sys.delta),), 0.0
+    if isinstance(sys, TwoQubitParams):
+        return ((sys.eps1, sys.delta1), (sys.eps2, sys.delta2)), sys.lam
+    raise ParameterError(f"expected SystemParams or TwoQubitParams, got {type(sys)!r}")
 
 
 def build_hamiltonian(sys, bath: BathParams) -> FullHamiltonian:
     """Joint Hamiltonian for one central qubit (SystemParams) or a coupled
     pair (TwoQubitParams) plus the bath."""
-    if isinstance(sys, SystemParams):
-        n_system = 1
-    elif isinstance(sys, TwoQubitParams):
-        n_system = 2
-    else:
-        raise ParameterError(f"expected SystemParams or TwoQubitParams, got {type(sys)!r}")
+    qubits, lam = _qubits(sys)
+    n_system = len(qubits)
+    require_dimension(n_system, bath.n_spins)
     total = n_system + bath.n_spins
-    if (1 << total) > DIMENSION_CAP:
-        raise CapacityError(
-            f"oracle dimension 2^{total} exceeds the cap {DIMENSION_CAP}; "
-            f"reduce the bath below {int(math.log2(DIMENSION_CAP)) - n_system + 1} spins"
-        )
     # system factors are the most significant bits, so each joint-space
     # array is its bath-only array once per system basis state
     bath_diagonal, field = _bath_fields(bath)
+    z = [_z_values(total, q) for q in range(n_system)]
     diag = np.tile(bath_diagonal, 1 << n_system)
-    coupling_field = np.tile(field, 1 << n_system)
-    z0 = _z_values(total, 0)
-    if n_system == 1:
-        diag += 0.5 * sys.epsilon * z0 + 0.5 * z0 * coupling_field
-        matrix = np.diag(diag.astype(complex))
-        matrix += 0.5 * sys.delta * _embed_sigma_x(total, 0)
-    else:
-        z1 = _z_values(total, 1)
-        diag += (0.5 * sys.eps1 * z0 + 0.5 * sys.eps2 * z1 + sys.lam * z0 * z1
-                 + 0.5 * (z0 + z1) * coupling_field)
-        matrix = np.diag(diag.astype(complex))
-        matrix += 0.5 * sys.delta1 * _embed_sigma_x(total, 0)
-        matrix += 0.5 * sys.delta2 * _embed_sigma_x(total, 1)
+    diag += (sum(0.5 * eps * zq for (eps, _), zq in zip(qubits, z)) + lam * np.prod(z, axis=0)
+             + 0.5 * sum(z) * np.tile(field, 1 << n_system))
+    matrix = np.diag(diag.astype(complex))
+    # 0.5 delta sigma_x links each index to the one with qubit q's bit flipped
+    index = np.arange(1 << total)
+    for q, (_, delta) in enumerate(qubits):
+        matrix[index ^ (1 << (total - 1 - q)), index] = 0.5 * delta
     energies, vectors = hermitian_eig(matrix)
     for array in (matrix, energies, vectors):
         array.setflags(write=False)
@@ -158,8 +162,8 @@ def initial_state(h: FullHamiltonian, th, psi, correlated: bool) -> np.ndarray:
         return np.kron(projector, np.diag(bath_weights / partition).astype(complex))
     weights = np.exp(-th.beta * (h.energies - h.energies.min()))
     thermal = (h.vectors * weights) @ h.vectors.conj().T
-    embed = np.kron(psi.reshape(-1, 1), np.eye(h.bath_dim, dtype=complex))
-    bath_block = embed.conj().T @ thermal @ embed
+    ds, db = h.system_dim, h.bath_dim
+    bath_block = np.einsum("i,ibjc,j->bc", psi.conj(), thermal.reshape(ds, db, ds, db), psi)
     partition = float(np.trace(bath_block).real)
     if not partition > 0.0:
         raise NumericError("correlated partition function underflowed to zero")
@@ -183,9 +187,9 @@ def evolve_and_reduce(h: FullHamiltonian, rho0: np.ndarray,
 
         rho_S(t)_ij = sum_{a,c} exp(-i (E_a - E_c) t) R_ac K_iajc.
 
-    K is built KERNEL_ELEMENTS at a time, in chunks of eigenvector indices
-    a; each chunk is one GEMM over the bath index, a product with R, one
-    GEMM against the phases exp(i E_c t) and one contraction with
+    K is built in chunks of D // ds^2 eigenvector indices a, so no chunk is
+    larger than V; each chunk is one GEMM over the bath index, a product with
+    R, one GEMM against the phases exp(i E_c t) and one contraction with
     exp(-i E_a t). Chunks add in a fixed order, so reruns are bit-identical.
     Grids longer than the joint dimension D go in blocks of D times, each
     building K again, so the D x T phase matrix never outgrows V.
@@ -210,7 +214,7 @@ def evolve_and_reduce(h: FullHamiltonian, rho0: np.ndarray,
     split = vectors.reshape(ds, db, dim)
     right = split.transpose(1, 0, 2).reshape(db, ds * dim)
     np.conjugate(right, out=right)
-    chunk = max(1, KERNEL_ELEMENTS // (ds * ds * dim))
+    chunk = max(1, dim // (ds * ds))
     grid = np.atleast_1d(times)
     out = np.zeros((grid.size, ds, ds), dtype=complex)
     for first in range(0, grid.size, dim):

@@ -99,6 +99,14 @@ class TestRun:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: state.theta must be finite")
 
+    @pytest.mark.parametrize("amplitudes", ["1e308,0,1e308,0,0,0,0,0", "1e-320,0,0,0,0,0,0,0"],
+                             ids=["huge", "subnormal"])
+    def test_extreme_amplitudes_run(self, tmp_path, amplitudes):
+        config = tmp_path / "pair.ini"
+        config.write_text(TINY_PAIR + f"state.amplitudes = {amplitudes}\n")
+        proc = run_cli("run", "--config", str(config))
+        assert proc.returncode == 0 and proc.stderr == ""
+
     @pytest.mark.parametrize("text, message", [
         (TINY_SINGLE.replace("grid.n_points = 5", "grid.n_points = 10000000000000"),
          "error: grid.n_points must be in [2, 1000000]"),

@@ -24,6 +24,7 @@ from spinbath.model import Boundary, SystemParams
 from spinbath.numerics import RNG_ALGORITHM
 from spinbath.single_qubit import bloch_trajectory
 from spinbath.two_qubit import TwoQubitParams, density_trajectory
+from test_oracle import refusal
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -214,6 +215,18 @@ class TestConfigParsing:
         }
         psi = config_from_keys(keys).state_vector()
         assert np.allclose(psi, [2 ** -0.5, 0.0, 0.0, 2 ** -0.5])
+
+    @pytest.mark.parametrize("extreme, plain", [("1e308,0,1e308,0,0,0,0,0", "1,0,1,0,0,0,0,0"),
+                                                ("1e-320,0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0")],
+                             ids=["huge", "subnormal"])
+    def test_extreme_amplitudes_are_normalized(self, extreme, plain):
+        psi = [config_from_keys({**pair_keys(), "state.amplitudes": amplitudes}).state_vector()
+               for amplitudes in (extreme, plain)]
+        assert np.array_equal(psi[0], psi[1])
+
+    def test_zero_amplitudes_are_refused(self):
+        with pytest.raises(UsageError, match="must not all be zero"):
+            config_from_keys({**pair_keys(), "state.amplitudes": "0,0,0,0,0,0,0,0"}).state_vector()
 
     def test_amplitudes_need_eight_numbers(self):
         keys = single_keys()
@@ -523,17 +536,16 @@ class TestOracleCheck:
         with pytest.raises(CapacityError):
             oracle_check(config, n_override=20)
 
-    # one spin over README's limits (N <= 11 for one qubit, N <= 10 for a pair)
-    @pytest.mark.parametrize("keys, n_spins", [(single_keys(), 12), (pair_keys(), 11)],
+    @pytest.mark.parametrize("keys, limit", [(single_keys(), 11), (pair_keys(), 10)],
                              ids=["single", "pair"])
-    def test_one_spin_over_the_limit_is_refused_first(self, monkeypatch, keys, n_spins):
+    def test_one_spin_over_the_limit_is_refused_first(self, monkeypatch, keys, limit):
         def refuse(*args):
             raise AssertionError("work started")
 
         for name in ("bloch_trajectory", "density_trajectory", "build_hamiltonian"):
             monkeypatch.setattr(experiments, name, refuse)
-        with pytest.raises(CapacityError, match=r"2\^13 exceeds"):
-            oracle_check(config_from_keys(keys), n_override=n_spins)
+        with pytest.raises(CapacityError, match=refusal(limit)):
+            oracle_check(config_from_keys(keys), n_override=limit + 1)
 
     def test_report_lines_mention_verdict(self):
         config = config_from_keys(single_keys())

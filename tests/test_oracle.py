@@ -1,5 +1,9 @@
 """Brute-force reference: dense Hamiltonians, thermal states, partial trace."""
 
+import re
+from functools import reduce
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,14 +36,69 @@ def textbook_reduce(h, rho0, t):
     return np.einsum("ibjb->ij", evolved.reshape(ds, db, ds, db))
 
 
+def one_shot_reduce(h, rho0, times):
+    """rho_S(t)_ij = sum_{a,c} exp(-i (E_a - E_c) t) R_ac K_iajc with the whole
+    partial-trace kernel K formed at once."""
+    ds, db = h.system_dim, h.bath_dim
+    split = h.vectors.reshape(ds, db, ds * db)
+    kernel = np.einsum("iba,jbc->iajc", split, split.conj())
+    r = h.vectors.conj().T @ rho0 @ h.vectors
+    phases = np.exp(-1j * np.outer(times, h.energies))
+    return np.einsum("ta,tc,ac,iajc->tij", phases, phases.conj(), r, kernel, optimize=True)
+
+
+def kron_hamiltonian(qubits, lam, bath):
+    """The joint Hamiltonian from Kronecker products of Pauli matrices:
+    qubits holds each system qubit's (splitting, tunneling), lam the pair
+    coupling; factors are ordered system first, then bath sites 1..N."""
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sigma_z = np.diag([1.0, -1.0])
+    total = len(qubits) + bath.n_spins
+
+    def embed(op, factor):
+        return reduce(np.kron, [op if k == factor else np.eye(2) for k in range(total)])
+
+    z = [embed(sigma_z, k) for k in range(total)]
+    bath_z = z[len(qubits):]
+    h = sum(0.5 * eps * z[q] + 0.5 * delta * embed(sigma_x, q)
+            for q, (eps, delta) in enumerate(qubits))
+    if len(qubits) == 2:
+        h = h + lam * z[0] @ z[1]
+    for i in range(bath.n_spins):
+        h = h + 0.5 * bath.eps_i[i] * bath_z[i]
+        h = h + sum(0.5 * bath.g_i[i] * z[q] @ bath_z[i] for q in range(len(qubits)))
+    for i, chi in enumerate(bath.chi_i):
+        h = h + chi * bath_z[i] @ bath_z[(i + 1) % bath.n_spins]
+    return h
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 PAIR = TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0, lam=3.0)
 TIMES = np.linspace(0.0, 6.0, 13)
+
+
+def refusal(limit):
+    """The one message that refuses a bath of limit + 1 spins, one over the
+    largest bath the oracle takes."""
+    return re.escape("oracle dimension 2^13 exceeds the cap 4096; "
+                     f"reduce the bath below {limit + 1} spins")
 
 
 class TestBuildHamiltonian:
     def test_hermitian(self):
         h = build_hamiltonian(small_system(), small_bath())
         assert np.abs(h.matrix - h.matrix.conj().T).max() == 0.0
+
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_matches_kronecker_construction(self, pair, boundary):
+        system = PAIR if pair else small_system()
+        qubits, lam = ((((PAIR.eps1, PAIR.delta1), (PAIR.eps2, PAIR.delta2)), PAIR.lam) if pair
+                       else (((system.epsilon, system.delta),), 0.0))
+        for seed in range(3):
+            bath = small_bath(3, seed=20 + seed, boundary=boundary)
+            h = build_hamiltonian(system, bath)
+            assert np.abs(h.matrix - kron_hamiltonian(qubits, lam, bath)).max() < 1e-13
 
     def test_diagonalizes_once(self, monkeypatch):
         h = build_hamiltonian(small_system(), small_bath())
@@ -67,7 +126,18 @@ class TestBuildHamiltonian:
         with pytest.raises(CapacityError):
             build_hamiltonian(small_system(), bath)
 
-    # README's limits: N <= 11 for one qubit, N <= 10 for a pair
+    def test_huge_bath_is_refused_at_once(self):
+        with pytest.raises(CapacityError, match=r"2\^1000000000001 exceeds"):
+            oracle.require_dimension(1, 10 ** 12)
+
+    def test_readme_states_the_cap(self):
+        text = " ".join(README.read_text().split())
+        exponent = re.search(r"`DIMENSION_CAP` = 2\^(\d+)", text).group(1)
+        single, pair = re.search(r"N <= (\d+) spins for one qubit and N <= (\d+) for a pair",
+                                 text).groups()
+        assert 1 << int(exponent) == DIMENSION_CAP
+        assert (1 << (1 + int(single)), 1 << (2 + int(pair))) == (DIMENSION_CAP, DIMENSION_CAP)
+
     @pytest.mark.parametrize("system, limit", [(small_system(), 11), (PAIR, 10)],
                              ids=["single", "pair"])
     def test_one_spin_over_the_limit_is_refused_before_building(self, monkeypatch,
@@ -76,7 +146,7 @@ class TestBuildHamiltonian:
             raise AssertionError("Hamiltonian built")
 
         monkeypatch.setattr(oracle, "_bath_fields", build)
-        with pytest.raises(CapacityError, match=f"below {limit + 1} spins"):
+        with pytest.raises(CapacityError, match=refusal(limit)):
             build_hamiltonian(system, BathParams.uniform(limit + 1, 1.0, 1.0, 0.0))
         with pytest.raises(AssertionError, match="Hamiltonian built"):
             build_hamiltonian(system, BathParams.uniform(limit, 1.0, 1.0, 0.0))
@@ -219,16 +289,13 @@ class TestBatchedTimes:
             assert np.abs(single - batched[i]).max() < 1e-14
 
     @pytest.mark.parametrize("pair", [False, True])
-    def test_chunk_size_does_not_matter(self, pair, monkeypatch):
+    def test_chunk_size_does_not_matter(self, pair):
+        # several kernel chunks against the whole kernel at once
         h = build_hamiltonian(PAIR if pair else small_system(), small_bath(4, seed=13))
         psi = pure_state(np.full(h.system_dim, h.system_dim ** -0.5))
         rho0 = initial_state(h, Thermal(1.5), psi, correlated=True)
-        reference = evolve_and_reduce(h, rho0, TIMES)
-        kernel_size = h.system_dim ** 2 * h.matrix.shape[0] ** 2
-        # one eigenvector index per chunk, then the whole kernel in one chunk
-        for elements in (1, kernel_size, 4 * kernel_size):
-            monkeypatch.setattr(oracle, "KERNEL_ELEMENTS", elements)
-            assert np.abs(evolve_and_reduce(h, rho0, TIMES) - reference).max() < 1e-13
+        chunked = evolve_and_reduce(h, rho0, TIMES)
+        assert np.abs(chunked - one_shot_reduce(h, rho0, TIMES)).max() < 1e-13
 
     def test_time_blocks_do_not_matter(self):
         # more times than the joint dimension take several time blocks
