@@ -139,12 +139,15 @@ def build_hamiltonian(sys, bath: BathParams) -> FullHamiltonian:
 
 
 def initial_state(h: FullHamiltonian, th, psi, correlated: bool) -> np.ndarray:
-    """Joint initial density matrix.
+    """Joint initial density matrix |psi><psi| (x) B / Tr B.
 
-    Uncorrelated: |psi><psi| (x) thermal bath. Correlated: the system block
-    of the jointly thermalized state selected by projecting the system onto
-    psi, then renormalized. Thermal exponentials are spectrally shifted so
-    large beta never underflows the whole weight vector.
+    Uncorrelated: B holds the bath's thermal weights, diagonal in the z
+    basis. Correlated: B is the block of the jointly thermalized state that
+    projecting the system onto psi selects, P diag(w) P^dagger with
+    P = (psi^dagger (x) I) V and w the thermal weights of the joint energies,
+    so the whole thermal state is never formed. Thermal exponentials are
+    spectrally shifted so large beta never underflows the whole weight
+    vector.
     """
     psi = pure_state(psi)
     if psi.shape != (h.system_dim,):
@@ -152,22 +155,17 @@ def initial_state(h: FullHamiltonian, th, psi, correlated: bool) -> np.ndarray:
             f"state has {psi.shape[0] if psi.ndim else 0} amplitudes, "
             f"expected {h.system_dim}"
         )
-    projector = np.outer(psi, psi.conj())
-    if not correlated:
-        shifted = -th.beta * (h.bath_diagonal - h.bath_diagonal.min())
-        bath_weights = np.exp(shifted)
-        partition = float(bath_weights.sum())
-        if not partition > 0.0:
-            raise NumericError("bath partition function underflowed to zero")
-        return np.kron(projector, np.diag(bath_weights / partition).astype(complex))
-    weights = np.exp(-th.beta * (h.energies - h.energies.min()))
-    thermal = (h.vectors * weights) @ h.vectors.conj().T
-    ds, db = h.system_dim, h.bath_dim
-    bath_block = np.einsum("i,ibjc,j->bc", psi.conj(), thermal.reshape(ds, db, ds, db), psi)
-    partition = float(np.trace(bath_block).real)
+    if correlated:
+        projected = np.tensordot(psi.conj(), h.vectors.reshape(h.system_dim, h.bath_dim, -1), 1)
+        weights = np.exp(-th.beta * (h.energies - h.energies.min()))
+        block = (projected * weights) @ projected.conj().T
+    else:
+        block = np.diag(np.exp(-th.beta * (h.bath_diagonal - h.bath_diagonal.min())))
+    partition = float(np.trace(block).real)
     if not partition > 0.0:
-        raise NumericError("correlated partition function underflowed to zero")
-    return np.kron(projector, bath_block / partition)
+        raise NumericError(f"{'correlated' if correlated else 'bath'} partition function "
+                           "underflowed to zero")
+    return np.kron(np.outer(psi, psi.conj()), block / partition)
 
 
 def _as_array(name: str, value, dtype) -> np.ndarray:

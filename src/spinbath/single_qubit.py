@@ -3,26 +3,25 @@
 Because the bath couples through sigma_z only, the qubit evolves under a
 different 2x2 Hamiltonian for each bath pattern, and the reduced state is the
 thermally weighted mixture of those conditional evolutions. On the Bloch
-sphere the mixture is a linear map: p(t) = S(t) p(0) / Z, where S sums a 3x3
-rotation-like kernel over the patterns' distinct coupling fields, each with
-its patterns' summed weight, and Z sums the weights. A correlated
-preparation (system projected out of a jointly thermalized state) only
-changes the weights, multiplying each by the field's correlation factor.
+sphere each conditional evolution rotates the prepared Bloch vector p0, so
+p(t) = p0 + sum_b W_b d_b(t) / Z, where d_b is p0's displacement under the
+rotation for coupling field b, W_b sums the weights of b's patterns and Z
+sums all the weights. A correlated preparation (system projected out of a
+jointly thermalized state) only changes the weights, multiplying each by the
+field's correlation factor.
 
-Entry kernel, per field, with c = cos(2*rabi*t), s = sin(2*rabi*t) and the
-unit direction (u, v) = (splitting, delta)/(2*rabi):
+Per field the rotation is by the angle 2*rabi*t about the unit axis
+n = (v, 0, u), with (u, v) = (splitting, delta)/(2*rabi). By Rodrigues'
+formula the displacement is
 
-        [ c + v^2 (1-c)    -u s       u v (1-c) ]
-        [     u s            c          -v s    ]
-        [ u v (1-c)          v s     c + u^2 (1-c) ]
+        d(t) = (n x p0) sin(2 rabi t) - (p0 - n (n . p0)) (1 - cos(2 rabi t)),
 
-u^2 + v^2 = 1, so every entry stays bounded; rabi == 0 degenerates to the
-identity map with no special casing beyond u = v = 0.
+which is bounded by 2|p0| and exactly 0 at t = 0, so the prepared state
+comes back bit for bit; rabi == 0 leaves p0 in place through n = 0 with no
+special casing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,19 +31,6 @@ from .model import (BathParams, SystemParams, Thermal, bloch_components,
                     class_quantities, class_sums, config_quantities,
                     log_correlation_factor, log_thermal_weight, pure_state,
                     require_uniform)
-
-
-@dataclass(frozen=True)
-class BlochPropagator:
-    """Normalized Bloch map at one time, and the log of the partition-style
-    weight sum it was normalized by (in log space, so it never overflows at
-    large beta*N)."""
-
-    matrix: np.ndarray
-    log_partition: float
-
-    def apply(self, p) -> np.ndarray:
-        return self.matrix @ np.asarray(p, dtype=float)
 
 
 # overflowing parameters surface as a named ParameterError, not as warnings
@@ -79,47 +65,6 @@ def _qubit_fields(sys: SystemParams, bath: BathParams, th: Thermal,
     return splitting, rabi, series_log_weights(log_weight, log_factor, correlated)
 
 
-def _bloch_maps(sys: SystemParams, bath: BathParams, th: Thermal, backend: Backend,
-                psi, correlated: tuple[bool, ...], times):
-    """Normalized Bloch maps (S, T, 3, 3) and log partitions (S,)."""
-    splitting, rabi, log_weight = _qubit_fields(sys, bath, th, backend, psi, correlated)
-    # unit direction (u, v); rabi == 0 forces splitting == delta == 0, where
-    # the conditional Hamiltonian vanishes and any direction works
-    u = np.divide(splitting, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
-    v = np.divide(sys.delta, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
-
-    def term(rows, t):
-        ur, vr = u[rows, None], v[rows, None]
-        cos2 = np.cos(2.0 * rabi[rows, None] * t)
-        sin2 = np.sin(2.0 * rabi[rows, None] * t)
-        rem = 1.0 - cos2
-        return np.stack((cos2 + vr * vr * rem, -ur * sin2, ur * vr * rem,
-                         ur * sin2, cos2, -vr * sin2,
-                         ur * vr * rem, vr * sin2, cos2 + ur * ur * rem), axis=-1)
-
-    maps, log_partition = reduce_weighted(term, log_weight, times, 9)
-    return maps.reshape(*maps.shape[:2], 3, 3), log_partition
-
-
-def _propagator(sys, bath, th, backend, psi, correlated, t) -> BlochPropagator:
-    maps, log_partition = _bloch_maps(sys, bath, th, backend, psi, (correlated,), [t])
-    return BlochPropagator(matrix=maps[0, 0], log_partition=float(log_partition[0]))
-
-
-def propagator_uncorrelated(sys: SystemParams, bath: BathParams, th: Thermal,
-                            backend: Backend, t: float) -> BlochPropagator:
-    """Bloch map at time t for a product (independently thermal) preparation."""
-    return _propagator(sys, bath, th, backend, None, False, t)
-
-
-def propagator_correlated(sys: SystemParams, bath: BathParams, th: Thermal,
-                          backend: Backend, psi, t: float) -> BlochPropagator:
-    """Bloch map at time t for a jointly thermalized, projectively prepared
-    state. psi is both the prepared qubit state and the state whose pattern
-    weights the map carries."""
-    return _propagator(sys, bath, th, backend, pure_state(psi), True, t)
-
-
 def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
                      backend: Backend, psi, times,
                      correlated: tuple[bool, ...]) -> np.ndarray:
@@ -127,8 +72,22 @@ def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
     read-only (S, T, 3) array: one series per flag of correlated, False for a
     product preparation and True for a correlated one, all from one sweep."""
     psi = pure_state(psi)
-    px, py, pz = bloch_components(psi)
-    m, _ = _bloch_maps(sys, bath, th, backend, psi, correlated, times)
-    p = m[..., 0] * px + m[..., 1] * py + m[..., 2] * pz
+    p0 = np.array(bloch_components(psi))
+    splitting, rabi, log_weight = _qubit_fields(sys, bath, th, backend, psi, correlated)
+    # rabi == 0 forces splitting == delta == 0, where the conditional
+    # Hamiltonian vanishes and the zero axis leaves p0 in place
+    u = np.divide(splitting, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
+    v = np.divide(sys.delta, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
+
+    def term(rows, t):
+        # block by block, so nothing field-sized is held beyond u and v
+        axis = np.stack((v[rows], np.zeros_like(v[rows]), u[rows]), axis=-1)
+        normal = np.cross(axis, p0)[:, None]
+        in_plane = (p0 - axis * (v[rows] * p0[0] + u[rows] * p0[2])[:, None])[:, None]
+        angle = 2.0 * rabi[rows, None, None] * t[:, None]
+        return normal * np.sin(angle) - in_plane * (1.0 - np.cos(angle))
+
+    displacement, _ = reduce_weighted(term, log_weight, times, 3)
+    p = p0 + displacement
     p.setflags(write=False)
     return p

@@ -7,7 +7,6 @@ thresholds in criterion 5 were frozen from the first verified build of this
 package and act as regression anchors.
 """
 
-import math
 import time
 
 import numpy as np
@@ -18,8 +17,7 @@ from spinbath.configspace import Backend
 from spinbath.experiments import list_presets, preset, run
 from spinbath.model import BathParams, SystemParams, Thermal, pure_state
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
-from spinbath.single_qubit import (bloch_trajectory, propagator_correlated,
-                                   propagator_uncorrelated)
+from spinbath.single_qubit import _qubit_fields, bloch_trajectory
 from spinbath.two_qubit import (TwoQubitParams, bell_state, concurrence,
                                 density_trajectory, product_state)
 
@@ -155,17 +153,21 @@ class TestCriterion4:
         psi = pure_state([2 ** -0.5, 2 ** -0.5])
         enum = Backend.ENUMERATE
         coll = Backend.COLLAPSE
+        times = np.array([0.0, 0.7, 2.3, 5.9, 10.0])
         worst = 0.0
-        for t in (0.0, 0.7, 2.3, 5.9, 10.0):
-            for build in (
-                lambda backend, t=t: propagator_uncorrelated(sys1, bath, th, backend, t),
-                lambda backend, t=t: propagator_correlated(sys1, bath, th, backend, psi, t),
-            ):
-                a, b = build(enum), build(coll)
-                # normalized entries are O(1), so the absolute gap between
-                # them is a relative measure of the raw sums
-                worst = max(worst, float(np.abs(a.matrix - b.matrix).max()))
-                worst = max(worst, abs(math.expm1(a.log_partition - b.log_partition)))
+        # along +z, +x and +y, so the uncorrelated series are the columns of
+        # the normalized Bloch map
+        for prepared in ([1.0, 0.0], [2 ** -0.5, 2 ** -0.5], [2 ** -0.5, 1j * 2 ** -0.5]):
+            axis = pure_state(prepared)
+            a, b = (bloch_trajectory(sys1, bath, th, backend, axis, times, (False, True))
+                    for backend in (enum, coll))
+            # Bloch components are O(1), so the absolute gap between them is
+            # a relative measure of the raw sums
+            worst = max(worst, float(np.abs(a - b).max()))
+            a, b = (np.logaddexp.reduce(_qubit_fields(sys1, bath, th, backend, axis,
+                                                      (False, True))[2], axis=0)
+                    for backend in (enum, coll))
+            worst = max(worst, float(np.abs(np.expm1(a - b)).max()))
         big = BathParams.uniform(50, 1.0, 1.0, 0.1)
         start = time.perf_counter()
         points, = bloch_trajectory(sys1, big, th, coll, psi,

@@ -5,6 +5,7 @@ import io
 import math
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +526,13 @@ class TestOracleCheck:
                            config.state_vector(), config.grid.times(), flags)
                 for backend in Backend)
             assert np.abs(enumerated - collapsed).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["fig4", "fig13"])
+    def test_passes_at_long_times(self, name):
+        # both paths lose about eps |E| t to rounding; README states the limit
+        config = preset(name)
+        config = replace(config, grid=replace(config.grid, t_end=1e5, n_points=40))
+        assert oracle_check(config, 3).passed
 
     def test_corrupted_weights_trip_the_check(self):
         config = config_from_keys(single_keys())

@@ -207,6 +207,19 @@ class TestInitialState:
         marginal = np.einsum("ibjb->ij", rho.reshape(ds, db, ds, db))
         assert np.abs(marginal - np.outer(psi, psi.conj())).max() < 1e-12
 
+    @pytest.mark.parametrize("pair", [False, True], ids=["qubit", "pair"])
+    def test_correlated_matches_whole_thermal_state(self, pair):
+        # the psi-projected system block of the whole joint thermal state
+        sys, psi = (PAIR, bell_state()) if pair else (small_system(), pure_state([0.6, 0.8j]))
+        h = build_hamiltonian(sys, small_bath(3, seed=5))
+        th = Thermal(1.9)
+        weights = np.exp(-th.beta * (h.energies - h.energies.min()))
+        thermal = (h.vectors * weights) @ h.vectors.conj().T
+        ds, db = h.system_dim, h.bath_dim
+        block = np.einsum("i,ibjc,j->bc", psi.conj(), thermal.reshape(ds, db, ds, db), psi)
+        expected = np.kron(np.outer(psi, psi.conj()), block / np.trace(block).real)
+        assert np.abs(initial_state(h, th, psi, correlated=True) - expected).max() < 1e-15
+
     def test_beta_zero_correlated_equals_uncorrelated(self):
         bath = small_bath(3, seed=6)
         h = build_hamiltonian(small_system(), bath)

@@ -1,4 +1,4 @@
-"""Single-qubit weighted propagators and trajectories."""
+"""Single-qubit weighted trajectories."""
 
 import math
 
@@ -14,11 +14,12 @@ from spinbath.model import (BathParams, Boundary, SystemParams, Thermal, bloch_c
                             class_quantities, log_correlation_factor, pure_state)
 from spinbath.numerics import hermitian_eig
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
-from spinbath.single_qubit import (bloch_trajectory, propagator_correlated,
-                                   propagator_uncorrelated)
+from spinbath.single_qubit import _qubit_fields, bloch_trajectory
 from spinbath.two_qubit import TwoQubitParams, bell_state, density_trajectory
 
 PLUS_X = pure_state([2 ** -0.5, 2 ** -0.5])
+# prepared along +x, +y and +z
+AXIS_STATES = (PLUS_X, pure_state([2 ** -0.5, 1j * 2 ** -0.5]), pure_state([1.0, 0.0]))
 
 
 def random_inputs(seed, n=4):
@@ -39,59 +40,48 @@ def bloch_of_density(rho):
 
 class TestPropagatorStructure:
     def test_identity_at_zero_time(self):
-        sys1, bath, psi = random_inputs(17)
+        # at t = 0 every rotation is the identity, so each axis preparation
+        # comes back bit for bit in both series
+        sys1, bath, _ = random_inputs(17)
         th = Thermal(1.4)
-        backend = Backend.ENUMERATE
-        for prop in (propagator_uncorrelated(sys1, bath, th, backend, 0.0),
-                     propagator_correlated(sys1, bath, th, backend, psi, 0.0)):
-            assert np.array_equal(prop.matrix, np.eye(3))
-            assert not prop.matrix.flags.writeable
+        for psi in AXIS_STATES:
+            points = bloch_trajectory(sys1, bath, th, Backend.ENUMERATE, psi,
+                                      np.array([0.0]), (False, True))
+            assert np.array_equal(points, np.broadcast_to(bloch_components(psi), (2, 1, 3)))
+            assert not points.flags.writeable
 
     def test_normalizer_positive(self):
-        # the partition is kept as its log, finite even where exp() of it
-        # would overflow or underflow
+        # each series' weights are kept as logs, so their sum stays finite
+        # even where exp() of it would overflow or underflow
         sys1, bath, psi = random_inputs(23)
         for beta in (2.0, 2000.0):
-            prop = propagator_correlated(sys1, bath, Thermal(beta), Backend.ENUMERATE, psi, 1.3)
-            assert math.isfinite(prop.log_partition)
+            th = Thermal(beta)
+            points = bloch_trajectory(sys1, bath, th, Backend.ENUMERATE, psi,
+                                      np.array([1.3]), (False, True))
+            assert np.all(np.isfinite(points))
+            *_, log_weight = _qubit_fields(sys1, bath, th, Backend.ENUMERATE, psi,
+                                           (False, True))
+            assert np.all(np.isfinite(np.logaddexp.reduce(log_weight, axis=0)))
 
     def test_uncorrelated_normalizer_is_bath_partition(self):
         # sum of thermal weights equals the brute-force bath trace
-        sys1, bath, _ = random_inputs(31)
+        sys1, bath, psi = random_inputs(31)
         th = Thermal(1.7)
-        prop = propagator_uncorrelated(sys1, bath, th, Backend.ENUMERATE, 0.9)
-        partition = math.exp(prop.log_partition)
+        *_, log_weight = _qubit_fields(sys1, bath, th, Backend.ENUMERATE, psi, (False,))
+        partition = math.exp(np.logaddexp.reduce(log_weight[:, 0]))
         h = build_hamiltonian(sys1, bath)
         expected = float(np.exp(-th.beta * h.bath_diagonal).sum())
         assert partition == pytest.approx(expected, rel=1e-12)
-
-    @given(st.integers(min_value=0, max_value=10_000),
-           st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
-           st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-           st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_antisymmetry_pattern(self, seed, t, beta, correlated):
-        # off-diagonal blocks: s_xy = -s_yx, s_yz = -s_zy, s_xz = +s_zx
-        sys1, bath, psi = random_inputs(seed)
-        th = Thermal(beta)
-        if correlated:
-            prop = propagator_correlated(sys1, bath, th, Backend.ENUMERATE, psi, t)
-        else:
-            prop = propagator_uncorrelated(sys1, bath, th, Backend.ENUMERATE, t)
-        m = prop.matrix
-        assert m[0, 1] == pytest.approx(-m[1, 0], abs=1e-12)
-        assert m[1, 2] == pytest.approx(-m[2, 1], abs=1e-12)
-        assert m[0, 2] == pytest.approx(m[2, 0], abs=1e-12)
-        assert m[1, 1] == pytest.approx(np.trace(m) - m[0, 0] - m[2, 2], abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.floats(min_value=0.0, max_value=12.0, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_map_never_expands_bloch_vectors(self, seed, t):
         sys1, bath, psi = random_inputs(seed)
-        prop = propagator_correlated(sys1, bath, Thermal(1.1), Backend.ENUMERATE, psi, t)
+        points = bloch_trajectory(sys1, bath, Thermal(1.1), Backend.ENUMERATE, psi,
+                                  np.array([t]), (False, True))
         p0 = np.array(bloch_components(psi))
-        assert np.linalg.norm(prop.apply(p0)) <= np.linalg.norm(p0) + 1e-9
+        assert np.linalg.norm(points, axis=-1).max() <= np.linalg.norm(p0) + 1e-9
 
 
 class TestPureDephasingLimit:
