@@ -50,7 +50,7 @@ def _require_capacity(n_spins: int, backend: Backend) -> None:
     if Backend(backend) is Backend.ENUMERATE and n_spins > ENUMERATION_CAP:
         raise CapacityError(
             f"enumerating 2^{n_spins} configurations exceeds the cap of 2^{ENUMERATION_CAP}; "
-            "use the collapse backend (uniform parameters required)"
+            f"only a uniform bath runs beyond {ENUMERATION_CAP} spins, through collapse"
         )
     if Backend(backend) is Backend.COLLAPSE and n_spins > COLLAPSE_CAP:
         raise CapacityError(f"n_spins {n_spins} exceeds the collapse cap {COLLAPSE_CAP}")

@@ -1,7 +1,7 @@
 """Experiment configurations, figure presets, CSV output, and oracle checks.
 
 A configuration is a flat record of physical parameters plus run plumbing
-(time grid, backend, series selection). One table, CONFIG_KEYS, gives each
+(time grid, series selection). One table, CONFIG_KEYS, gives each
 dotted config key its type, default and the mode or bath style it applies
 to; presets, config files and CSV headers are all read through it, and the
 CSV metadata echoes it, so a CSV header replays its run byte-identically
@@ -144,7 +144,6 @@ class ExperimentConfig:
     state_kind: str  # angles | bell | product | amplitudes
     state_params: tuple[float, ...]
     grid: TimeGrid
-    backend: Backend
     series: tuple[str, ...] = (SERIES_UNCORRELATED, SERIES_CORRELATED)
     output: str | None = None
     preset_name: str | None = None
@@ -184,6 +183,26 @@ class ExperimentConfig:
 
     def thermal(self) -> Thermal:
         return Thermal(self.beta)
+
+    @property
+    def backend(self) -> Backend:
+        """The exact sum the bath takes: a random bath enumerates, any other
+        collapses when require_uniform accepts it and enumerates otherwise."""
+        return _bath_path(self.bath)[0]
+
+
+def _bath_path(spec: BathSpec) -> tuple[Backend, BathParams | None]:
+    """ExperimentConfig.backend, and the bath if deciding built it; a random
+    bath is not drawn, and no bath beyond the larger cap (collapse's) is built."""
+    if spec.kind == "random":
+        return Backend.ENUMERATE, None
+    _require_capacity(spec.n_spins, Backend.COLLAPSE)
+    bath = spec.materialize()
+    try:
+        require_uniform(bath)
+    except ParameterError:
+        return Backend.ENUMERATE, bath
+    return Backend.COLLAPSE, bath
 
 
 def _fmt(value: float) -> str:
@@ -293,8 +312,6 @@ CONFIG_KEYS = (
     _Key("grid.t_end", _REAL, 20.0, "single"),
     _Key("grid.t_end", _REAL, 10.0, "two_qubit"),
     _Key("grid.n_points", _INT, 400),
-    _Key("backend", _words(*(b.value for b in Backend)), Backend.ENUMERATE.value,
-         get=attrgetter("backend.value")),
     _Key("series", _words(*_SERIES_CHOICES), "both",
          get=lambda config: next(word for word, series in _SERIES_CHOICES.items()
                                  if series == config.series)),
@@ -367,7 +384,7 @@ def config_from_keys(keys: dict[str, str]) -> ExperimentConfig:
         mode=mode, system=system, bath=bath, beta=v["thermal.beta"],
         state_kind=state_kind, state_params=state_params,
         grid=TimeGrid(v["grid.t_start"], v["grid.t_end"], v["grid.n_points"]),
-        backend=Backend(v["backend"]), series=_SERIES_CHOICES[v["series"]],
+        series=_SERIES_CHOICES[v["series"]],
         output=v["output"] or None, preset_name=v["preset"] or None,
     )
 
@@ -412,20 +429,16 @@ def write_text(path, text: str) -> None:
 
 def run(config: ExperimentConfig) -> ResultTable:
     """Compute the configured trajectories and return the plot-ready table."""
+    backend, bath = _bath_path(config.bath)
     # before materialize(), which draws a random bath's parameters one by one
-    _require_capacity(config.bath.n_spins, config.backend)
-    bath = config.bath.materialize()
-    if config.backend is Backend.COLLAPSE:
-        try:
-            require_uniform(bath)
-        except ParameterError as exc:
-            raise UsageError(f"backend=collapse needs uniform bath parameters: {exc}") from exc
+    _require_capacity(config.bath.n_spins, backend)
+    bath = bath or config.bath.materialize()
     th = config.thermal()
     psi = config.state_vector()
     times = config.grid.times()
     flags = tuple(series == SERIES_CORRELATED for series in config.series)
     trajectory = bloch_trajectory if config.mode == "single" else density_trajectory
-    computed = trajectory(config.system, bath, th, config.backend, psi, times, flags)
+    computed = trajectory(config.system, bath, th, backend, psi, times, flags)
     if config.mode == "single":
         prefix, values = "px", computed[..., 0]
     else:
@@ -440,9 +453,9 @@ _PAIR = {"mode": "two_qubit", "system.eps1": "1", "system.eps2": "2",
          "system.delta1": "4", "system.delta2": "1"}
 
 
-def _bath(n_spins, eps, g, chi, beta, backend):
+def _bath(n_spins, eps, g, chi, beta):
     return {"bath.n_spins": n_spins, "bath.eps": eps, "bath.g": g, "bath.chi": chi,
-            "thermal.beta": beta, "backend": backend}
+            "thermal.beta": beta}
 
 
 def _random_bath(seed, g, eps, chi):
@@ -455,25 +468,25 @@ def _random_bath(seed, g, eps, chi):
 
 # figure regimes as config keys; every key left out takes its default
 _PRESETS = {name: config_from_keys({**keys, "preset": name}) for name, keys in {
-    "fig1": {**_SINGLE, **_bath("50", "1", "0.1", "0", "1", "collapse")},
-    "fig2": {**_SINGLE, **_bath("50", "1", "1", "0", "0.1", "collapse")},
-    "fig3": {**_SINGLE, **_bath("50", "1", "0.5", "0", "1", "collapse")},
-    "fig4": {**_SINGLE, **_bath("50", "1", "1", "0", "1", "collapse")},
-    "fig5": {**_SINGLE, **_bath("50", "1", "1", "0", "10", "collapse")},
-    "fig6": {**_SINGLE, **_bath("50", "0.01", "1", "0", "10", "collapse")},
-    "fig7": {**_SINGLE, **_bath("10", "1", "1", "0.1", "1", "enumerate")},
-    "fig8": {**_SINGLE, **_bath("10", "1", "1", "0.1", "10", "enumerate")},
-    "fig9": {**_SINGLE, **_bath("10", "0.01", "1", "1", "10", "enumerate")},
-    "fig10": {**_SINGLE, **_bath("10", "1", "5", "1", "10", "enumerate")},
+    "fig1": {**_SINGLE, **_bath("50", "1", "0.1", "0", "1")},
+    "fig2": {**_SINGLE, **_bath("50", "1", "1", "0", "0.1")},
+    "fig3": {**_SINGLE, **_bath("50", "1", "0.5", "0", "1")},
+    "fig4": {**_SINGLE, **_bath("50", "1", "1", "0", "1")},
+    "fig5": {**_SINGLE, **_bath("50", "1", "1", "0", "10")},
+    "fig6": {**_SINGLE, **_bath("50", "0.01", "1", "0", "10")},
+    "fig7": {**_SINGLE, **_bath("10", "1", "1", "0.1", "1")},
+    "fig8": {**_SINGLE, **_bath("10", "1", "1", "0.1", "10")},
+    "fig9": {**_SINGLE, **_bath("10", "0.01", "1", "1", "10")},
+    "fig10": {**_SINGLE, **_bath("10", "1", "5", "1", "10")},
     "fig11": {**_SINGLE, **_random_bath("11", ("5", "0.01"), ("1", "0.001"), ("1", "0.01"))},
     "fig12": {**_SINGLE, **_random_bath("12", ("5", "1"), ("1", "0.2"), ("1", "0.2"))},
-    "fig13": {**_PAIR, **_bath("50", "1", "0.1", "0", "1", "collapse")},
-    "fig14": {**_PAIR, **_bath("50", "1", "0.5", "0", "1", "collapse")},
-    "fig15": {**_PAIR, **_bath("50", "1", "1", "0", "10", "collapse")},
-    "fig16": {**_PAIR, **_bath("50", "0.01", "1", "0", "10", "collapse")},
-    "fig17": {**_PAIR, **_bath("10", "0.01", "1", "0.1", "10", "enumerate")},
-    "fig18": {**_PAIR, **_bath("50", "1", "1", "0", "1", "collapse"), "system.lambda": "3"},
-    "fig19": {**_PAIR, **_bath("50", "1", "0.5", "0", "1", "collapse"), "system.lambda": "5",
+    "fig13": {**_PAIR, **_bath("50", "1", "0.1", "0", "1")},
+    "fig14": {**_PAIR, **_bath("50", "1", "0.5", "0", "1")},
+    "fig15": {**_PAIR, **_bath("50", "1", "1", "0", "10")},
+    "fig16": {**_PAIR, **_bath("50", "0.01", "1", "0", "10")},
+    "fig17": {**_PAIR, **_bath("10", "0.01", "1", "0.1", "10")},
+    "fig18": {**_PAIR, **_bath("50", "1", "1", "0", "1"), "system.lambda": "3"},
+    "fig19": {**_PAIR, **_bath("50", "1", "0.5", "0", "1"), "system.lambda": "5",
               "state.name": "product"},
 }.items()}
 
@@ -534,16 +547,15 @@ class OracleReport:
 
     n_spins: int
     entries: tuple[tuple[str, float], ...]
-    threshold: float = ORACLE_TOLERANCE
 
     @property
     def passed(self) -> bool:
-        return all(dev <= self.threshold for _, dev in self.entries)
+        return all(dev <= ORACLE_TOLERANCE for _, dev in self.entries)
 
     def lines(self) -> list[str]:
-        out = [f"oracle cross-check at N={self.n_spins} (threshold {self.threshold:g})"]
+        out = [f"oracle cross-check at N={self.n_spins} (threshold {ORACLE_TOLERANCE:g})"]
         for name, dev in self.entries:
-            verdict = "ok" if dev <= self.threshold else "FAIL"
+            verdict = "ok" if dev <= ORACLE_TOLERANCE else "FAIL"
             out.append(f"  {name}: max deviation {dev:.3e} [{verdict}]")
         out.append("PASS" if self.passed else "FAIL")
         return out

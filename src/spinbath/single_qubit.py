@@ -55,13 +55,11 @@ def _qubit_fields(sys: SystemParams, bath: BathParams, th: Thermal,
             quantities[:, masks] = q.g_sum, q.log_weight, q.splitting, q.rabi
         first, log_weight = fold_fields(*quantities[:2])
         splitting, rabi = quantities[2:, first]
-    log_factor = None  # psi is None when no series is correlated
-    if any(correlated):
-        log_factor = np.empty(len(first))
-        # slice by slice, so the factor's temporaries stay block-sized
-        for start in range(0, len(first), ITEM_BLOCK):
-            rows = slice(start, start + ITEM_BLOCK)
-            log_factor[rows] = log_correlation_factor(sys, th, splitting[rows], rabi[rows], psi)
+    log_factor = np.empty(len(first))
+    # slice by slice, so the factor's temporaries stay block-sized
+    for start in range(0, len(first), ITEM_BLOCK):
+        rows = slice(start, start + ITEM_BLOCK)
+        log_factor[rows] = log_correlation_factor(sys, th, splitting[rows], rabi[rows], psi)
     return splitting, rabi, series_log_weights(log_weight, log_factor, correlated)
 
 

@@ -114,7 +114,7 @@ class TestRun:
         (TINY_SINGLE.replace("system.epsilon = 2", "system.epsilon = 1e308")
          .replace("bath.g = 0.5", "bath.g = 1e308"), "error: qubit splitting"),
         (TINY_PAIR.replace("system.eps1 = 1", "system.eps1 = 1e308")
-         .replace("bath.g = 0.5", "bath.g = 1e308") + "backend = collapse\n",
+         .replace("bath.g = 0.5", "bath.g = 1e308"),
          "error: pair Hamiltonian"),
         (TINY_SINGLE.replace("grid.t_end = 4", "grid.t_start = -1e308\ngrid.t_end = 1e308"),
          "error: grid.t_start, grid.t_end and their span must be finite"),
@@ -127,15 +127,23 @@ class TestRun:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(message), proc.stderr
 
-    def test_collapse_nonuniform_exits_2(self, tmp_path):
+    def test_backend_key_exits_2(self, tmp_path):
         config = tmp_path / "bad.ini"
-        config.write_text(
-            "mode = single\nsystem.epsilon = 2\nsystem.delta = 1\n"
-            "bath.n_spins = 3\nbath.eps_list = 1,1,1\nbath.g_list = 1,2,1\n"
-            "bath.chi_list = 0,0\nthermal.beta = 1\nbackend = collapse\n")
+        config.write_text(TINY_SINGLE + "backend = collapse\n")
         proc = run_cli("run", "--config", str(config))
         assert proc.returncode == 2
-        assert "g_i" in proc.stderr
+        assert proc.stderr == "error: unknown key 'backend' in config\n"
+
+    @pytest.mark.parametrize("bath", [
+        "bath.n_spins = 50\nbath.eps = 1\nbath.g = 1\n",
+        "bath.n_spins = 3\nbath.eps_list = 1,1,1\nbath.g_list = 1,2,1\nbath.chi_list = 0,0\n",
+    ], ids=["uniform_n50", "ragged_explicit"])
+    def test_bath_without_backend_runs(self, tmp_path, bath):
+        config = tmp_path / "bath.ini"
+        config.write_text("mode = single\nsystem.epsilon = 2\nsystem.delta = 1\n"
+                          f"{bath}thermal.beta = 1\n")
+        proc = run_cli("run", "--config", str(config))
+        assert proc.returncode == 0 and proc.stderr == ""
 
     def test_csv_replays_byte_identically(self, tmp_path):
         first, again = tmp_path / "fig11.csv", tmp_path / "again.csv"
@@ -162,7 +170,7 @@ FUZZ_TEXTS = st.one_of(
     st.floats(min_value=-10.0, max_value=10.0).map(repr),
     st.sampled_from(["inf", "-inf", "nan", "x", "1,2", "0,0,0,0,0,0,0,0", TOOL,
                      "spinbath 0.0.0", "single", "two_qubit", "open", "periodic",
-                     "bell", "product", "enumerate", "collapse", "both", "correlated",
+                     "bell", "product", "both", "correlated",
                      "uncorrelated", "fig4"]),
 )
 FUZZ_KEYS = st.sampled_from(sorted({key.name for key in CONFIG_KEYS} - {"output"}

@@ -52,3 +52,20 @@ def test_missing_file_and_mismatched_rows_exit_1(pair_of_dirs, capsys):
     err = capsys.readouterr().err
     assert f"fig4: missing from {new}" in err
     assert "fig13: row counts differ: 400 vs 399" in err
+
+
+def test_header_changes_are_named_with_the_table_deviation(pair_of_dirs, capsys):
+    old, new = pair_of_dirs
+    path = new / "fig4.csv"
+    text = path.read_text().replace("# thermal.beta = 1\n", "# thermal.beta = 2\n")
+    path.write_text(text.replace("# mode = single\n", "# added.key = 1\n")
+                    .replace("\n0,1,1\n", "\n0,1,1.00000000000025\n"))
+    (new / "fig13.csv").write_text((old / "fig13.csv").read_text()
+                                   .replace("# series = both\n", ""))
+    assert compare_presets.main([str(old), str(new)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "fig4: config header added added.key, changed thermal.beta, removed mode; "
+        "table max |delta| 2.50e-13\n"
+        "fig13: config header removed series; table identical\n")

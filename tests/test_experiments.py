@@ -1,6 +1,7 @@
 """Config files, figure presets, CSV output, and the oracle cross-check."""
 
 import contextlib
+import functools
 import io
 import math
 import re
@@ -59,6 +60,19 @@ def pair_keys(**overrides):
     return keys
 
 
+def ragged(keys, **overrides):
+    """keys(**overrides) with its uniform bath swapped for explicit per-site
+    lists whose g varies from site to site, so the bath enumerates."""
+    ragged_keys = keys(**overrides)
+    n = int(ragged_keys["bath.n_spins"])
+    for name in ("bath.eps", "bath.g", "bath.chi"):
+        del ragged_keys[name]
+    ragged_keys.update({"bath.eps_list": ",".join(["1"] * n),
+                        "bath.g_list": ",".join(str(0.5 * site) for site in range(1, n + 1)),
+                        "bath.chi_list": ",".join(["0.1"] * (n - 1))})
+    return ragged_keys
+
+
 reals = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
@@ -100,7 +114,6 @@ def configs(draw, max_spins=4, bath_values=reals,
     return ExperimentConfig(
         mode=mode, system=system, bath=bath, beta=draw(betas),
         state_kind=state_kind, state_params=state_params, grid=grid,
-        backend=draw(st.sampled_from(list(Backend))),
         series=draw(st.sampled_from([("uncorrelated", "correlated"), ("uncorrelated",),
                                      ("correlated",)])),
         preset_name=draw(st.none() | st.sampled_from(list_presets())),
@@ -175,12 +188,17 @@ class TestConfigParsing:
         assert config.system.epsilon == 2.0
         assert config.bath.kind == "uniform"
         assert config.grid.n_points == 5
-        assert config.backend is Backend.ENUMERATE
+        assert config.backend is Backend.COLLAPSE
         assert config.series == ("uncorrelated", "correlated")
 
     def test_unknown_key_is_named(self):
         with pytest.raises(UsageError, match="bogus.key"):
             config_from_keys(single_keys(**{"bogus.key": "1"}))
+
+    def test_bath_picks_the_backend(self):
+        assert config_from_keys(ragged(single_keys)).backend is Backend.ENUMERATE
+        explicit_uniform = {**ragged(single_keys), "bath.g_list": "0.5,0.5,0.5"}
+        assert config_from_keys(explicit_uniform).backend is Backend.COLLAPSE
 
     def test_missing_required(self):
         keys = single_keys()
@@ -348,11 +366,13 @@ class TestPresets:
         assert config.grid.t_end == 20.0
         assert config.beta == 1.0
 
-    def test_small_bath_presets_enumerate(self):
-        for name in ("fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig17"):
-            config = preset(name)
-            assert config.bath.n_spins == 10
-            assert config.backend is Backend.ENUMERATE
+    @pytest.mark.parametrize("name", list_presets())
+    def test_preset_bath_picks_the_backend(self, name):
+        # only the random baths of fig11 and fig12 enumerate
+        config = preset(name)
+        random = name in ("fig11", "fig12")
+        assert (config.bath.kind == "random") is random
+        assert config.backend is (Backend.ENUMERATE if random else Backend.COLLAPSE)
 
     def test_two_qubit_regimes(self):
         config = preset("fig18")
@@ -435,29 +455,30 @@ class TestRunAndCsv:
         table = run(config_from_keys(single_keys(series="uncorrelated")))
         assert table.columns == ("t", "px_uncorrelated")
 
-    @pytest.mark.parametrize("backend, n_spins", [("enumerate", 25), ("collapse", 3_000_000)])
-    def test_over_cap_random_bath_is_not_drawn(self, monkeypatch, backend, n_spins):
+    @pytest.mark.parametrize("n_spins", [25, 3_000_000])
+    def test_over_cap_random_bath_is_not_drawn(self, monkeypatch, n_spins):
         # the cap is checked before a random bath's parameters are drawn
         def refuse(*args):
             raise AssertionError("gaussian_draw called")
 
         monkeypatch.setattr(experiments, "gaussian_draw", refuse)
-        keys = {**single_keys(backend=backend), "bath.n_spins": str(n_spins),
+        keys = {**single_keys(), "bath.n_spins": str(n_spins),
                 "bath.random.seed": "3"}
         for name in ("g", "eps", "chi"):
             keys.update({f"bath.random.{name}.mean": "1", f"bath.random.{name}.std": "0.1"})
         for name in ("bath.eps", "bath.g", "bath.chi"):
             del keys[name]
-        with pytest.raises(CapacityError, match="cap"):
+        with pytest.raises(CapacityError, match="cap of 2\\^24; only a uniform bath"):
             run(config_from_keys(keys))
 
-    def test_collapse_requires_uniform(self):
-        keys = single_keys(backend="collapse")
-        keys.pop("bath.eps"), keys.pop("bath.g"), keys.pop("bath.chi")
-        keys.update({"bath.eps_list": "1,1,1", "bath.g_list": "1,2,1",
-                     "bath.chi_list": "0,0"})
-        with pytest.raises(UsageError, match="g_i"):
-            run(config_from_keys(keys))
+    def test_over_cap_uniform_bath_is_not_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("materialize called")
+
+        monkeypatch.setattr(BathSpec, "materialize", refuse)
+        config = config_from_keys(single_keys(**{"bath.n_spins": "3000000"}))
+        with pytest.raises(CapacityError, match="collapse cap"):
+            run(config)
 
 
 class TestSharedSweep:
@@ -474,16 +495,19 @@ class TestSharedSweep:
             monkeypatch.setattr(module, "collapse_classes", counted(collapse_classes))
         for name in ("bloch_trajectory", "density_trajectory"):
             monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
-        run(config_from_keys(keys(backend="collapse")))
+        run(config_from_keys(keys()))
         trajectory = "bloch_trajectory" if keys is single_keys else "density_trajectory"
         assert sorted(calls) == sorted(["collapse_classes", trajectory])
 
     @pytest.mark.parametrize("keys", [single_keys, pair_keys])
     @pytest.mark.parametrize("backend", ["enumerate", "collapse"])
     def test_one_series_runs_match_both_byte_for_byte(self, keys, backend):
-        both = run(config_from_keys(keys(backend=backend, series="both")))
+        if backend == "enumerate":
+            keys = functools.partial(ragged, keys)
+        assert config_from_keys(keys()).backend.value == backend
+        both = run(config_from_keys(keys(series="both")))
         for column, series in ((1, "uncorrelated"), (2, "correlated")):
-            alone = run(config_from_keys(keys(backend=backend, series=series)))
+            alone = run(config_from_keys(keys(series=series)))
             assert alone.rows.shape == (both.rows.shape[0], 2)
             assert alone.rows[:, 1].tobytes() == both.rows[:, column].tobytes()
 
