@@ -24,10 +24,9 @@ import math
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import Boundary, _finite
+from .model import ENUMERATION_CAP, Boundary, _finite
 from .numerics import _pairwise_over_rows
 
-ENUMERATION_CAP = 24
 # a two-series, 40-point run at the cap peaks below 1 GB (measured in README)
 COLLAPSE_CAP = 3_500
 # items per block, for setup and the sweep; a power of two, so block sums

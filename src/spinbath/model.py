@@ -21,14 +21,17 @@ bath site i+1; bit value 0 is spin up (+1 under sigma_z), 1 is spin down (-1).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 
 STATE_NORM_TOL = 1e-12
+# the most bath spins whose 2^N patterns are summed one by one (bath_sums)
+ENUMERATION_CAP = 24
 
 
 class Boundary(enum.Enum):
@@ -111,11 +114,41 @@ class BathParams:
     def bond_count(self) -> int:
         return self.n_spins if self.boundary is Boundary.PERIODIC else self.n_spins - 1
 
+    @functools.cached_property
+    def _half_chain_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        # built on the first bath_sums call, then kept with the bath
+        return _half_chain_tables(self)
+
     @classmethod
     def uniform(cls, n_spins: int, eps: float, g: float, chi: float,
                 boundary: Boundary = Boundary.OPEN) -> "BathParams":
+        boundary = Boundary(boundary)
         bonds = n_spins if boundary is Boundary.PERIODIC else n_spins - 1
         return cls(n_spins, (eps,) * n_spins, (g,) * n_spins, (chi,) * bonds, boundary)
+
+
+def _half_chain_tables(bath: BathParams) -> tuple[np.ndarray, np.ndarray]:
+    """The signed sums of g, eps and the in-half bonds over every pattern of
+    the low ceil(N/2) sites and of the high floor(N/2) sites: two (3, 2^h)
+    tables, whose column r is the pattern whose bit j holds the half's
+    site j. Each is built one site at a time, so an entry is the sum of the
+    half's terms from its first site on."""
+    cut = (bath.n_spins + 1) // 2
+    tables = []
+    for sites in (range(cut), range(cut, bath.n_spins)):
+        table = np.zeros((3, 1))
+        for j in sites:
+            step = np.zeros(table.shape)
+            step[0], step[1] = bath.g_i[j], bath.eps_i[j]
+            if j != sites.start:
+                # bond j-1 joins site j to site j-1, which is up in the first
+                # half of the columns so far and down in the second
+                half = table.shape[1] // 2
+                step[2, :half], step[2, half:] = bath.chi_i[j - 1], -bath.chi_i[j - 1]
+            # site j up adds the step, site j down subtracts it
+            table = np.concatenate((table + step, table - step), axis=1)
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def require_uniform(bath: BathParams) -> tuple[float, float, float]:
@@ -199,16 +232,32 @@ def _quantities_from_sums(sys: SystemParams, th: Thermal,
 def bath_sums(bath: BathParams, mask) -> tuple:
     """(g_sum, eps_sum, chi_sum) for the bath pattern given as a bitmask, or
     arrays of them for an array of masks (see module docstring for the bit
-    convention)."""
+    convention).
+
+    Each sum is a low-half term plus a high-half term (the meet-in-the-middle
+    split of Horowitz and Sahni, J. ACM 21, 1974): a pattern's two halves
+    index the bath's half-chain tables, built once per bath, and only the
+    bond across the cut and, on a ring, the bond from site N back to site 1
+    are added per pattern. So 2^N patterns cost O(2^N) lookups, not
+    O(2^N N) multiplies."""
     n = bath.n_spins
+    if n > ENUMERATION_CAP:
+        raise CapacityError(f"per-pattern sums are tabulated for at most "
+                            f"{ENUMERATION_CAP} bath spins, got {n}")
     masks = np.asarray(mask)
-    if np.any(masks < 0) or np.any(masks >= (1 << n)):
+    # a negative mask shifts to -1, one of 2^n or more to a positive number
+    if np.any(masks >> n):
         raise ParameterError(f"mask {mask} out of range for {n} bath spins")
-    signs = 1.0 - 2.0 * ((masks[..., None] >> np.arange(n)) & 1)
-    # bond i couples sites i and i+1, the last one wrapping on a ring
-    bonds = (signs * np.roll(signs, -1, axis=-1))[..., :bath.bond_count]
-    sums = (signs @ np.array(bath.g_i), signs @ np.array(bath.eps_i),
-            bonds @ np.array(bath.chi_i))
+    low, high = bath._half_chain_sums
+    cut = (n + 1) // 2
+    sums = low.take(masks & ((1 << cut) - 1), axis=1)
+    sums += high.take(masks >> cut, axis=1)
+    # bond i couples sites i and i+1, the last one wrapping on a ring (to
+    # itself for one spin). The halves hold the bonds inside them; left are
+    # the bond across the cut, i = cut - 1, and the ring's last, i = n - 1
+    for bond in sorted({cut - 1, n - 1} & set(range(bath.bond_count))):
+        anti = ((masks >> bond) ^ (masks >> ((bond + 1) % n))) & 1
+        sums[2] += np.array((bath.chi_i[bond], -bath.chi_i[bond])).take(anti)
     return tuple(map(_scalar_or_array, sums))
 
 
@@ -293,13 +342,20 @@ def log_correlation_factor(sys: SystemParams, th: Thermal, splitting, rabi,
 
     h = (splitting/2) sigma_z + (delta/2) sigma_x has eigenvalues +-rabi, on
     which psi has populations q_± = (1 ± <h>/rabi)/2 (both 1/2 where rabi = 0
-    and h vanishes), so log_thermal_overlap gives the factor
-    exp(-beta*rabi) q_+ + exp(beta*rabi) q_-, with no singularity at rabi -> 0.
+    and h vanishes), so the factor is exp(-beta*rabi) q_+ + exp(beta*rabi) q_-,
+    with no singularity at rabi -> 0. Its log is log_thermal_overlap over those
+    two levels, taken as one np.logaddexp of the two terms, which gives the
+    same bits as the length-2 reduce (beta = 0 gives exactly 0.0 here too).
     """
     px, _, pz = bloch_components(psi)
-    mean_h = 0.5 * (splitting * pz + sys.delta * px)
     rabi = np.asarray(rabi)
+    if th.beta == 0.0:
+        return _scalar_or_array(np.zeros(rabi.shape))
+    mean_h = 0.5 * (splitting * pz + sys.delta * px)
     ratio = np.divide(mean_h, rabi, out=np.zeros(rabi.shape), where=rabi != 0.0)
-    # rounding can push |ratio| past 1; a population is never negative
-    populations = np.maximum(0.0, 0.5 * (1.0 + np.stack((ratio, -ratio), axis=-1)))
-    return log_thermal_overlap(th.beta, np.stack((rabi, -rabi), axis=-1), populations)
+    # one term per eigenvalue +-rabi; rounding can push |ratio| past 1, and
+    # a population is never negative
+    with np.errstate(divide="ignore"):
+        up, down = (np.log(np.maximum(0.0, 0.5 * (1.0 + r))) - th.beta * e
+                    for r, e in ((ratio, rabi), (-ratio, -rabi)))
+    return _scalar_or_array(np.logaddexp(up, down))

@@ -48,11 +48,13 @@ def _qubit_fields(sys: SystemParams, bath: BathParams, th: Thermal,
         q = class_quantities(sys, bath, th, classes.k[first], classes.w[first])
         splitting, rabi = q.splitting, q.rabi
     else:
+        # mask_blocks checks the enumeration cap before anything 2^N-sized;
         # filled block by block, so no array is held twice
+        blocks = mask_blocks(bath.n_spins)
         quantities = np.empty((4, 1 << bath.n_spins))
-        for masks in mask_blocks(bath.n_spins):
+        for masks in blocks:
             q = config_quantities(sys, bath, th, masks)
-            quantities[:, masks] = q.g_sum, q.log_weight, q.splitting, q.rabi
+            quantities[:, masks[0]:masks[-1] + 1] = q.g_sum, q.log_weight, q.splitting, q.rabi
         first, log_weight = fold_fields(*quantities[:2])
         splitting, rabi = quantities[2:, first]
     log_factor = np.empty(len(first))
@@ -77,13 +79,21 @@ def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
     u = np.divide(splitting, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
     v = np.divide(sys.delta, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
 
+    px, py, pz = p0
+
     def term(rows, t):
-        # block by block, so nothing field-sized is held beyond u and v
-        axis = np.stack((v[rows], np.zeros_like(v[rows]), u[rows]), axis=-1)
-        normal = np.cross(axis, p0)[:, None]
-        in_plane = (p0 - axis * (v[rows] * p0[0] + u[rows] * p0[2])[:, None])[:, None]
-        angle = 2.0 * rabi[rows, None, None] * t[:, None]
-        return normal * np.sin(angle) - in_plane * (1.0 - np.cos(angle))
+        # block by block, so nothing field-sized is held beyond u and v; the
+        # axis's zero y entry keeps its exact zeros (0.0 * pz, 0.0 * dot)
+        # so the components round as n x p0 and n (n . p0) with n = (v, 0, u)
+        ur, vr = u[rows, None], v[rows, None]
+        dot = vr * px + ur * pz
+        angle = 2.0 * rabi[rows, None] * t
+        sine, versine = np.sin(angle), 1.0 - np.cos(angle)
+        out = np.empty(angle.shape + (3,))
+        out[..., 0] = (0.0 * pz - ur * py) * sine - (px - vr * dot) * versine
+        out[..., 1] = (ur * px - vr * pz) * sine - (py - 0.0 * dot) * versine
+        out[..., 2] = (vr * py - 0.0 * px) * sine - (pz - ur * dot) * versine
+        return out
 
     displacement, _ = reduce_weighted(term, log_weight, times, 3)
     p = p0 + displacement

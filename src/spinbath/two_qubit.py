@@ -80,9 +80,11 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
         g_sum, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
         log_multiplicity = classes.log_multiplicity
     else:
+        # mask_blocks checks the enumeration cap before anything 2^N-sized
+        blocks = mask_blocks(bath.n_spins)
         g_sum, eps_sum, chi_sum = sums = np.empty((3, 1 << bath.n_spins))
-        for masks in mask_blocks(bath.n_spins):
-            sums[:, masks] = bath_sums(bath, masks)
+        for masks in blocks:
+            sums[:, masks[0]:masks[-1] + 1] = bath_sums(bath, masks)
         log_multiplicity = 0.0
     first, log_weight = fold_fields(
         g_sum, log_thermal_weight(th.beta, eps_sum, chi_sum) + log_multiplicity)

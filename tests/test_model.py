@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath.errors import ParameterError
-from spinbath.model import (BathParams, Boundary, SystemParams, Thermal,
+from spinbath.errors import CapacityError, ParameterError
+from spinbath.model import (ENUMERATION_CAP, BathParams, Boundary, SystemParams, Thermal,
                             bath_sums, bloch_components, class_quantities,
                             class_sums, config_quantities, log_correlation_factor,
                             log_thermal_overlap, pure_state, require_uniform)
@@ -34,6 +34,12 @@ class TestParams:
         bath = BathParams.uniform(4, 1.0, 0.5, 0.2, Boundary.PERIODIC)
         assert bath.bond_count == 4
         assert len(bath.chi_i) == 4
+
+    def test_uniform_takes_the_boundary_by_name(self):
+        # the bonds are counted after the name becomes a Boundary
+        by_name = BathParams.uniform(1000, 0.3, 0.05, 0.0, "periodic")
+        assert by_name == BathParams.uniform(1000, 0.3, 0.05, 0.0, Boundary.PERIODIC)
+        assert by_name.bond_count == len(by_name.chi_i) == 1000
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
@@ -92,6 +98,45 @@ class TestBathSums:
         assert g2 == pytest.approx(-g1, abs=1e-12)
         assert e2 == pytest.approx(-e1, abs=1e-12)
         assert c2 == pytest.approx(c1, abs=1e-12)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_matches_sign_matrix(self, n, boundary):
+        # every pattern against one dense sign matrix; the half-chain sums
+        # add the same terms in another order, so they agree to rounding:
+        # at most 13 + 13 terms of size below 5, far under 1e-12. A ring of
+        # one spin bonds it to itself, a ring of two has two bonds on one pair
+        rng = np.random.default_rng(n)
+        bonds = n if boundary is Boundary.PERIODIC else n - 1
+        bath = BathParams(n, tuple(rng.normal(0.5, 1.0, n)), tuple(rng.normal(1.0, 0.5, n)),
+                          tuple(rng.normal(0.1, 0.3, bonds)), boundary)
+        masks = np.arange(1 << n)
+        signs = 1.0 - 2.0 * ((masks[:, None] >> np.arange(n)) & 1)
+        # bond i joins sites i and i + 1, the last wrapping to site 0 on a ring
+        bond_signs = (signs * np.roll(signs, -1, axis=1))[:, :bonds]
+        want = (signs @ bath.g_i, signs @ bath.eps_i, bond_signs @ np.array(bath.chi_i))
+        for got, expected in zip(bath_sums(bath, masks), want):
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    def test_scalar_mask_gives_floats(self):
+        bath = BathParams(5, (0.5,) * 5, (1.5,) * 5, (0.1,) * 5, Boundary.PERIODIC)
+        for mask in (0b10110, np.int64(0b10110)):
+            sums = bath_sums(bath, mask)
+            assert all(type(value) is float for value in sums)
+            assert sums == tuple(float(x[0]) for x in bath_sums(bath, np.array([0b10110])))
+
+    @pytest.mark.parametrize("mask", [-1, 1 << 5, np.array([0, 1 << 5]), 1 << 70])
+    def test_rejects_out_of_range_mask(self, mask):
+        bath = BathParams.uniform(5, 0.5, 1.5, 0.1)
+        with pytest.raises(ParameterError, match="out of range"):
+            bath_sums(bath, mask)
+
+    def test_beyond_enumeration_cap_is_a_capacity_error(self):
+        # tables for more spins than enumerate can sum are never built
+        bath = BathParams.uniform(ENUMERATION_CAP + 1, 0.5, 1.5, 0.1)
+        with pytest.raises(CapacityError):
+            bath_sums(bath, 0)
+        assert "_half_chain_sums" not in vars(bath)
 
 
 class TestClassSums:
@@ -241,6 +286,42 @@ class TestCorrelationFactor:
         # factor is an expectation of a positive operator: strictly positive
         assert log_a >= -th.beta * q.rabi - 1e-9
         assert log_a <= th.beta * q.rabi + 1e-9
+
+
+def stacked_log_correlation_factor(sys1, th, splitting, rabi, psi):
+    """The correlation factor as one logaddexp.reduce over stacked
+    (rabi, -rabi) energies and populations: the form log_correlation_factor
+    must reproduce bit for bit."""
+    px, _, pz = bloch_components(psi)
+    mean_h = 0.5 * (splitting * pz + sys1.delta * px)
+    rabi = np.asarray(rabi)
+    ratio = np.divide(mean_h, rabi, out=np.zeros(rabi.shape), where=rabi != 0.0)
+    populations = np.maximum(0.0, 0.5 * (1.0 + np.stack((ratio, -ratio), axis=-1)))
+    return log_thermal_overlap(th.beta, np.stack((rabi, -rabi), axis=-1), populations)
+
+
+class TestCorrelationFactorBits:
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 200.0])
+    def test_matches_stacked_reduce(self, beta):
+        rng = np.random.default_rng(3)
+        sys1 = SystemParams(epsilon=0.4, delta=-1.3)
+        splitting = np.concatenate(([0.0, 2.0, -2.0], rng.normal(0.0, 3.0, 200)))
+        rabi = 0.5 * np.hypot(splitting, sys1.delta)
+        rabi[0] = 0.0
+        th = Thermal(beta)
+        for psi in (pure_state([0.6, -0.8j]), pure_state([-0.6, 0.8]), pure_state([1.0, 0.0])):
+            # |mean_h| one ulp above rabi, as rounding can leave it
+            mean_h = 0.5 * (splitting * bloch_components(psi)[2]
+                            + sys1.delta * bloch_components(psi)[0])
+            rabi[1:3] = np.nextafter(np.abs(mean_h[1:3]), 0.0)
+            got = log_correlation_factor(sys1, th, splitting, rabi, psi)
+            want = stacked_log_correlation_factor(sys1, th, splitting, rabi, psi)
+            assert got.tobytes() == want.tobytes()
+            for i in range(4):
+                scalar = log_correlation_factor(sys1, th, splitting[i], rabi[i], psi)
+                assert type(scalar) is float
+                assert scalar == stacked_log_correlation_factor(
+                    sys1, th, splitting[i], rabi[i], psi)
 
 
 def random_hermitian(rng, dim):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath import single_qubit, two_qubit
-from spinbath.configspace import Backend, collapse_classes
-from spinbath.errors import ParameterError
+from spinbath import model, single_qubit, two_qubit
+from spinbath.configspace import Backend, collapse_classes, reduce_weighted
+from spinbath.errors import CapacityError, ParameterError
 from spinbath.model import (BathParams, Boundary, SystemParams, Thermal, bloch_components,
                             class_quantities, log_correlation_factor, pure_state)
 from spinbath.numerics import hermitian_eig
@@ -155,6 +155,71 @@ class TestTrajectories:
         h = build_hamiltonian(sys1, bath)
         rho = evolve_and_reduce(h, initial_state(h, th, psi, correlated), times)
         assert np.abs(points - bloch_of_density(rho)).max() < 1e-9
+
+
+class TestRodrigues:
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_matches_textbook_sum_bit_for_bit(self, boundary):
+        # the sweep's Rodrigues components are written out by hand; they must
+        # round exactly as the textbook form with np.cross and a stacked axis
+        sys1 = SystemParams(epsilon=0.7, delta=-1.1)
+        bath = BathParams.uniform(30, 0.4, 0.3, -0.2, boundary)
+        th = Thermal(1.5)
+        times = np.linspace(0.0, 12.0, 41)
+        states = AXIS_STATES + (pure_state([-0.6, 0.8]), pure_state([0.28, -0.96j]))
+        for psi in states:
+            got = bloch_trajectory(sys1, bath, th, Backend.COLLAPSE, psi, times, (False, True))
+            p0 = np.array(bloch_components(psi))
+            splitting, rabi, log_weight = _qubit_fields(sys1, bath, th, Backend.COLLAPSE,
+                                                        psi, (False, True))
+            u = np.divide(splitting, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
+            v = np.divide(sys1.delta, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
+
+            def term(rows, t):
+                axis = np.stack((v[rows], np.zeros_like(v[rows]), u[rows]), axis=-1)
+                normal = np.cross(axis, p0)[:, None]
+                in_plane = (p0 - axis * (v[rows] * p0[0] + u[rows] * p0[2])[:, None])[:, None]
+                angle = 2.0 * rabi[rows, None, None] * t[:, None]
+                return normal * np.sin(angle) - in_plane * (1.0 - np.cos(angle))
+
+            want = p0 + reduce_weighted(term, log_weight, times, 3)[0]
+            assert got.tobytes() == want.tobytes()
+
+
+class TestEnumerateSetup:
+    @pytest.mark.parametrize("n", [40, 62])
+    def test_cap_checked_before_any_allocation(self, n):
+        # 2^40 masks would need 32 TiB of sums, and the sums of 2^62 masks
+        # exceed what numpy can address; both are refused by name before
+        # numpy is asked for the buffer
+        rng = np.random.default_rng(n)
+        bath = BathParams(n, (1.0,) * n, tuple(rng.normal(1.0, 0.2, n)), (0.1,) * (n - 1))
+        times, th = np.linspace(0.0, 1.0, 3), Thermal(1.0)
+        with pytest.raises(CapacityError):
+            bloch_trajectory(SystemParams(epsilon=2.0, delta=1.0), bath, th,
+                             Backend.ENUMERATE, PLUS_X, times, (False,))
+        with pytest.raises(CapacityError):
+            density_trajectory(TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0),
+                               bath, th, Backend.ENUMERATE, bell_state(), times, (False,))
+
+    @pytest.mark.parametrize("pair", [False, True], ids=["one_qubit", "pair"])
+    def test_half_chain_tables_built_once_per_bath(self, monkeypatch, pair):
+        # 2^12 masks take four blocks; the bath's tables serve all of them
+        calls = []
+        build = model._half_chain_tables
+        monkeypatch.setattr(model, "_half_chain_tables",
+                            lambda bath: calls.append(bath) or build(bath))
+        n = 12
+        bath = BathParams(n, (1.0,) * n, tuple(np.random.default_rng(8).normal(1.0, 0.2, n)),
+                          (0.1,) * n, Boundary.PERIODIC)
+        times, th = np.linspace(0.0, 1.0, 3), Thermal(1.0)
+        if pair:
+            density_trajectory(TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0),
+                               bath, th, Backend.ENUMERATE, bell_state(), times, (False, True))
+        else:
+            bloch_trajectory(SystemParams(epsilon=2.0, delta=1.0), bath, th,
+                             Backend.ENUMERATE, PLUS_X, times, (False, True))
+        assert calls == [bath]
 
 
 class TestCollapseFold:
