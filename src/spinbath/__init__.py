@@ -16,9 +16,9 @@ from .errors import (CapacityError, NumericError, ParameterError, SpinbathError,
                      UsageError)
 from .experiments import (ExperimentConfig, OracleReport, ResultTable, TimeGrid,
                           list_presets, oracle_check, parse_config_file, preset, run)
-from .model import (BathParams, Boundary, ConfigQuantities, SystemParams, Thermal,
-                    TwoQubitParams, bath_sums, bloch_components, class_quantities,
-                    config_quantities, log_correlation_factor, pure_state)
+from .model import (BathParams, Boundary, SystemParams, Thermal, TwoQubitParams,
+                    bath_sums, bloch_components, class_quantities, config_quantities,
+                    log_correlation_factor, pure_state)
 from .numerics import RandomSpec, gaussian_draw, hermitian_eig
 from .oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from .single_qubit import bloch_trajectory
@@ -31,7 +31,7 @@ __all__ = [
     "CapacityError", "NumericError", "ParameterError", "SpinbathError", "UsageError",
     "ExperimentConfig", "OracleReport", "ResultTable", "TimeGrid",
     "list_presets", "oracle_check", "parse_config_file", "preset", "run",
-    "BathParams", "Boundary", "ConfigQuantities", "SystemParams", "Thermal",
+    "BathParams", "Boundary", "SystemParams", "Thermal",
     "bath_sums", "bloch_components", "class_quantities", "config_quantities",
     "log_correlation_factor", "pure_state",
     "RandomSpec", "gaussian_draw", "hermitian_eig",

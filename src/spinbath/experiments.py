@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -48,6 +49,7 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n_points", _require_int("grid.n_points", self.n_points))
         if not math.isfinite(self.t_end - self.t_start):
             raise UsageError("grid.t_start, grid.t_end and their span must be finite, "
                              f"got [{self.t_start}, {self.t_end}]")
@@ -89,8 +91,13 @@ class BathSpec:
     chi_stats: GaussianStats | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n_spins", _require_int("bath.n_spins", self.n_spins))
         if self.n_spins < 1:
             raise UsageError(f"bath.n_spins must be >= 1, got {self.n_spins}")
+        if not isinstance(self.boundary, Boundary):
+            names = [b.value for b in Boundary]
+            object.__setattr__(self, "boundary",
+                               Boundary(_choose("bath.boundary", self.boundary, names)))
         needed = {
             "uniform": ("eps", "g", "chi"),
             "explicit": ("eps_list", "g_list", "chi_list"),
@@ -225,6 +232,14 @@ def _parse_real(key: str, text: str) -> float:
     if not math.isfinite(value):
         raise UsageError(f"{key} must be finite, got {text!r}")
     return value
+
+
+def _require_int(key: str, value) -> int:
+    """value as an int, or a UsageError naming key; a float is refused even
+    when it is integral, and so is a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_int(key: str, text: str) -> int:
@@ -368,7 +383,7 @@ def config_from_keys(keys: dict[str, str]) -> ExperimentConfig:
                                 v["system.delta2"], v["system.lambda"])
         state_kind, state_params = (("amplitudes", v["state.amplitudes"])
                                     if "state.amplitudes" in v else (v["state.name"], ()))
-    n_spins, boundary = v["bath.n_spins"], Boundary(v["bath.boundary"])
+    n_spins, boundary = v["bath.n_spins"], v["bath.boundary"]
     if "bath.eps" in v:
         bath = BathSpec(n_spins, "uniform", boundary,
                         eps=v["bath.eps"], g=v["bath.g"], chi=v["bath.chi"])

@@ -178,29 +178,6 @@ class Thermal:
             raise ParameterError(f"beta must be >= 0, got {self.beta}")
 
 
-@dataclass(frozen=True)
-class ConfigQuantities:
-    """Scalars attached to one bath bit pattern, or arrays of them over many.
-
-    g_sum      net coupling field seen by the qubit: sum of signed g_i
-    eps_sum    signed sum of bath level spacings
-    chi_sum    signed sum of bond strengths (aligned +, anti-aligned -)
-    splitting  bath-shifted level splitting of the qubit: epsilon + g_sum
-    rabi       generalized Rabi frequency sqrt(splitting^2 + delta^2)/2
-    log_weight log of the thermal weight -beta*(chi_sum + eps_sum/2); the
-               weight itself can over/underflow for extreme beta*N, which is
-               why all sums downstream work from log_weight with a shared
-               max-exponent shift
-    """
-
-    g_sum: float
-    eps_sum: float
-    chi_sum: float
-    splitting: float
-    rabi: float
-    log_weight: float
-
-
 def _scalar_or_array(value):
     # scalar inputs give Python floats, array inputs arrays of the same shape
     return float(value) if np.ndim(value) == 0 else value
@@ -216,23 +193,28 @@ def _finite(name: str, value):
 
 def log_thermal_weight(beta: float, eps_sum, chi_sum):
     """log of the thermal weight exp(-beta*(chi_sum + eps_sum/2)) of a bath
-    pattern with these signed sums (see ConfigQuantities), elementwise."""
+    pattern with these signed sums (see bath_sums), elementwise.
+
+    The weight itself over- or underflows for extreme beta*N, so every sum
+    downstream works from the log weights, shifted by their largest entry
+    before the exp."""
     return -beta * (chi_sum + 0.5 * eps_sum)
 
 
-def _quantities_from_sums(sys: SystemParams, th: Thermal,
-                          g_sum, eps_sum, chi_sum) -> ConfigQuantities:
+def _qubit_quantities(sys: SystemParams, g_sum) -> tuple:
+    # the qubit's bath-shifted splitting epsilon + g_sum and its generalized
+    # rabi frequency sqrt(splitting^2 + delta^2)/2
     splitting = _finite("qubit splitting epsilon + g_sum", sys.epsilon + g_sum)
-    rabi = 0.5 * np.hypot(splitting, sys.delta)
-    log_weight = log_thermal_weight(th.beta, eps_sum, chi_sum)
-    return ConfigQuantities(g_sum, eps_sum, chi_sum, *map(_scalar_or_array,
-                                                          (splitting, rabi, log_weight)))
+    return _scalar_or_array(splitting), _scalar_or_array(0.5 * np.hypot(splitting, sys.delta))
 
 
 def bath_sums(bath: BathParams, mask) -> tuple:
     """(g_sum, eps_sum, chi_sum) for the bath pattern given as a bitmask, or
     arrays of them for an array of masks (see module docstring for the bit
-    convention).
+    convention). Each is a signed sum over the pattern: a site's g_i and
+    eps_i count + when its spin is up and - when down, a bond's chi_i + when
+    its two spins are aligned and - when not. g_sum is the net coupling
+    field the qubits see, and eps_sum/2 + chi_sum the pattern's bath energy.
 
     Each sum is a low-half term plus a high-half term (the meet-in-the-middle
     split of Horowitz and Sahni, J. ACM 21, 1974): a pattern's two halves
@@ -278,20 +260,16 @@ def class_sums(bath: BathParams, k, w) -> tuple:
     return tuple(map(_scalar_or_array, sums))
 
 
-def config_quantities(sys: SystemParams, bath: BathParams, th: Thermal,
-                      mask) -> ConfigQuantities:
-    """Scalars for the bath pattern given as a bitmask (arrays for an array
-    of masks)."""
-    g_sum, eps_sum, chi_sum = bath_sums(bath, mask)
-    return _quantities_from_sums(sys, th, g_sum, eps_sum, chi_sum)
+def config_quantities(sys: SystemParams, bath: BathParams, mask) -> tuple:
+    """(splitting, rabi) of the qubit under the bath pattern given as a
+    bitmask (arrays for an array of masks)."""
+    return _qubit_quantities(sys, bath_sums(bath, mask)[0])
 
 
-def class_quantities(sys: SystemParams, bath: BathParams, th: Thermal,
-                     k, w) -> ConfigQuantities:
-    """Scalars shared by one (k, w) degeneracy class of a uniform bath
-    (arrays for arrays of classes)."""
-    g_sum, eps_sum, chi_sum = class_sums(bath, k, w)
-    return _quantities_from_sums(sys, th, g_sum, eps_sum, chi_sum)
+def class_quantities(sys: SystemParams, bath: BathParams, k, w) -> tuple:
+    """(splitting, rabi) shared by one (k, w) degeneracy class of a uniform
+    bath (arrays for arrays of classes)."""
+    return _qubit_quantities(sys, class_sums(bath, k, w)[0])
 
 
 def pure_state(amplitudes) -> np.ndarray:
@@ -331,7 +309,7 @@ def log_thermal_overlap(beta: float, energies, populations):
 def log_correlation_factor(sys: SystemParams, th: Thermal, splitting, rabi,
                            psi) -> float:
     """log of the correlation factor for a pattern's qubit splitting and rabi
-    frequency (see ConfigQuantities), elementwise over arrays of them.
+    frequency (see config_quantities), elementwise over arrays of them.
 
     The correlation factor is the weight correction from a correlated
     system-bath preparation: <psi| exp(-beta h) |psi> for the conditional

@@ -27,7 +27,7 @@ import numpy as np
 
 from .configspace import (ITEM_BLOCK, Backend, collapse_classes, fold_fields,
                           mask_blocks, reduce_weighted, series_log_weights)
-from .model import (BathParams, SystemParams, Thermal, bloch_components,
+from .model import (BathParams, SystemParams, Thermal, bath_sums, bloch_components,
                     class_quantities, class_sums, config_quantities,
                     log_correlation_factor, log_thermal_weight, pure_state,
                     require_uniform)
@@ -39,24 +39,27 @@ def _qubit_fields(sys: SystemParams, bath: BathParams, th: Thermal,
                   backend: Backend, psi, correlated: tuple[bool, ...]):
     """Per distinct coupling field, in ascending order: the splitting, the
     rabi frequency, and the log weights, one column per series."""
-    if Backend(backend) is Backend.COLLAPSE:
+    collapse = Backend(backend) is Backend.COLLAPSE
+    if collapse:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
-        g_sum, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
-        first, log_weight = fold_fields(
-            g_sum, log_thermal_weight(th.beta, eps_sum, chi_sum) + classes.log_multiplicity)
-        q = class_quantities(sys, bath, th, classes.k[first], classes.w[first])
-        splitting, rabi = q.splitting, q.rabi
+        sums = class_sums(bath, classes.k, classes.w)
+        log_multiplicity = classes.log_multiplicity
     else:
-        # mask_blocks checks the enumeration cap before anything 2^N-sized;
-        # filled block by block, so no array is held twice
+        # mask_blocks checks the enumeration cap before anything 2^N-sized
         blocks = mask_blocks(bath.n_spins)
-        quantities = np.empty((4, 1 << bath.n_spins))
+        sums = np.empty((3, 1 << bath.n_spins))
         for masks in blocks:
-            q = config_quantities(sys, bath, th, masks)
-            quantities[:, masks[0]:masks[-1] + 1] = q.g_sum, q.log_weight, q.splitting, q.rabi
-        first, log_weight = fold_fields(*quantities[:2])
-        splitting, rabi = quantities[2:, first]
+            sums[:, masks[0]:masks[-1] + 1] = bath_sums(bath, masks)
+        log_multiplicity = 0.0
+    g_sum, eps_sum, chi_sum = sums
+    first, log_weight = fold_fields(
+        g_sum, log_thermal_weight(th.beta, eps_sum, chi_sum) + log_multiplicity)
+    # only the folded fields reach the qubit: the per-item sums are released
+    # before the per-field work
+    del sums, g_sum, eps_sum, chi_sum
+    splitting, rabi = (class_quantities(sys, bath, classes.k[first], classes.w[first])
+                       if collapse else config_quantities(sys, bath, first))
     log_factor = np.empty(len(first))
     # slice by slice, so the factor's temporaries stay block-sized
     for start in range(0, len(first), ITEM_BLOCK):

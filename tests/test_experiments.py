@@ -180,6 +180,31 @@ class TestBathSpec:
         with pytest.raises(UsageError):
             BathSpec(n_spins=2, kind="uniform", eps=1.0, g=0.5)
 
+    def test_boundary_by_name(self):
+        # the ring's bonds are counted after the name becomes a Boundary
+        spec = BathSpec(n_spins=6, kind="random", boundary="periodic", seed=1,
+                        g_stats=GaussianStats(1.0, 0.2), eps_stats=GaussianStats(1.0, 0.2),
+                        chi_stats=GaussianStats(0.1, 0.05))
+        assert spec.boundary is Boundary.PERIODIC
+        assert spec.bond_count == len(spec.materialize().chi_i) == 6
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: BathSpec(n_spins=6, kind="uniform", boundary="ring", eps=1.0, g=0.5, chi=0.1),
+     "bath.boundary"),
+    (lambda: BathSpec(n_spins=6, kind="uniform", boundary=None, eps=1.0, g=0.5, chi=0.1),
+     "bath.boundary"),
+    (lambda: BathSpec(n_spins=5.5, kind="uniform", eps=1.0, g=0.5, chi=0.1), "bath.n_spins"),
+    (lambda: BathSpec(n_spins=5.0, kind="uniform", eps=1.0, g=0.5, chi=0.1), "bath.n_spins"),
+    (lambda: BathSpec(n_spins="5", kind="uniform", eps=1.0, g=0.5, chi=0.1), "bath.n_spins"),
+    (lambda: TimeGrid(0.0, 1.0, 2.5), "grid.n_points"),
+    (lambda: TimeGrid(0.0, 1.0, "40"), "grid.n_points"),
+], ids=["ring", "no_boundary", "fractional_spins", "float_spins", "text_spins",
+        "fractional_points", "text_points"])
+def test_spec_fields_are_checked_on_construction(build, field):
+    with pytest.raises(UsageError, match=field):
+        build()
+
 
 class TestConfigParsing:
     def test_minimal_single(self):

@@ -11,7 +11,8 @@ from spinbath.errors import CapacityError, ParameterError
 from spinbath.model import (ENUMERATION_CAP, BathParams, Boundary, SystemParams, Thermal,
                             bath_sums, bloch_components, class_quantities,
                             class_sums, config_quantities, log_correlation_factor,
-                            log_thermal_overlap, pure_state, require_uniform)
+                            log_thermal_overlap, log_thermal_weight, pure_state,
+                            require_uniform)
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -172,26 +173,25 @@ class TestConfigQuantities:
     def test_splitting_and_rabi(self):
         sys1 = SystemParams(epsilon=1.0, delta=2.0)
         bath = BathParams.uniform(2, 0.0, 1.5, 0.0)
-        q = config_quantities(sys1, bath, Thermal(0.0), 0)
-        assert q.g_sum == pytest.approx(3.0)
-        assert q.splitting == pytest.approx(4.0)
-        assert q.rabi == pytest.approx(0.5 * math.sqrt(16.0 + 4.0))
+        splitting, rabi = config_quantities(sys1, bath, 0)
+        assert bath_sums(bath, 0)[0] == pytest.approx(3.0)
+        assert splitting == pytest.approx(4.0)
+        assert rabi == pytest.approx(0.5 * math.sqrt(16.0 + 4.0))
 
     def test_weight_is_thermal(self):
-        sys1 = SystemParams(epsilon=0.0, delta=1.0)
         bath = BathParams.uniform(2, 0.8, 0.0, 0.3)
-        q = config_quantities(sys1, bath, Thermal(2.0), 0)
-        assert q.log_weight == pytest.approx(-2.0 * (0.3 + 0.8))
+        _, eps_sum, chi_sum = bath_sums(bath, 0)
+        assert log_thermal_weight(2.0, eps_sum, chi_sum) == pytest.approx(-2.0 * (0.3 + 0.8))
 
     def test_class_route_agrees(self):
         sys1 = SystemParams(epsilon=1.0, delta=0.5)
         bath = BathParams.uniform(5, 0.7, 1.1, 0.2)
-        th = Thermal(1.3)
-        q_mask = config_quantities(sys1, bath, th, 0b00110)
+        q_mask = config_quantities(sys1, bath, 0b00110)
         k = 2
         w = 2  # pattern 01100 read site-1-first: up,down,down,up,up
-        q_class = class_quantities(sys1, bath, th, k, w)
+        q_class = class_quantities(sys1, bath, k, w)
         assert q_class == q_mask
+        assert class_sums(bath, k, w) == bath_sums(bath, 0b00110)
 
 
 class TestPureState:
@@ -218,26 +218,27 @@ class TestPureState:
 
 
 def correlation_factor(sys1, th, q, psi):
-    return math.exp(log_correlation_factor(sys1, th, q.splitting, q.rabi, psi))
+    splitting, rabi = q
+    return math.exp(log_correlation_factor(sys1, th, splitting, rabi, psi))
 
 
 class TestCorrelationFactor:
     def test_infinite_temperature_is_exactly_one(self):
         sys1 = SystemParams(epsilon=1.0, delta=0.7)
         bath = BathParams.uniform(3, 0.4, 0.9, 0.1)
-        q = config_quantities(sys1, bath, Thermal(0.0), 0b010)
+        q = config_quantities(sys1, bath, 0b010)
         psi = pure_state([0.6, 0.8])
         assert correlation_factor(sys1, Thermal(0.0), q, psi) == 1.0
-        assert log_correlation_factor(sys1, Thermal(0.0), q.splitting, q.rabi, psi) == 0.0
+        assert log_correlation_factor(sys1, Thermal(0.0), *q, psi) == 0.0
 
     def test_zero_tunneling_eigenstate(self):
         # psi = |0> and delta = 0: factor is exactly exp(-beta*splitting/2)
         sys1 = SystemParams(epsilon=1.5, delta=0.0)
         bath = BathParams.uniform(2, 0.0, 0.25, 0.0)
         th = Thermal(2.0)
-        q = config_quantities(sys1, bath, th, 0)
+        q = config_quantities(sys1, bath, 0)
         psi = pure_state([1.0, 0.0])
-        expected = math.exp(-th.beta * q.splitting / 2.0)
+        expected = math.exp(-th.beta * q[0] / 2.0)
         assert correlation_factor(sys1, th, q, psi) == pytest.approx(expected, rel=1e-14)
 
     def test_plus_x_closed_form(self):
@@ -245,10 +246,11 @@ class TestCorrelationFactor:
         sys1 = SystemParams(epsilon=0.8, delta=1.1)
         bath = BathParams.uniform(3, 0.3, 0.6, 0.2)
         th = Thermal(1.7)
-        q = config_quantities(sys1, bath, th, 0b101)
+        q = config_quantities(sys1, bath, 0b101)
+        _, rabi = q
         psi = pure_state([2 ** -0.5, 2 ** -0.5])
-        expected = (math.cosh(th.beta * q.rabi)
-                    - math.sinh(th.beta * q.rabi) * sys1.delta / (2.0 * q.rabi))
+        expected = (math.cosh(th.beta * rabi)
+                    - math.sinh(th.beta * rabi) * sys1.delta / (2.0 * rabi))
         assert correlation_factor(sys1, th, q, psi) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_matrix_exponential(self):
@@ -258,9 +260,10 @@ class TestCorrelationFactor:
         raw = np.array([0.3 - 0.2j, 0.8 + 0.1j])
         psi = pure_state(raw / np.linalg.norm(raw))
         for mask in range(8):
-            q = config_quantities(sys1, bath, th, mask)
-            h = np.array([[q.splitting / 2.0, sys1.delta / 2.0],
-                          [sys1.delta / 2.0, -q.splitting / 2.0]])
+            q = config_quantities(sys1, bath, mask)
+            splitting, _ = q
+            h = np.array([[splitting / 2.0, sys1.delta / 2.0],
+                          [sys1.delta / 2.0, -splitting / 2.0]])
             vals, vecs = np.linalg.eigh(h)
             mat = (vecs * np.exp(-th.beta * vals)) @ vecs.conj().T
             expected = float((psi.conj() @ mat @ psi).real)
@@ -276,16 +279,16 @@ class TestCorrelationFactor:
         bath = BathParams.uniform(4, float(rng.uniform(-2, 2)),
                                   float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1)))
         th = Thermal(beta)
-        q = config_quantities(sys1, bath, th, int(rng.integers(0, 16)))
+        splitting, rabi = config_quantities(sys1, bath, int(rng.integers(0, 16)))
         amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         if np.linalg.norm(amps) < 1e-6:
             amps = np.array([1.0, 0.0])
         psi = pure_state(amps / np.linalg.norm(amps))
-        log_a = log_correlation_factor(sys1, th, q.splitting, q.rabi, psi)
+        log_a = log_correlation_factor(sys1, th, splitting, rabi, psi)
         assert math.isfinite(log_a)
         # factor is an expectation of a positive operator: strictly positive
-        assert log_a >= -th.beta * q.rabi - 1e-9
-        assert log_a <= th.beta * q.rabi + 1e-9
+        assert log_a >= -th.beta * rabi - 1e-9
+        assert log_a <= th.beta * rabi + 1e-9
 
 
 def stacked_log_correlation_factor(sys1, th, splitting, rabi, psi):
@@ -354,9 +357,9 @@ class TestThermalOverlap:
         # delta = 0 and psi = |0>: the factor is exactly exp(-beta*rabi)
         sys1 = SystemParams(epsilon=1.5, delta=0.0)
         th = Thermal(2.0)
-        q = config_quantities(sys1, BathParams.uniform(2, 0.0, 0.25, 0.0), th, 0)
-        factor = log_correlation_factor(sys1, th, q.splitting, q.rabi, pure_state([1.0, 0.0]))
-        assert factor == -th.beta * q.rabi
+        splitting, rabi = config_quantities(sys1, BathParams.uniform(2, 0.0, 0.25, 0.0), 0)
+        factor = log_correlation_factor(sys1, th, splitting, rabi, pure_state([1.0, 0.0]))
+        assert factor == -th.beta * rabi
 
     def test_finite_at_low_temperature(self):
         energies = np.array([-3.0, -1.0, 2.0, 5.0])

@@ -11,7 +11,8 @@ from spinbath import model, single_qubit, two_qubit
 from spinbath.configspace import Backend, collapse_classes, reduce_weighted
 from spinbath.errors import CapacityError, ParameterError
 from spinbath.model import (BathParams, Boundary, SystemParams, Thermal, bloch_components,
-                            class_quantities, log_correlation_factor, pure_state)
+                            class_quantities, config_quantities, log_correlation_factor,
+                            pure_state)
 from spinbath.numerics import hermitian_eig
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from spinbath.single_qubit import _qubit_fields, bloch_trajectory
@@ -245,9 +246,9 @@ class TestCollapseFold:
         # needed only on the N + 1 down-spin counts
         sizes = []
 
-        def recorded(sys1, bath, th, k, w):
+        def recorded(sys1, bath, k, w):
             sizes.append(len(k))
-            return class_quantities(sys1, bath, th, k, w)
+            return class_quantities(sys1, bath, k, w)
 
         monkeypatch.setattr(single_qubit, "class_quantities", recorded)
         n = 50
@@ -260,8 +261,13 @@ class TestCollapseFold:
     def test_enumerate_sees_folded_fields(self, monkeypatch, gaussian):
         # with g = 1, exactly representable, the 2^N masks fold onto the N + 1
         # fields g (N - 2k) before any qubit work; Gaussian couplings give
-        # every mask its own field
+        # every mask its own field. The one-qubit splitting and rabi, the
+        # correlation factor and the pair eigensolve each see only the fields
         rows = []
+
+        def quantities(sys1, bath, masks):
+            rows.append(len(masks))
+            return config_quantities(sys1, bath, masks)
 
         def factor(sys1, th, splitting, rabi, psi):
             rows.append(len(splitting))
@@ -271,6 +277,7 @@ class TestCollapseFold:
             rows.append(len(matrix))
             return hermitian_eig(matrix)
 
+        monkeypatch.setattr(single_qubit, "config_quantities", quantities)
         monkeypatch.setattr(single_qubit, "log_correlation_factor", factor)
         monkeypatch.setattr(two_qubit, "hermitian_eig", eig)
         n = 10
@@ -281,7 +288,7 @@ class TestCollapseFold:
                          PLUS_X, times, (False, True))
         density_trajectory(TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0, lam=3.0),
                            bath, th, Backend.ENUMERATE, bell_state(), times, (False, True))
-        assert rows == 2 * [1 << n if gaussian else n + 1]
+        assert rows == 3 * [1 << n if gaussian else n + 1]
 
 
 class TestHighBetaStability:
