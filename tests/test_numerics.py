@@ -102,6 +102,26 @@ class TestGaussianDraws:
         draws = gaussian_draw(RandomSpec(mean=4.2, std_dev=0.0, seed=77), 8)
         assert np.all(draws == 4.2)
 
+    # the exact bits of the stream: a CSV's recorded seed replays its random
+    # bath only while these hold
+    @pytest.mark.parametrize("seed, expected", [
+        (0, ["0x1.a43087870689cp-1", "-0x1.c455f154515d6p-1", "0x1.33c2c62743f5ep-1",
+             "-0x1.2d022dcafd5b7p-1", "-0x1.14bbd7dde1231p+0", "0x1.eba39072f1b0fp-2",
+             "0x1.9283684a51235p+0", "0x1.09340172e7dafp-1"]),
+        (1, ["0x1.bb233f8a6a8a2p-1", "-0x1.4dadc6da9219dp+0", "0x1.54a4e2781854cp-3",
+             "0x1.65c777202c1d9p+0", "0x1.1a36ef4bde156p-1", "0x1.d10d1f875cba6p-8",
+             "-0x1.bc203ca3dc81ap+0", "-0x1.109a7bad2753ep+0"]),
+        (42, ["-0x1.ac1c9b99391a8p+0", "-0x1.637d9526383b2p-1", "-0x1.453f79af30dfep-3",
+              "0x1.30c898cd99904p+0", "-0x1.268c7ba79f92cp-1", "-0x1.4dac095f95f96p-2",
+              "0x1.bd8e1fe5a5811p-2", "-0x1.7c25f3b1b48ecp+0"]),
+        (2**64 - 1, ["0x1.25198b3e44af0p+1", "0x1.563edb6e7b618p+0", "0x1.3fb6c4533ea52p+0",
+                     "-0x1.5022cf1764284p+0", "0x1.237c72f438585p-1", "-0x1.0d05cd35c2806p-3",
+                     "-0x1.e058744b07110p-2", "0x1.7cd9fd6e8b2d4p-2"]),
+    ])
+    def test_golden_draws(self, seed, expected):
+        draws = gaussian_draw(RandomSpec(0.0, 1.0, seed), 8)
+        assert [float(x).hex() for x in draws] == expected
+
     def test_seed_zero_usable(self):
         draws = gaussian_draw(RandomSpec(0.0, 1.0, seed=0), 16)
         assert np.all(np.isfinite(draws)) and draws.std() > 0
