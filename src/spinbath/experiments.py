@@ -193,23 +193,20 @@ class ExperimentConfig:
 
     @property
     def backend(self) -> Backend:
-        """The exact sum the bath takes: a random bath enumerates, any other
-        collapses when require_uniform accepts it and enumerates otherwise."""
-        return _bath_path(self.bath)[0]
-
-
-def _bath_path(spec: BathSpec) -> tuple[Backend, BathParams | None]:
-    """ExperimentConfig.backend, and the bath if deciding built it; a random
-    bath is not drawn, and no bath beyond the larger cap (collapse's) is built."""
-    if spec.kind == "random":
-        return Backend.ENUMERATE, None
-    _require_capacity(spec.n_spins, Backend.COLLAPSE)
-    bath = spec.materialize()
-    try:
-        require_uniform(bath)
-    except ParameterError:
-        return Backend.ENUMERATE, bath
-    return Backend.COLLAPSE, bath
+        """The exact sum the bath takes, read off its spec: a random bath
+        enumerates and a uniform one collapses, neither drawn nor built; an
+        explicit one collapses when require_uniform accepts its lists."""
+        spec = self.bath
+        if spec.kind != "explicit":
+            return Backend.ENUMERATE if spec.kind == "random" else Backend.COLLAPSE
+        # no list beyond the larger cap (collapse's) is built
+        _require_capacity(spec.n_spins, Backend.COLLAPSE)
+        bath = BathParams(spec.n_spins, spec.eps_list, spec.g_list, spec.chi_list, spec.boundary)
+        try:
+            require_uniform(bath)
+        except ParameterError:
+            return Backend.ENUMERATE
+        return Backend.COLLAPSE
 
 
 def _fmt(value: float) -> str:
@@ -442,24 +439,29 @@ def write_text(path, text: str) -> None:
         raise UsageError(f"cannot write output file {path}: {exc}") from exc
 
 
+def _trajectories(config: ExperimentConfig, bath: BathParams, th: Thermal,
+                  backend: Backend) -> np.ndarray:
+    """The configured series over the configured grid, from one trajectory
+    call: Bloch vectors (S, T, 3) in single mode, pair states (S, T, 4, 4)
+    in two_qubit mode."""
+    trajectory = bloch_trajectory if config.mode == "single" else density_trajectory
+    flags = tuple(series == SERIES_CORRELATED for series in config.series)
+    return trajectory(config.system, bath, th, backend, config.state_vector(),
+                      config.grid.times(), flags)
+
+
 def run(config: ExperimentConfig) -> ResultTable:
     """Compute the configured trajectories and return the plot-ready table."""
-    backend, bath = _bath_path(config.bath)
+    backend = config.backend
     # before materialize(), which draws a random bath's parameters one by one
     _require_capacity(config.bath.n_spins, backend)
-    bath = bath or config.bath.materialize()
-    th = config.thermal()
-    psi = config.state_vector()
-    times = config.grid.times()
-    flags = tuple(series == SERIES_CORRELATED for series in config.series)
-    trajectory = bloch_trajectory if config.mode == "single" else density_trajectory
-    computed = trajectory(config.system, bath, th, backend, psi, times, flags)
+    computed = _trajectories(config, config.bath.materialize(), config.thermal(), backend)
     if config.mode == "single":
         prefix, values = "px", computed[..., 0]
     else:
         prefix, values = "C", concurrence(computed)
     return ResultTable(columns=("t", *(f"{prefix}_{series}" for series in config.series)),
-                       rows=np.column_stack([times, *values]),
+                       rows=np.column_stack([config.grid.times(), *values]),
                        metadata=config_metadata(config))
 
 
@@ -595,18 +597,14 @@ def oracle_check(config: ExperimentConfig, n_override: int,
     require_dimension(1 if config.mode == "single" else 2, n_override)
     small = replace(config, bath=config.bath.resized(n_override))
     bath = small.bath.materialize()
-    th = small.thermal()
-    analytic_th = Thermal(small.beta * (1.0 + analytic_beta_skew))
-    psi = small.state_vector()
-    times = small.grid.times()
-    flags = tuple(series == SERIES_CORRELATED for series in small.series)
-    trajectory = bloch_trajectory if small.mode == "single" else density_trajectory
-    analytic = trajectory(small.system, bath, analytic_th, Backend.ENUMERATE, psi, times, flags)
+    analytic = _trajectories(small, bath, Thermal(small.beta * (1.0 + analytic_beta_skew)),
+                             Backend.ENUMERATE)
     h = build_hamiltonian(small.system, bath)
     entries: list[tuple[str, float]] = []
     # the brute-force reference evolves each series on its own
-    for series, correlated, computed in zip(small.series, flags, analytic):
-        rho0 = initial_state(h, th, psi, correlated)
+    psi, times = small.state_vector(), small.grid.times()
+    for series, computed in zip(small.series, analytic):
+        rho0 = initial_state(h, small.thermal(), psi, series == SERIES_CORRELATED)
         reduced = evolve_and_reduce(h, rho0, times)
         if small.mode == "single":
             entries.append((f"bloch_{series}",

@@ -80,12 +80,11 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 @dataclass(frozen=True)
 class RandomSpec:
-    """A Gaussian distribution plus the seed and algorithm that sample it."""
+    """A Gaussian distribution plus the seed that samples it."""
 
     mean: float
     std_dev: float
     seed: int
-    algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self):
         if not (math.isfinite(self.mean) and math.isfinite(self.std_dev)):
@@ -94,10 +93,6 @@ class RandomSpec:
             raise ParameterError(f"std_dev must be >= 0, got {self.std_dev}")
         if not 0 <= int(self.seed) < (1 << 64):
             raise ParameterError("seed must fit in an unsigned 64-bit integer")
-        if self.algorithm != RNG_ALGORITHM:
-            raise ParameterError(
-                f"unknown RNG algorithm {self.algorithm!r}; this build provides {RNG_ALGORITHM!r}"
-            )
 
 
 def _splitmix64(x: int) -> int:
@@ -108,50 +103,31 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-class GaussianStream:
-    """Seeded stream of standard-normal deviates: xorshift64* + Box-Muller."""
-
-    def __init__(self, seed: int):
-        state = _splitmix64(int(seed) & _MASK64)
-        # xorshift state must never be zero
-        self._state = state if state != 0 else _SPLITMIX_GAMMA
-        self._spare: float | None = None
-
-    def _next_u64(self) -> int:
-        s = self._state
-        s ^= (s >> 12)
-        s = (s ^ ((s << 25) & _MASK64))
-        s ^= (s >> 27)
-        self._state = s
-        return (s * _XORSHIFT_MULT) & _MASK64
-
-    def _next_unit(self) -> float:
-        # uniform on (0, 1]: top 53 bits, shifted off zero so log() is safe
-        return ((self._next_u64() >> 11) + 1) * (2.0 ** -53)
-
-    def next_normal(self) -> float:
-        if self._spare is not None:
-            z = self._spare
-            self._spare = None
-            return z
-        u1 = self._next_unit()
-        u2 = self._next_unit()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        angle = 2.0 * math.pi * u2
-        self._spare = radius * math.sin(angle)
-        return radius * math.cos(angle)
+def _standard_normals(seed: int):
+    """Endless seeded stream of standard-normal deviates: xorshift64* draws,
+    turned two at a time into a Box-Muller pair (the cosine one first)."""
+    # xorshift state must never be zero
+    state = _splitmix64(int(seed) & _MASK64) or _SPLITMIX_GAMMA
+    while True:
+        units = []
+        for _ in range(2):
+            state ^= state >> 12
+            state ^= (state << 25) & _MASK64
+            state ^= state >> 27
+            # uniform on (0, 1]: top 53 bits, shifted off zero so log() is safe
+            units.append(((((state * _XORSHIFT_MULT) & _MASK64) >> 11) + 1) * 2.0 ** -53)
+        radius = math.sqrt(-2.0 * math.log(units[0]))
+        angle = 2.0 * math.pi * units[1]
+        yield radius * math.cos(angle)
+        yield radius * math.sin(angle)
 
 
 def gaussian_draw(spec: RandomSpec, count: int) -> np.ndarray:
     """count independent draws from Normal(mean, std_dev) under spec's seed.
 
-    Deterministic for a fixed (seed, algorithm) pair; successive calls with
-    the same spec restart the stream rather than continuing it.
+    Deterministic for a fixed seed; successive calls with the same spec
+    restart the stream rather than continuing it.
     """
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")
-    stream = GaussianStream(spec.seed)
-    out = np.empty(count, dtype=float)
-    for i in range(count):
-        out[i] = spec.mean + spec.std_dev * stream.next_normal()
-    return out
+    return spec.mean + spec.std_dev * np.fromiter(_standard_normals(spec.seed), float, count)
