@@ -41,6 +41,10 @@ class Backend(enum.Enum):
     ENUMERATE = "enumerate"
     COLLAPSE = "collapse"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ParameterError(f"backend must be enumerate or collapse, got {value!r}")
+
 
 def _require_capacity(n_spins: int, backend: Backend) -> None:
     """Raise unless backend can sum a bath of n_spins spins."""

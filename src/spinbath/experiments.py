@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
@@ -49,6 +49,8 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
+        for name in ("t_start", "t_end"):
+            object.__setattr__(self, name, _require_real(f"grid.{name}", getattr(self, name)))
         object.__setattr__(self, "n_points", _require_int("grid.n_points", self.n_points))
         if not math.isfinite(self.t_end - self.t_start):
             raise UsageError("grid.t_start, grid.t_end and their span must be finite, "
@@ -108,6 +110,23 @@ class BathSpec:
         for field_name in needed[self.kind]:
             if getattr(self, field_name) is None:
                 raise UsageError(f"bath spec is missing {field_name} for kind {self.kind!r}")
+        # each value as a number, or a UsageError naming its config key
+        if self.kind == "uniform":
+            for name in ("eps", "g", "chi"):
+                object.__setattr__(self, name, _parse_real(f"bath.{name}", getattr(self, name)))
+        elif self.kind == "explicit":
+            for name in ("eps_list", "g_list", "chi_list"):
+                values = getattr(self, name)
+                if not isinstance(values, Iterable):
+                    raise UsageError(f"bath.{name} must be a list of numbers, got {values!r}")
+                object.__setattr__(self, name, tuple(_parse_real(f"bath.{name}", value)
+                                                     for value in values))
+        else:
+            object.__setattr__(self, "seed", _require_int("bath.random.seed", self.seed))
+            for name in ("g", "eps", "chi"):
+                stats = getattr(self, f"{name}_stats")
+                for stat in ("mean", "std"):
+                    _require_real(f"bath.random.{name}.{stat}", getattr(stats, stat))
 
     @property
     def bond_count(self) -> int:
@@ -221,14 +240,24 @@ def _choose(key: str, text: str, choices) -> str:
     return text
 
 
-def _parse_real(key: str, text: str) -> float:
+def _parse_real(key: str, text) -> float:
+    """text, or a value float() converts, as a finite float, or a UsageError
+    naming key."""
     try:
         value = float(text)
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{key} must be a number, got {text!r}") from exc
     if not math.isfinite(value):
         raise UsageError(f"{key} must be finite, got {text!r}")
     return value
+
+
+def _require_real(key: str, value) -> float:
+    """value as a finite float, or a UsageError naming key; text is refused,
+    as _require_int refuses it, and so is a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise UsageError(f"{key} must be a number, got {value!r}")
+    return _parse_real(key, value)
 
 
 def _require_int(key: str, value) -> int:

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, ParameterError
+from .numerics import _converted
 
 STATE_NORM_TOL = 1e-12
 # the most bath spins whose 2^N patterns are summed one by one (bath_sums)
@@ -39,13 +40,6 @@ class Boundary(enum.Enum):
     PERIODIC = "periodic"
 
 
-def _check_finite_scalar(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Central-qubit level spacing and tunneling amplitude."""
@@ -54,8 +48,8 @@ class SystemParams:
     delta: float
 
     def __post_init__(self):
-        _check_finite_scalar("epsilon", self.epsilon)
-        _check_finite_scalar("delta", self.delta)
+        for name in ("epsilon", "delta"):
+            object.__setattr__(self, name, _converted(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,7 @@ class TwoQubitParams:
 
     def __post_init__(self):
         for name in ("eps1", "eps2", "delta1", "delta2", "lam"):
-            _check_finite_scalar(name, getattr(self, name))
+            object.__setattr__(self, name, _converted(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -89,14 +83,15 @@ class BathParams:
     boundary: Boundary = Boundary.OPEN
 
     def __post_init__(self):
-        if int(self.n_spins) != self.n_spins or self.n_spins < 1:
+        n = _converted("n_spins", self.n_spins, int)
+        if n != self.n_spins or n < 1:
             raise ParameterError(f"n_spins must be a positive integer, got {self.n_spins}")
-        object.__setattr__(self, "n_spins", int(self.n_spins))
+        object.__setattr__(self, "n_spins", n)
         for name in ("eps_i", "g_i", "chi_i"):
-            values = tuple(float(x) for x in getattr(self, name))
-            if any(not math.isfinite(x) for x in values):
-                raise ParameterError(f"{name} must be finite")
-            object.__setattr__(self, name, values)
+            values = getattr(self, name)
+            if not isinstance(values, Iterable):
+                raise ParameterError(f"{name} must be a sequence of reals, got {values!r}")
+            object.__setattr__(self, name, tuple(_converted(name, x) for x in values))
         if not isinstance(self.boundary, Boundary):
             object.__setattr__(self, "boundary", Boundary(self.boundary))
         n = self.n_spins
@@ -173,7 +168,7 @@ class Thermal:
     beta: float
 
     def __post_init__(self):
-        _check_finite_scalar("beta", self.beta)
+        object.__setattr__(self, "beta", _converted("beta", self.beta))
         if self.beta < 0:
             raise ParameterError(f"beta must be >= 0, got {self.beta}")
 

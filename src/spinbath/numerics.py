@@ -53,6 +53,19 @@ def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
+def _converted(name: str, value, kind: type = float):
+    """kind(value), float or int, or a ParameterError naming the field; a
+    float must be finite. What kind() converts, such as "1.5", is accepted."""
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if converted is None or (kind is float and not math.isfinite(converted)):
+        noun = "a finite real number" if kind is float else "an integer"
+        raise ParameterError(f"{name} must be {noun}, got {value!r}")
+    return converted
+
+
 def _pairwise_over_rows(arr: np.ndarray):
     """Pairwise reduction over axis 0, for 1-d (scalars) or n-d (rows).
 
@@ -87,11 +100,11 @@ class RandomSpec:
     seed: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.std_dev)):
-            raise ParameterError("RandomSpec mean/std_dev must be finite")
+        for name, kind in (("mean", float), ("std_dev", float), ("seed", int)):
+            object.__setattr__(self, name, _converted(name, getattr(self, name), kind))
         if self.std_dev < 0:
             raise ParameterError(f"std_dev must be >= 0, got {self.std_dev}")
-        if not 0 <= int(self.seed) < (1 << 64):
+        if not 0 <= self.seed < (1 << 64):
             raise ParameterError("seed must fit in an unsigned 64-bit integer")
 
 
@@ -107,7 +120,7 @@ def _standard_normals(seed: int):
     """Endless seeded stream of standard-normal deviates: xorshift64* draws,
     turned two at a time into a Box-Muller pair (the cosine one first)."""
     # xorshift state must never be zero
-    state = _splitmix64(int(seed) & _MASK64) or _SPLITMIX_GAMMA
+    state = _splitmix64(seed & _MASK64) or _SPLITMIX_GAMMA
     while True:
         units = []
         for _ in range(2):

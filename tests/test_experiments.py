@@ -22,8 +22,8 @@ from spinbath.experiments import (BathSpec, ExperimentConfig, GaussianStats,
                                   ResultTable, TimeGrid, config_from_keys,
                                   config_metadata, list_presets, oracle_check,
                                   parse_config_file, preset, run)
-from spinbath.model import Boundary, SystemParams
-from spinbath.numerics import RNG_ALGORITHM
+from spinbath.model import BathParams, Boundary, SystemParams, Thermal
+from spinbath.numerics import RNG_ALGORITHM, RandomSpec
 from spinbath.single_qubit import bloch_trajectory
 from spinbath.two_qubit import TwoQubitParams, density_trajectory
 from test_oracle import refusal
@@ -204,6 +204,50 @@ class TestBathSpec:
 def test_spec_fields_are_checked_on_construction(build, field):
     with pytest.raises(UsageError, match=field):
         build()
+
+
+def _random_spec(**stats):
+    defaults = {f"{name}_stats": GaussianStats(1.0, 0.1) for name in ("g", "eps", "chi")}
+    return BathSpec(n_spins=4, kind="random", seed=1, **{**defaults, **stats})
+
+
+def _bogus_backend_run():
+    config = config_from_keys(single_keys())
+    bloch_trajectory(config.system, config.bath.materialize(), config.thermal(), "bogus",
+                     config.state_vector(), config.grid.times(), (False,))
+
+
+# a record names its field with a ParameterError, a spec its config key with a
+# UsageError
+@pytest.mark.parametrize("build, error, field", [
+    (lambda: SystemParams("a", 1), ParameterError, "epsilon"),
+    (lambda: SystemParams(None, 1), ParameterError, "epsilon"),
+    (lambda: TwoQubitParams(None, 1, 1, 1), ParameterError, "eps1"),
+    (lambda: Thermal("x"), ParameterError, "beta"),
+    (lambda: BathParams(1, ("a",), (1.0,), ()), ParameterError, "eps_i"),
+    (lambda: BathParams(1, None, (1.0,), ()), ParameterError, "eps_i"),
+    (lambda: RandomSpec("a", 1, 0), ParameterError, "mean"),
+    (lambda: RandomSpec(0, 1, "s"), ParameterError, "seed"),
+    (lambda: TimeGrid(None, 1.0, 5), UsageError, "grid.t_start"),
+    (lambda: TimeGrid(0, "1", 5), UsageError, "grid.t_end"),
+    (lambda: BathSpec(4, "uniform", eps="a", g=1.0, chi=0.1).materialize(), UsageError,
+     "bath.eps"),
+    (lambda: BathSpec(2, "explicit", eps_list=(1.0, "b"), g_list=(1.0, 1.0), chi_list=(0.1,)),
+     UsageError, "bath.eps_list"),
+    (lambda: _random_spec(g_stats=GaussianStats("a", 1)), UsageError, "bath.random.g.mean"),
+    (_bogus_backend_run, ParameterError, "backend"),
+], ids=["text_epsilon", "none_epsilon", "none_eps1", "text_beta", "text_eps_i",
+        "none_eps_i", "text_mean", "text_seed", "none_t_start", "text_t_end", "text_eps",
+        "text_list_entry", "text_stats_mean", "bogus_backend"])
+def test_non_numeric_inputs_raise_a_named_error(build, error, field):
+    with pytest.raises(error, match=f"^{re.escape(field)} must be"):
+        build()
+
+
+def test_text_that_converts_stays_accepted():
+    assert SystemParams("1.5", 1).epsilon == 1.5
+    assert BathParams(1, ("1.5",), (1.0,), ()).eps_i == (1.5,)
+    assert BathSpec(4, "uniform", eps="1.5", g=1.0, chi=0.1).materialize().eps_i == (1.5,) * 4
 
 
 class TestConfigParsing:
@@ -504,6 +548,59 @@ class TestRunAndCsv:
         config = config_from_keys(single_keys(**{"bath.n_spins": "3000000"}))
         with pytest.raises(CapacityError, match="collapse cap"):
             run(config)
+
+
+def _random_keys(**overrides):
+    keys = single_keys(**overrides, **{"bath.random.seed": "3"})
+    for name in ("g", "eps", "chi"):
+        keys.update({f"bath.random.{name}.mean": "1", f"bath.random.{name}.std": "0.1"})
+    for name in ("bath.eps", "bath.g", "bath.chi"):
+        del keys[name]
+    return keys
+
+
+class TestBackendFromSpec:
+    """ExperimentConfig.backend reads the spec; run() builds the bath once."""
+
+    @pytest.mark.parametrize("keys, backend", [(single_keys, Backend.COLLAPSE),
+                                               (_random_keys, Backend.ENUMERATE)])
+    @pytest.mark.parametrize("n_spins", ["3", "3000000"])
+    def test_reading_the_backend_builds_no_bath(self, monkeypatch, keys, backend, n_spins):
+        def refuse(*args):
+            raise AssertionError("bath built")
+
+        monkeypatch.setattr(BathSpec, "materialize", refuse)
+        monkeypatch.setattr(experiments, "gaussian_draw", refuse)
+        assert config_from_keys(keys(**{"bath.n_spins": n_spins})).backend is backend
+
+    @pytest.mark.parametrize("keys", [single_keys, functools.partial(ragged, single_keys),
+                                      _random_keys])
+    def test_run_materializes_once(self, monkeypatch, keys):
+        calls = []
+        materialize = BathSpec.materialize
+
+        def counted(spec):
+            calls.append(spec.kind)
+            return materialize(spec)
+
+        monkeypatch.setattr(BathSpec, "materialize", counted)
+        config = config_from_keys(keys())
+        run(config)
+        assert calls == [config.bath.kind]
+
+    def test_over_cap_explicit_lists_are_not_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bath built")
+
+        n = 3_501
+        spec = BathSpec(n, "explicit", eps_list=(1.0,) * n, g_list=(1.0,) * n,
+                        chi_list=(0.1,) * (n - 1))
+        config = replace(config_from_keys(single_keys()), bath=spec)
+        monkeypatch.setattr(BathSpec, "materialize", refuse)
+        monkeypatch.setattr(experiments, "BathParams", refuse)
+        for read in (lambda: config.backend, lambda: run(config)):
+            with pytest.raises(CapacityError, match="collapse cap"):
+                read()
 
 
 class TestSharedSweep:
