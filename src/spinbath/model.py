@@ -39,6 +39,10 @@ class Boundary(enum.Enum):
     OPEN = "open"
     PERIODIC = "periodic"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ParameterError(f"boundary must be open or periodic, got {value!r}")
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -94,7 +98,6 @@ class BathParams:
             object.__setattr__(self, name, tuple(_converted(name, x) for x in values))
         if not isinstance(self.boundary, Boundary):
             object.__setattr__(self, "boundary", Boundary(self.boundary))
-        n = self.n_spins
         if len(self.eps_i) != n:
             raise ParameterError(f"eps_i must have length {n}, got {len(self.eps_i)}")
         if len(self.g_i) != n:

@@ -226,6 +226,8 @@ def _bogus_backend_run():
     (lambda: Thermal("x"), ParameterError, "beta"),
     (lambda: BathParams(1, ("a",), (1.0,), ()), ParameterError, "eps_i"),
     (lambda: BathParams(1, None, (1.0,), ()), ParameterError, "eps_i"),
+    (lambda: BathParams(2, (1.0,) * 2, (1.0,) * 2, (0.0,), "ring"), ParameterError,
+     "boundary"),
     (lambda: RandomSpec("a", 1, 0), ParameterError, "mean"),
     (lambda: RandomSpec(0, 1, "s"), ParameterError, "seed"),
     (lambda: TimeGrid(None, 1.0, 5), UsageError, "grid.t_start"),
@@ -237,8 +239,8 @@ def _bogus_backend_run():
     (lambda: _random_spec(g_stats=GaussianStats("a", 1)), UsageError, "bath.random.g.mean"),
     (_bogus_backend_run, ParameterError, "backend"),
 ], ids=["text_epsilon", "none_epsilon", "none_eps1", "text_beta", "text_eps_i",
-        "none_eps_i", "text_mean", "text_seed", "none_t_start", "text_t_end", "text_eps",
-        "text_list_entry", "text_stats_mean", "bogus_backend"])
+        "none_eps_i", "ring_boundary", "text_mean", "text_seed", "none_t_start",
+        "text_t_end", "text_eps", "text_list_entry", "text_stats_mean", "bogus_backend"])
 def test_non_numeric_inputs_raise_a_named_error(build, error, field):
     with pytest.raises(error, match=f"^{re.escape(field)} must be"):
         build()
