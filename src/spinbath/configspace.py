@@ -11,9 +11,10 @@ fields (fold_fields) before any qubit work:
              O(N^2) classes, which is what makes N = 50 runs instant.
 
 Reductions are bit-identical from run to run: items are summed by one
-pairwise tree over the fields, evaluated block by block (ITEM_BLOCK is a
-power of two), so the summation order depends only on the item count. Time
-points are independent, so how they are split into blocks changes nothing.
+pairwise tree over the fields, evaluated block by block (every block a
+power of two of at least ITEM_BLOCK items), so the summation order depends
+only on the item count. Time points are independent, so how they are split
+into blocks changes nothing.
 """
 
 from __future__ import annotations
@@ -25,15 +26,21 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .model import ENUMERATION_CAP, Boundary, _finite
-from .numerics import _pairwise_over_rows
+from .numerics import _pairwise_sum
 
 # a two-series, 40-point run at the cap peaks below 1 GB (measured in README)
 COLLAPSE_CAP = 3_500
-# items per block, for setup and the sweep; a power of two, so block sums
-# combine into the one pairwise tree over all items
+# the sweep's smallest item block (a power of two, so block sums combine
+# into the one pairwise tree over all items), and the stack size of the
+# pair's batched 4x4 decompositions
 ITEM_BLOCK = 1024
-# the sweep takes as many time points per block as keep items x times x dim
-# within this many elements (at least one point)
+# items per call of the per-item setup loops (bath sums, correlation
+# factors): large enough that per-call overhead stays small, small enough
+# that the temporaries of a call stay well below a MB each
+SETUP_BLOCK = 8 * ITEM_BLOCK
+# the sweep takes as many time points per block as keep ITEM_BLOCK items x
+# times x dim within this many elements (at least one point), then doubles
+# its item block while the block still fits
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -61,11 +68,11 @@ def _require_capacity(n_spins: int, backend: Backend) -> None:
 
 def mask_blocks(n_spins: int):
     """Every bath bitmask for n_spins spins, as ascending arrays of at most
-    ITEM_BLOCK masks; enforces the enumeration cap."""
+    SETUP_BLOCK masks; enforces the enumeration cap."""
     _require_capacity(n_spins, Backend.ENUMERATE)
     total = 1 << n_spins
-    return (np.arange(start, min(start + ITEM_BLOCK, total))
-            for start in range(0, total, ITEM_BLOCK))
+    return (np.arange(start, min(start + SETUP_BLOCK, total))
+            for start in range(0, total, SETUP_BLOCK))
 
 
 def collapse_classes(n_spins: int, boundary: Boundary = Boundary.OPEN) -> np.recarray:
@@ -111,9 +118,30 @@ def fold_fields(field, log_weight) -> tuple[np.ndarray, np.ndarray]:
     field's first item and the log of the field's summed weights, found in
     log space. Fields that compare equal merge, so -0.0 joins 0.0.
     """
-    order = np.argsort(field, kind="stable")
-    first = np.flatnonzero(np.diff(np.asarray(field)[order], prepend=np.nan) != 0)
+    field = np.asarray(field)
+    # a stable sort is cheap where the fields arrive monotone, as collapse
+    # classes do in k order; elsewhere the default sort is faster, and item
+    # order inside a run of equal fields is restored below. The end points
+    # tell the one direction to check
+    later, earlier = field[1:], field[:-1]
+    monotone = bool(np.all(later <= earlier) if field.size and field[-1] < field[0]
+                    else np.all(later >= earlier))
+    order = np.argsort(field, kind="stable" if monotone else None)
+    ordered = field[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    if len(first) < len(order) and not monotone:
+        # one sort of (run, item) keys puts each run's items in item order
+        keys = ((np.cumsum(starts) - 1) << 32) | order
+        keys.sort()
+        order = keys & 0xFFFFFFFF
     logs = np.asarray(log_weight, dtype=float)[order]
+    if len(first) == len(order):
+        # no field repeats: a lone item's log-sum-exp, x + log(exp(x - x)),
+        # is x + (x - x) bit for bit, -0.0 and non-finite x included
+        return order, logs + (logs - logs)
     top = np.maximum.reduceat(logs, first)
     logs -= np.repeat(top, np.diff(first, append=len(logs)))
     np.exp(logs, out=logs)
@@ -158,28 +186,42 @@ def reduce_weighted(term, log_weight, times, dim: int) -> tuple[np.ndarray, np.n
         raise ParameterError(
             f"log_weight must be a non-empty (items, S) matrix, got {log_weight.shape}")
     shift = _finite("log weight", log_weight).max(axis=0)
-    weight = log_weight - shift
+    # (S, items) and C-ordered, so every sum below runs over the last axis
+    weight = np.subtract(log_weight.T, shift[:, None], order="C")
     np.exp(weight, out=weight)
-    n_items, n_series = weight.shape
-    rows = [slice(i, min(i + ITEM_BLOCK, n_items)) for i in range(0, n_items, ITEM_BLOCK)]
+    n_series, n_items = weight.shape
     # each column's weight sum, through the one tree the sweep evaluates by blocks
-    normalizer = _pairwise_over_rows(weight)
+    normalizer = _pairwise_sum(weight)
     step = max(1, BLOCK_ELEMENTS // (min(ITEM_BLOCK, n_items) * dim))
+    block = ITEM_BLOCK
+    while block < n_items and 2 * block * min(step, t.size) * dim <= BLOCK_ELEMENTS:
+        block *= 2
+    rows = [slice(i, min(i + block, n_items)) for i in range(0, n_items, block)]
     means = None
     for start in range(0, t.size, step):
         points = t[start:start + step]
         partials = []
-        for block in rows:
+        for block_rows in rows:
             with np.errstate(over="ignore", invalid="ignore"):
-                values = term(block, points)
-            if values.shape != (block.stop - block.start, points.size, dim):
-                raise ParameterError(f"term returned shape {values.shape} for "
-                                     f"{block.stop - block.start} items, {points.size} "
-                                     f"times and dim {dim}")
-            partials.append(_pairwise_over_rows(values[:, None] * weight[block, :, None, None]))
+                values = term(block_rows, points)
+            count = block_rows.stop - block_rows.start
+            if values.shape != (count, points.size, dim):
+                raise ParameterError(f"term returned shape {values.shape} for {count} "
+                                     f"items, {points.size} times and dim {dim}")
+            # the (S, entries, items) product, with the longer of items and
+            # entries innermost in memory, where the tree's adds run fastest
+            entries = values.reshape(count, -1)
+            if count > entries.shape[1]:
+                product = np.multiply(np.ascontiguousarray(entries.T),
+                                      weight[:, None, block_rows], order="C")
+            else:
+                product = np.multiply(entries[:, None], weight.T[block_rows, :, None],
+                                      order="C").transpose(1, 2, 0)
+            partials.append(_pairwise_sum(product))
         if means is None:
             means = np.empty((n_series, t.size, dim), dtype=values.dtype)
-        means[:, start:start + points.size] = _pairwise_over_rows(np.stack(partials))
+        means[:, start:start + points.size] = _pairwise_sum(
+            np.stack(partials, axis=-1)).reshape(n_series, points.size, dim)
     means /= normalizer[:, None, None]
     means.setflags(write=False)
     # the terms are bounded, so only an overflowing phase makes a mean inf or nan

@@ -125,8 +125,10 @@ class BathSpec:
             object.__setattr__(self, "seed", _require_int("bath.random.seed", self.seed))
             for name in ("g", "eps", "chi"):
                 stats = getattr(self, f"{name}_stats")
-                for stat in ("mean", "std"):
-                    _require_real(f"bath.random.{name}.{stat}", getattr(stats, stat))
+                _require_real(f"bath.random.{name}.mean", stats.mean)
+                std = _require_real(f"bath.random.{name}.std", stats.std)
+                if std < 0:
+                    raise UsageError(f"bath.random.{name}.std must be >= 0, got {std}")
 
     @property
     def bond_count(self) -> int:

@@ -66,22 +66,26 @@ def _converted(name: str, value, kind: type = float):
     return converted
 
 
-def _pairwise_over_rows(arr: np.ndarray):
-    """Pairwise reduction over axis 0, for 1-d (scalars) or n-d (rows).
+def _pairwise_sum(arr: np.ndarray):
+    """Pairwise reduction over the last axis, for 1-d (scalars) or n-d arrays.
 
-    The tree shape depends only on len(arr), so the result is bit-identical
-    across runs. Error grows like log2(n) * eps instead of the n * eps of
-    naive left-to-right addition.
+    Each level adds neighbouring pairs and carries an odd last entry to the
+    end, so the tree shape depends only on arr.shape[-1] and the result is
+    bit-identical across runs. Error grows like log2(n) * eps instead of the
+    n * eps of naive left-to-right addition. Each level keeps arr's memory
+    layout, so the adds run along whichever axis is innermost in memory.
     """
-    if arr.shape[0] == 0:
-        return np.zeros(arr.shape[1:], dtype=arr.dtype)
-    while arr.shape[0] > 1:
-        even = arr.shape[0] - (arr.shape[0] % 2)
-        paired = arr[0:even:2] + arr[1:even:2]
-        if arr.shape[0] % 2:
-            paired = np.concatenate([paired, arr[even:]], axis=0)
-        arr = paired
-    return arr[0]
+    n = arr.shape[-1]
+    if n == 0:
+        return np.zeros(arr.shape[:-1], dtype=arr.dtype)
+    while n > 1:
+        half, odd = divmod(n, 2)
+        paired = np.empty_like(arr[..., :half + odd])
+        np.add(arr[..., 0:2 * half:2], arr[..., 1:2 * half:2], out=paired[..., :half])
+        if odd:
+            paired[..., half] = arr[..., n - 1]
+        arr, n = paired, half + odd
+    return arr[..., 0]
 
 
 RNG_ALGORITHM = "xorshift64star-box-muller"

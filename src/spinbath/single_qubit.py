@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .configspace import (ITEM_BLOCK, Backend, collapse_classes, fold_fields,
+from .configspace import (SETUP_BLOCK, Backend, collapse_classes, fold_fields,
                           mask_blocks, reduce_weighted, series_log_weights)
 from .model import (BathParams, SystemParams, Thermal, bath_sums, bloch_components,
                     class_quantities, class_sums, config_quantities,
@@ -62,8 +62,8 @@ def _qubit_fields(sys: SystemParams, bath: BathParams, th: Thermal,
                        if collapse else config_quantities(sys, bath, first))
     log_factor = np.empty(len(first))
     # slice by slice, so the factor's temporaries stay block-sized
-    for start in range(0, len(first), ITEM_BLOCK):
-        rows = slice(start, start + ITEM_BLOCK)
+    for start in range(0, len(first), SETUP_BLOCK):
+        rows = slice(start, start + SETUP_BLOCK)
         log_factor[rows] = log_correlation_factor(sys, th, splitting[rows], rabi[rows], psi)
     return splitting, rabi, series_log_weights(log_weight, log_factor, correlated)
 

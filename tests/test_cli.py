@@ -118,7 +118,13 @@ class TestRun:
          "error: pair Hamiltonian"),
         (TINY_SINGLE.replace("grid.t_end = 4", "grid.t_start = -1e308\ngrid.t_end = 1e308"),
          "error: grid.t_start, grid.t_end and their span must be finite"),
-    ], ids=["n_points_cap", "single_overflow", "pair_overflow", "grid_overflow"])
+        (TINY_SINGLE.replace("bath.eps = 1\nbath.g = 0.5\nbath.chi = 0.1\n",
+                             "bath.random.seed = 1\n" + "".join(
+                                 f"bath.random.{name}.mean = 1\nbath.random.{name}.std = {std}\n"
+                                 for name, std in (("g", -1), ("eps", 0.1), ("chi", 0.1)))),
+         "error: bath.random.g.std must be >= 0, got -1.0"),
+    ], ids=["n_points_cap", "single_overflow", "pair_overflow", "grid_overflow",
+            "negative_std"])
     def test_out_of_range_exits_2_with_one_line(self, tmp_path, text, message):
         config = tmp_path / "bad.ini"
         config.write_text(text)

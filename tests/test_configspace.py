@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinbath import configspace
@@ -42,6 +42,33 @@ def class_table(n, boundary):
 
 def class_records(k, w, log_multiplicity):
     return np.rec.fromarrays([k, w, log_multiplicity], names="k,w,log_multiplicity")
+
+
+def pairwise_over_rows(arr):
+    """The pairwise tree over axis 0, as the sweep once ran it with items
+    first: the reference for the items-last sweep."""
+    if arr.shape[0] == 0:
+        return np.zeros(arr.shape[1:], dtype=arr.dtype)
+    while arr.shape[0] > 1:
+        even = arr.shape[0] - (arr.shape[0] % 2)
+        paired = arr[0:even:2] + arr[1:even:2]
+        if arr.shape[0] % 2:
+            paired = np.concatenate([paired, arr[even:]], axis=0)
+        arr = paired
+    return arr[0]
+
+
+def reference_fold(field, log_weight):
+    """fold_fields through one stable argsort and a reduceat over every run
+    of equal fields: the reference for the faster sort."""
+    order = np.argsort(field, kind="stable")
+    first = np.flatnonzero(np.diff(np.asarray(field)[order], prepend=np.nan) != 0)
+    logs = np.asarray(log_weight, dtype=float)[order]
+    top = np.maximum.reduceat(logs, first)
+    logs -= np.repeat(top, np.diff(first, append=len(logs)))
+    np.exp(logs, out=logs)
+    top += np.log(np.add.reduceat(logs, first))
+    return order[first], top
 
 
 class TestEnumerate:
@@ -122,9 +149,9 @@ def ones(rows, t):
 
 class TestMaskBlocks:
     def test_blocks_cover_every_mask_in_order(self):
-        blocks = list(mask_blocks(11))
-        assert all(len(b) <= configspace.ITEM_BLOCK for b in blocks)
-        assert np.array_equal(np.concatenate(blocks), np.arange(1 << 11))
+        blocks = list(mask_blocks(14))
+        assert len(blocks) > 1 and all(len(b) <= configspace.SETUP_BLOCK for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), np.arange(1 << 14))
 
 
 class TestReduceWeighted:
@@ -248,6 +275,38 @@ class TestReduceWeighted:
             assert np.array_equal(means, results[0][0])
             assert np.array_equal(log_partition, results[0][1])
 
+    @pytest.mark.parametrize("elements", [configspace.BLOCK_ELEMENTS, 97])
+    @pytest.mark.parametrize("n_series", [1, 2])
+    @pytest.mark.parametrize("dim, complex_terms", [(3, False), (16, True)])
+    @pytest.mark.parametrize("n_points", [1, 3])
+    @pytest.mark.parametrize("count", [1, 37, 1023, 1025, 3001, (1 << 16) + 1])
+    def test_matches_items_first_tree(self, monkeypatch, count, n_points, dim,
+                                      complex_terms, n_series, elements):
+        # one pairwise tree over the whole (items, S, T, dim) product, with
+        # the weights shifted and exp'd as the sweep does it
+        rng = np.random.default_rng(count)
+        values = rng.uniform(-1.0, 1.0, (count, dim))
+        if complex_terms:
+            values = values + 1j * rng.uniform(-1.0, 1.0, (count, dim))
+        log_weight = rng.uniform(-30.0, 30.0, (count, n_series))
+        times = np.linspace(0.0, 1.9, n_points)
+
+        def term(rows, t):
+            phase = np.exp(1j * t) if complex_terms else np.cos(t)
+            return values[rows, None, :] * phase[:, None]
+
+        monkeypatch.setattr(configspace, "BLOCK_ELEMENTS", elements)
+        means, log_partition = reduce_weighted(term, log_weight, times, dim)
+        shift = log_weight.max(axis=0)
+        weight = np.exp(log_weight - shift)
+        normalizer = pairwise_over_rows(weight)
+        # one time point at a time keeps the reference's product small
+        want = np.stack([pairwise_over_rows(term(slice(0, count), times[i:i + 1])[:, None]
+                                            * weight[:, :, None, None])[:, 0]
+                         for i in range(n_points)], axis=1) / normalizer[:, None, None]
+        assert np.array_equal(means, want)
+        assert np.array_equal(log_partition, shift + np.log(normalizer))
+
     def test_accuracy_near_fsum(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(-1.0, 1.0, 100_000)
@@ -256,7 +315,41 @@ class TestReduceWeighted:
         assert abs(got * values.size - math.fsum(values)) < 1e-10
 
 
+def fold_inputs(kind, n, seed):
+    """n fields of the given kind and their log weights, some of them
+    signed zeros."""
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        field = rng.normal(size=n)
+    elif kind == "few_values":
+        field = rng.choice(rng.normal(size=rng.integers(2, 4)), n)
+    elif kind == "signed_zeros":
+        field = rng.choice([0.0, -0.0, 0.5], n)
+    else:
+        # collapse-class shaped: runs of one field per k, k ascending
+        k = np.sort(rng.integers(0, n // 3 + 1, n))
+        field = (0.7 if kind == "non_increasing" else -0.7) * (n - 2.0 * k)
+    log_weight = rng.uniform(-40.0, 40.0, n)
+    log_weight[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+    return field, log_weight
+
+
 class TestFoldFields:
+    @pytest.mark.parametrize("kind", ["gaussian", "few_values", "signed_zeros",
+                                      "non_increasing", "non_decreasing"])
+    @given(n=st.one_of(st.sampled_from([1, 2]), st.integers(3, 3000)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1, seed=0)
+    @example(n=2, seed=0)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_matches_stable_sort_reference(self, kind, n, seed):
+        field, log_weight = fold_inputs(kind, n, seed)
+        first, folded = fold_fields(field, log_weight)
+        want_first, want_folded = reference_fold(field, log_weight)
+        assert np.array_equal(first, want_first)
+        # bit for bit, signed zeros included
+        assert folded.tobytes() == want_folded.tobytes()
+
     def test_ties_out_of_order(self):
         # fields come back ascending, each with its first item and the
         # log-sum-exp of every item that shares it

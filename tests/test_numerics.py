@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbath.errors import ParameterError
-from spinbath.numerics import RandomSpec, _pairwise_over_rows, gaussian_draw, hermitian_eig
+from spinbath.numerics import RandomSpec, _pairwise_sum, gaussian_draw, hermitian_eig
 
 
 def random_hermitian(rng, dim):
@@ -49,7 +49,7 @@ class TestHermitianEig:
 
 
 def pairwise_sum(values):
-    return float(_pairwise_over_rows(np.asarray(values, dtype=float)))
+    return float(_pairwise_sum(np.asarray(values, dtype=float)))
 
 
 class TestPairwiseSum:
