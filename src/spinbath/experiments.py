@@ -115,12 +115,17 @@ class BathSpec:
             for name in ("eps", "g", "chi"):
                 object.__setattr__(self, name, _parse_real(f"bath.{name}", getattr(self, name)))
         elif self.kind == "explicit":
-            for name in ("eps_list", "g_list", "chi_list"):
+            for name, length in (("eps_list", self.n_spins), ("g_list", self.n_spins),
+                                 ("chi_list", self.bond_count)):
                 values = getattr(self, name)
                 if not isinstance(values, Iterable):
                     raise UsageError(f"bath.{name} must be a list of numbers, got {values!r}")
-                object.__setattr__(self, name, tuple(_parse_real(f"bath.{name}", value)
-                                                     for value in values))
+                values = tuple(_parse_real(f"bath.{name}", value) for value in values)
+                if len(values) != length:
+                    raise UsageError(f"bath.{name} must be a list of {length} numbers for "
+                                     f"{self.n_spins} spins, {self.boundary.value} boundary, "
+                                     f"got {len(values)}")
+                object.__setattr__(self, name, values)
         else:
             object.__setattr__(self, "seed", _require_int("bath.random.seed", self.seed))
             for name in ("g", "eps", "chi"):

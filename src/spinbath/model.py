@@ -176,11 +176,6 @@ class Thermal:
             raise ParameterError(f"beta must be >= 0, got {self.beta}")
 
 
-def _scalar_or_array(value):
-    # scalar inputs give Python floats, array inputs arrays of the same shape
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def _finite(name: str, value):
     """value, or a ParameterError naming it when the parameters made an entry
     overflow to inf or nan; callers compute it with numpy's warnings off."""
@@ -203,13 +198,13 @@ def _qubit_quantities(sys: SystemParams, g_sum) -> tuple:
     # the qubit's bath-shifted splitting epsilon + g_sum and its generalized
     # rabi frequency sqrt(splitting^2 + delta^2)/2
     splitting = _finite("qubit splitting epsilon + g_sum", sys.epsilon + g_sum)
-    return _scalar_or_array(splitting), _scalar_or_array(0.5 * np.hypot(splitting, sys.delta))
+    return splitting, 0.5 * np.hypot(splitting, sys.delta)
 
 
-def bath_sums(bath: BathParams, mask) -> tuple:
-    """(g_sum, eps_sum, chi_sum) for the bath pattern given as a bitmask, or
-    arrays of them for an array of masks (see module docstring for the bit
-    convention). Each is a signed sum over the pattern: a site's g_i and
+def bath_sums(bath: BathParams, mask) -> np.ndarray:
+    """(g_sum, eps_sum, chi_sum) as one (3, ...) array, the trailing shape
+    that of the bitmask or array of bitmasks (see module docstring for the
+    bit convention). Each is a signed sum over the pattern: a site's g_i and
     eps_i count + when its spin is up and - when down, a bond's chi_i + when
     its two spins are aligned and - when not. g_sum is the net coupling
     field the qubits see, and eps_sum/2 + chi_sum the pattern's bath energy.
@@ -238,7 +233,7 @@ def bath_sums(bath: BathParams, mask) -> tuple:
     for bond in sorted({cut - 1, n - 1} & set(range(bath.bond_count))):
         anti = ((masks >> bond) ^ (masks >> ((bond + 1) % n))) & 1
         sums[2] += np.array((bath.chi_i[bond], -bath.chi_i[bond])).take(anti)
-    return tuple(map(_scalar_or_array, sums))
+    return sums
 
 
 def class_sums(bath: BathParams, k, w) -> tuple:
@@ -254,8 +249,7 @@ def class_sums(bath: BathParams, k, w) -> tuple:
         raise ParameterError(f"down-spin count {k} out of range for {n} spins")
     if np.any(w < 0) or np.any(w > bonds):
         raise ParameterError(f"wall count {w} out of range for {bonds} bonds")
-    sums = (g * (n - 2 * k), eps * (n - 2 * k), chi * (bonds - 2 * w))
-    return tuple(map(_scalar_or_array, sums))
+    return g * (n - 2 * k), eps * (n - 2 * k), chi * (bonds - 2 * w)
 
 
 def config_quantities(sys: SystemParams, bath: BathParams, mask) -> tuple:
@@ -293,19 +287,21 @@ def bloch_components(psi) -> tuple[float, float, float]:
 
 
 def log_thermal_overlap(beta: float, energies, populations):
-    """log <psi| exp(-beta h) |psi> = log sum_j p_j exp(-beta E_j) over the
-    last axis, for h's eigenvalues E_j and psi's populations p_j on them.
-    np.logaddexp keeps it finite at any beta; zero populations drop out, and
-    beta = 0 gives exactly 0.0 (populations sum to 1 only up to rounding)."""
+    """log <psi| exp(-beta h) |psi> = log sum_j p_j exp(-beta E_j), elementwise,
+    for h's eigenvalues E_j and psi's populations p_j on them, given level by
+    level: one array (or number) per level j. The terms fold in level order
+    with np.logaddexp, which keeps the sum finite at any beta; zero
+    populations drop out, and beta = 0 gives exactly 0.0 (populations sum to
+    1 only up to rounding)."""
     if beta == 0.0:
-        return _scalar_or_array(np.zeros(np.shape(populations)[:-1]))
+        return np.zeros(np.shape(populations[0]))
     with np.errstate(divide="ignore"):
-        exponents = np.log(populations) - beta * np.asarray(energies)
-    return _scalar_or_array(np.logaddexp.reduce(exponents, axis=-1))
+        terms = [np.log(p) - beta * np.asarray(e) for e, p in zip(energies, populations)]
+    return functools.reduce(np.logaddexp, terms)
 
 
 def log_correlation_factor(sys: SystemParams, th: Thermal, splitting, rabi,
-                           psi) -> float:
+                           psi) -> np.ndarray:
     """log of the correlation factor for a pattern's qubit splitting and rabi
     frequency (see config_quantities), elementwise over arrays of them.
 
@@ -319,19 +315,12 @@ def log_correlation_factor(sys: SystemParams, th: Thermal, splitting, rabi,
     h = (splitting/2) sigma_z + (delta/2) sigma_x has eigenvalues +-rabi, on
     which psi has populations q_± = (1 ± <h>/rabi)/2 (both 1/2 where rabi = 0
     and h vanishes), so the factor is exp(-beta*rabi) q_+ + exp(beta*rabi) q_-,
-    with no singularity at rabi -> 0. Its log is log_thermal_overlap over those
-    two levels, taken as one np.logaddexp of the two terms, which gives the
-    same bits as the length-2 reduce (beta = 0 gives exactly 0.0 here too).
+    with no singularity at rabi -> 0: log_thermal_overlap over those two levels.
     """
     px, _, pz = bloch_components(psi)
     rabi = np.asarray(rabi)
-    if th.beta == 0.0:
-        return _scalar_or_array(np.zeros(rabi.shape))
     mean_h = 0.5 * (splitting * pz + sys.delta * px)
     ratio = np.divide(mean_h, rabi, out=np.zeros(rabi.shape), where=rabi != 0.0)
-    # one term per eigenvalue +-rabi; rounding can push |ratio| past 1, and
-    # a population is never negative
-    with np.errstate(divide="ignore"):
-        up, down = (np.log(np.maximum(0.0, 0.5 * (1.0 + r))) - th.beta * e
-                    for r, e in ((ratio, rabi), (-ratio, -rabi)))
-    return _scalar_or_array(np.logaddexp(up, down))
+    # rounding can push |ratio| past 1, and a population is never negative
+    populations = (np.maximum(0.0, 0.5 * (1.0 + ratio)), np.maximum(0.0, 0.5 * (1.0 - ratio)))
+    return log_thermal_overlap(th.beta, (rabi, -rabi), populations)

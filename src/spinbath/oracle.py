@@ -42,16 +42,15 @@ DIMENSION_CAP = 2 ** 12
 
 @dataclass(frozen=True)
 class FullHamiltonian:
-    """Dense joint Hamiltonian, its eigendecomposition, and the bath-only
+    """Eigendecomposition of the joint Hamiltonian, and the bath-only
     diagonal.
 
     The bath Hamiltonian is diagonal in the product z basis, so its 2^N
     energies are carried as a vector; the uncorrelated thermal bath state is
-    built from it directly. The joint matrix is diagonalized once, and every
-    thermal state and time point reuses energies and vectors.
+    built from it directly. The joint matrix is diagonalized once, not kept,
+    and every thermal state and time point reuses energies and vectors.
     """
 
-    matrix: np.ndarray
     n_system: int
     n_bath: int
     bath_diagonal: np.ndarray
@@ -111,9 +110,9 @@ def _qubits(sys) -> tuple[tuple[tuple[float, float], ...], float]:
     raise ParameterError(f"expected SystemParams or TwoQubitParams, got {type(sys)!r}")
 
 
-def build_hamiltonian(sys, bath: BathParams) -> FullHamiltonian:
-    """Joint Hamiltonian for one central qubit (SystemParams) or a coupled
-    pair (TwoQubitParams) plus the bath."""
+def _joint_matrix(sys, bath: BathParams) -> tuple[np.ndarray, np.ndarray]:
+    """Dense joint Hamiltonian for one central qubit (SystemParams) or a
+    coupled pair (TwoQubitParams) plus the bath, and the bath-only diagonal."""
     qubits, lam = _qubits(sys)
     n_system = len(qubits)
     require_dimension(n_system, bath.n_spins)
@@ -130,12 +129,17 @@ def build_hamiltonian(sys, bath: BathParams) -> FullHamiltonian:
     index = np.arange(1 << total)
     for q, (_, delta) in enumerate(qubits):
         matrix[index ^ (1 << (total - 1 - q)), index] = 0.5 * delta
+    return matrix, bath_diagonal
+
+
+def build_hamiltonian(sys, bath: BathParams) -> FullHamiltonian:
+    """The joint Hamiltonian of _joint_matrix, diagonalized; the dense D x D
+    matrix is released once its eigendecomposition is taken."""
+    matrix, bath_diagonal = _joint_matrix(sys, bath)
     energies, vectors = hermitian_eig(matrix)
-    for array in (matrix, energies, vectors):
+    for array in (energies, vectors):
         array.setflags(write=False)
-    return FullHamiltonian(matrix=matrix, n_system=n_system, n_bath=bath.n_spins,
-                           bath_diagonal=bath_diagonal,
-                           energies=energies, vectors=vectors)
+    return FullHamiltonian(len(_qubits(sys)[0]), bath.n_spins, bath_diagonal, energies, vectors)
 
 
 def initial_state(h: FullHamiltonian, th, psi, correlated: bool) -> np.ndarray:

@@ -98,7 +98,8 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
         energies[rows], vectors = hermitian_eig(conditional_hamiltonian(sys2, g_sum[rows]))
         overlaps = vectors.conj().swapaxes(-2, -1) @ psi
         amplitudes[rows] = vectors * overlaps[:, None, :]
-        log_factor[rows] = log_thermal_overlap(th.beta, energies[rows], np.abs(overlaps) ** 2)
+        log_factor[rows] = log_thermal_overlap(th.beta, energies[rows].T,
+                                               (np.abs(overlaps) ** 2).T)
     return energies, amplitudes, series_log_weights(log_weight, log_factor, correlated)
 
 

@@ -123,8 +123,19 @@ class TestRun:
                                  f"bath.random.{name}.mean = 1\nbath.random.{name}.std = {std}\n"
                                  for name, std in (("g", -1), ("eps", 0.1), ("chi", 0.1)))),
          "error: bath.random.g.std must be >= 0, got -1.0"),
+        # explicit lists of the wrong length, named by their config keys
+        (TINY_SINGLE.replace("bath.n_spins = 3\nbath.eps = 1\nbath.g = 0.5\nbath.chi = 0.1\n",
+                             "bath.n_spins = 4\nbath.eps_list = 1,1,1\n"
+                             "bath.g_list = 1,2,1,1\nbath.chi_list = 0,0,0\n"),
+         "error: bath.eps_list must be a list of 4 numbers for 4 spins, open boundary, got 3"),
+        (TINY_SINGLE.replace("bath.n_spins = 3\nbath.eps = 1\nbath.g = 0.5\nbath.chi = 0.1\n",
+                             "bath.n_spins = 4\nbath.boundary = periodic\n"
+                             "bath.eps_list = 1,1,1,1\nbath.g_list = 1,2,1,1\n"
+                             "bath.chi_list = 0,0,0\n"),
+         "error: bath.chi_list must be a list of 4 numbers for 4 spins, periodic boundary, "
+         "got 3"),
     ], ids=["n_points_cap", "single_overflow", "pair_overflow", "grid_overflow",
-            "negative_std"])
+            "negative_std", "short_eps_list", "short_periodic_chi_list"])
     def test_out_of_range_exits_2_with_one_line(self, tmp_path, text, message):
         config = tmp_path / "bad.ini"
         config.write_text(text)

@@ -236,11 +236,18 @@ def _bogus_backend_run():
      "bath.eps"),
     (lambda: BathSpec(2, "explicit", eps_list=(1.0, "b"), g_list=(1.0, 1.0), chi_list=(0.1,)),
      UsageError, "bath.eps_list"),
+    (lambda: BathSpec(4, "explicit", eps_list=(1.0,) * 3, g_list=(1.0,) * 4,
+                      chi_list=(0.1,) * 3), UsageError, "bath.eps_list"),
+    (lambda: BathSpec(2, "explicit", eps_list=(1.0,) * 2, g_list=(1.0,) * 3, chi_list=(0.1,)),
+     UsageError, "bath.g_list"),
+    (lambda: BathSpec(4, "explicit", boundary="periodic", eps_list=(1.0,) * 4,
+                      g_list=(1.0,) * 4, chi_list=(0.1,) * 3), UsageError, "bath.chi_list"),
     (lambda: _random_spec(g_stats=GaussianStats("a", 1)), UsageError, "bath.random.g.mean"),
     (_bogus_backend_run, ParameterError, "backend"),
 ], ids=["text_epsilon", "none_epsilon", "none_eps1", "text_beta", "text_eps_i",
         "none_eps_i", "ring_boundary", "text_mean", "text_seed", "none_t_start",
-        "text_t_end", "text_eps", "text_list_entry", "text_stats_mean", "bogus_backend"])
+        "text_t_end", "text_eps", "text_list_entry", "short_eps_list", "long_g_list",
+        "short_periodic_chi_list", "text_stats_mean", "bogus_backend"])
 def test_non_numeric_inputs_raise_a_named_error(build, error, field):
     with pytest.raises(error, match=f"^{re.escape(field)} must be"):
         build()

@@ -86,8 +86,8 @@ def refusal(limit):
 
 class TestBuildHamiltonian:
     def test_hermitian(self):
-        h = build_hamiltonian(small_system(), small_bath())
-        assert np.abs(h.matrix - h.matrix.conj().T).max() == 0.0
+        matrix, _ = oracle._joint_matrix(small_system(), small_bath())
+        assert np.abs(matrix - matrix.conj().T).max() == 0.0
 
     @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
     @pytest.mark.parametrize("pair", [False, True])
@@ -97,12 +97,13 @@ class TestBuildHamiltonian:
                        else (((system.epsilon, system.delta),), 0.0))
         for seed in range(3):
             bath = small_bath(3, seed=20 + seed, boundary=boundary)
-            h = build_hamiltonian(system, bath)
-            assert np.abs(h.matrix - kron_hamiltonian(qubits, lam, bath)).max() < 1e-13
+            matrix, _ = oracle._joint_matrix(system, bath)
+            assert np.abs(matrix - kron_hamiltonian(qubits, lam, bath)).max() < 1e-13
 
     def test_diagonalizes_once(self, monkeypatch):
         h = build_hamiltonian(small_system(), small_bath())
-        assert np.abs((h.vectors * h.energies) @ h.vectors.conj().T - h.matrix).max() < 1e-12
+        matrix, _ = oracle._joint_matrix(small_system(), small_bath())
+        assert np.abs((h.vectors * h.energies) @ h.vectors.conj().T - matrix).max() < 1e-12
         calls = []
         monkeypatch.setattr(oracle, "hermitian_eig", lambda m: calls.append(m))
         rho0 = initial_state(h, Thermal(1.0), pure_state([0.6, 0.8]), correlated=True)
@@ -112,13 +113,15 @@ class TestBuildHamiltonian:
 
     def test_dimensions(self):
         h = build_hamiltonian(small_system(), small_bath(4))
-        assert h.matrix.shape == (32, 32)
+        assert oracle._joint_matrix(small_system(), small_bath(4))[0].shape == (32, 32)
+        assert h.vectors.shape == (32, 32)
         assert h.system_dim == 2 and h.bath_dim == 16
 
     def test_two_qubit_dimensions(self):
         sys2 = TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0, lam=3.0)
         h = build_hamiltonian(sys2, small_bath(3))
-        assert h.matrix.shape == (32, 32)
+        assert oracle._joint_matrix(sys2, small_bath(3))[0].shape == (32, 32)
+        assert h.vectors.shape == (32, 32)
         assert h.n_system == 2
 
     def test_capacity(self):
@@ -171,8 +174,8 @@ class TestBuildHamiltonian:
         # with delta = 0 the single-qubit Hamiltonian is diagonal
         sys1 = SystemParams(epsilon=0.8, delta=0.0)
         bath = BathParams(2, (0.5, -0.3), (1.0, 0.7), (0.2,))
-        h = build_hamiltonian(sys1, bath)
-        off = h.matrix - np.diag(np.diagonal(h.matrix))
+        matrix, _ = oracle._joint_matrix(sys1, bath)
+        off = matrix - np.diag(np.diagonal(matrix))
         assert np.abs(off).max() == 0.0
 
 
@@ -314,7 +317,7 @@ class TestBatchedTimes:
         # more times than the joint dimension take several time blocks
         h = build_hamiltonian(small_system(), small_bath(2, seed=14))
         rho0 = initial_state(h, Thermal(1.0), pure_state([0.6, 0.8]), correlated=True)
-        times = np.linspace(0.0, 9.0, 3 * h.matrix.shape[0] + 1)
+        times = np.linspace(0.0, 9.0, 3 * len(h.energies) + 1)
         batched = evolve_and_reduce(h, rho0, times)
         expected = np.array([textbook_reduce(h, rho0, t) for t in times])
         assert np.abs(batched - expected).max() < 1e-12
