@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .model import ENUMERATION_CAP, Boundary, _finite
-from .numerics import _pairwise_sum
+from .numerics import _converted, _finite_array, _pairwise_sum
 
 # a two-series, 40-point run at the cap peaks below 1 GB (measured in README)
 COLLAPSE_CAP = 3_500
@@ -53,8 +53,10 @@ class Backend(enum.Enum):
         raise ParameterError(f"backend must be enumerate or collapse, got {value!r}")
 
 
-def _require_capacity(n_spins: int, backend: Backend) -> None:
-    """Raise unless backend can sum a bath of n_spins spins."""
+def _require_capacity(n_spins: int, backend: Backend) -> int:
+    """n_spins as an int, or raise unless backend can sum a bath of that many
+    spins."""
+    n_spins = _converted("n_spins", n_spins, int)
     if n_spins < 1:
         raise ParameterError(f"n_spins must be >= 1, got {n_spins}")
     if Backend(backend) is Backend.ENUMERATE and n_spins > ENUMERATION_CAP:
@@ -64,13 +66,13 @@ def _require_capacity(n_spins: int, backend: Backend) -> None:
         )
     if Backend(backend) is Backend.COLLAPSE and n_spins > COLLAPSE_CAP:
         raise CapacityError(f"n_spins {n_spins} exceeds the collapse cap {COLLAPSE_CAP}")
+    return n_spins
 
 
 def mask_blocks(n_spins: int):
     """Every bath bitmask for n_spins spins, as ascending arrays of at most
     SETUP_BLOCK masks; enforces the enumeration cap."""
-    _require_capacity(n_spins, Backend.ENUMERATE)
-    total = 1 << n_spins
+    total = 1 << _require_capacity(n_spins, Backend.ENUMERATE)
     return (np.arange(start, min(start + SETUP_BLOCK, total))
             for start in range(0, total, SETUP_BLOCK))
 
@@ -89,8 +91,7 @@ def collapse_classes(n_spins: int, boundary: Boundary = Boundary.OPEN) -> np.rec
     w) or 2 N / w (ring). Logs of the binomials come from one table of log
     factorials, so no N overflows; the multiplicities sum to 2^N.
     """
-    _require_capacity(n_spins, Backend.COLLAPSE)
-    n = n_spins
+    n = _require_capacity(n_spins, Backend.COLLAPSE)
     down = np.arange(n + 1)
     m = np.minimum(down, n - down)
     periodic = boundary is Boundary.PERIODIC
@@ -172,11 +173,9 @@ def reduce_weighted(term, log_weight, times, dim: int) -> tuple[np.ndarray, np.n
     summation order depends only on the item count, so results are
     bit-identical from run to run.
     """
-    t = np.asarray(times, dtype=float)
+    t = _finite_array("times", times, float)
     if t.ndim != 1 or t.size == 0:
         raise ParameterError("times must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(t)):
-        raise ParameterError("times must be finite")
     if np.any(np.diff(t) < 0):
         raise ParameterError("times must be ascending")
     if dim < 1:

@@ -628,8 +628,9 @@ def oracle_check(config: ExperimentConfig, n_override: int,
     analytic_beta_skew is a test hook: it scales the analytic path's inverse
     temperature so the detector can be shown to trip on a corrupted weight.
     """
-    if n_override < 1:
-        raise UsageError(f"oracle bath size must be >= 1, got {n_override}")
+    if (isinstance(n_override, bool) or not isinstance(n_override, numbers.Integral)
+            or n_override < 1):
+        raise UsageError(f"oracle bath size must be an integer >= 1, got {n_override!r}")
     require_dimension(1 if config.mode == "single" else 2, n_override)
     small = replace(config, bath=config.bath.resized(n_override))
     bath = small.bath.materialize()

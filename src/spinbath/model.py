@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .numerics import _converted
+from .numerics import _converted, _finite_array
 
 STATE_NORM_TOL = 1e-12
 # the most bath spins whose 2^N patterns are summed one by one (bath_sums)
@@ -88,7 +88,7 @@ class BathParams:
 
     def __post_init__(self):
         n = _converted("n_spins", self.n_spins, int)
-        if n != self.n_spins or n < 1:
+        if n < 1:
             raise ParameterError(f"n_spins must be a positive integer, got {self.n_spins}")
         object.__setattr__(self, "n_spins", n)
         for name in ("eps_i", "g_i", "chi_i"):
@@ -120,7 +120,7 @@ class BathParams:
     @classmethod
     def uniform(cls, n_spins: int, eps: float, g: float, chi: float,
                 boundary: Boundary = Boundary.OPEN) -> "BathParams":
-        boundary = Boundary(boundary)
+        n_spins, boundary = _converted("n_spins", n_spins, int), Boundary(boundary)
         bonds = n_spins if boundary is Boundary.PERIODIC else n_spins - 1
         return cls(n_spins, (eps,) * n_spins, (g,) * n_spins, (chi,) * bonds, boundary)
 
@@ -176,6 +176,27 @@ class Thermal:
             raise ParameterError(f"beta must be >= 0, got {self.beta}")
 
 
+def _check_records(system, system_type: type, bath, th) -> None:
+    """Raise a ParameterError naming the expected type where a trajectory's
+    system, bath or thermal record is of another type."""
+    for name, value, expected in (("system", system, system_type), ("bath", bath, BathParams),
+                                  ("thermal", th, Thermal)):
+        if not isinstance(value, expected):
+            raise ParameterError(f"{name} must be a {expected.__name__}, "
+                                 f"got {type(value).__name__}")
+
+
+def _integers(name: str, value) -> np.ndarray:
+    """value as an array, or a ParameterError naming the field unless its
+    dtype is an integer one; Python ints beyond int64 stay objects, which
+    the range checks refuse."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iu" and not (
+            array.dtype.kind == "O" and all(isinstance(x, int) for x in array.flat)):
+        raise ParameterError(f"{name} must have an integer dtype, got {array.dtype}")
+    return array
+
+
 def _finite(name: str, value):
     """value, or a ParameterError naming it when the parameters made an entry
     overflow to inf or nan; callers compute it with numpy's warnings off."""
@@ -219,7 +240,7 @@ def bath_sums(bath: BathParams, mask) -> np.ndarray:
     if n > ENUMERATION_CAP:
         raise CapacityError(f"per-pattern sums are tabulated for at most "
                             f"{ENUMERATION_CAP} bath spins, got {n}")
-    masks = np.asarray(mask)
+    masks = _integers("mask", mask)
     # a negative mask shifts to -1, one of 2^n or more to a positive number
     if np.any(masks >> n):
         raise ParameterError(f"mask {mask} out of range for {n} bath spins")
@@ -244,7 +265,7 @@ def class_sums(bath: BathParams, k, w) -> tuple:
     bond term."""
     eps, g, chi = require_uniform(bath)
     n, bonds = bath.n_spins, bath.bond_count
-    k, w = np.asarray(k), np.asarray(w)
+    k, w = _integers("down-spin count", k), _integers("wall count", w)
     if np.any(k < 0) or np.any(k > n):
         raise ParameterError(f"down-spin count {k} out of range for {n} spins")
     if np.any(w < 0) or np.any(w > bonds):
@@ -266,9 +287,7 @@ def class_quantities(sys: SystemParams, bath: BathParams, k, w) -> tuple:
 
 def pure_state(amplitudes) -> np.ndarray:
     """Validate and return a unit-norm complex state vector."""
-    psi = np.asarray(amplitudes, dtype=complex).ravel()
-    if not np.all(np.isfinite(psi.view(float))):
-        raise ParameterError("state amplitudes must be finite")
+    psi = _finite_array("state amplitudes", amplitudes, complex).ravel()
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ParameterError(f"state must have unit norm, got {norm!r}")
@@ -278,7 +297,7 @@ def pure_state(amplitudes) -> np.ndarray:
 
 def bloch_components(psi) -> tuple[float, float, float]:
     """(px, py, pz) expectation values of the Pauli operators in a qubit state."""
-    psi = np.asarray(psi, dtype=complex).ravel()
+    psi = _finite_array("state amplitudes", psi, complex).ravel()
     if psi.shape != (2,):
         raise ParameterError(f"expected a 2-amplitude state, got shape {psi.shape}")
     cross = complex(np.conj(psi[0]) * psi[1])

@@ -34,11 +34,9 @@ def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors as orthonormal columns, so that
     matrix == vectors @ diag(values) @ vectors.conj().T for every matrix.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = _finite_array("matrix", matrix, complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ParameterError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ParameterError("matrix has non-finite entries")
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     dev = np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
     if np.any(dev > HERMITICITY_TOL * scale):
@@ -55,15 +53,30 @@ def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 def _converted(name: str, value, kind: type = float):
     """kind(value), float or int, or a ParameterError naming the field; a
-    float must be finite. What kind() converts, such as "1.5", is accepted."""
+    float must be finite, and an int must not be a bool or a number that
+    int() changes. What kind() converts, such as "1.5", is accepted."""
     try:
         converted = kind(value)
+        if kind is int and (isinstance(value, (bool, np.bool_))
+                            or not isinstance(value, str) and converted != value):
+            converted = None
     except (TypeError, ValueError, OverflowError):
         converted = None
     if converted is None or (kind is float and not math.isfinite(converted)):
         noun = "a finite real number" if kind is float else "an integer"
         raise ParameterError(f"{name} must be {noun}, got {value!r}")
     return converted
+
+
+def _finite_array(name: str, value, dtype) -> np.ndarray:
+    """value as a finite array of dtype, or a ParameterError naming the field."""
+    try:
+        array = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{name} must be numeric: {exc}") from exc
+    if not np.isfinite(array).all():
+        raise ParameterError(f"{name} has non-finite entries")
+    return array
 
 
 def _pairwise_sum(arr: np.ndarray):
@@ -145,6 +158,7 @@ def gaussian_draw(spec: RandomSpec, count: int) -> np.ndarray:
     Deterministic for a fixed seed; successive calls with the same spec
     restart the stream rather than continuing it.
     """
+    count = _converted("count", count, int)
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")
     return spec.mean + spec.std_dev * np.fromiter(_standard_normals(spec.seed), float, count)

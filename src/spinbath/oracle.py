@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericError, ParameterError
 from .model import BathParams, SystemParams, TwoQubitParams, pure_state
-from .numerics import hermitian_eig
+from .numerics import _finite_array, hermitian_eig
 
 # a two-series check at the cap takes at most 4 minutes and 2 GB (README)
 DIMENSION_CAP = 2 ** 12
@@ -155,10 +155,7 @@ def initial_state(h: FullHamiltonian, th, psi, correlated: bool) -> np.ndarray:
     """
     psi = pure_state(psi)
     if psi.shape != (h.system_dim,):
-        raise ParameterError(
-            f"state has {psi.shape[0] if psi.ndim else 0} amplitudes, "
-            f"expected {h.system_dim}"
-        )
+        raise ParameterError(f"state has {psi.size} amplitudes, expected {h.system_dim}")
     if correlated:
         projected = np.tensordot(psi.conj(), h.vectors.reshape(h.system_dim, h.bath_dim, -1), 1)
         weights = np.exp(-th.beta * (h.energies - h.energies.min()))
@@ -170,13 +167,6 @@ def initial_state(h: FullHamiltonian, th, psi, correlated: bool) -> np.ndarray:
         raise NumericError(f"{'correlated' if correlated else 'bath'} partition function "
                            "underflowed to zero")
     return np.kron(np.outer(psi, psi.conj()), block / partition)
-
-
-def _as_array(name: str, value, dtype) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{name} must be numeric: {exc}") from exc
 
 
 def evolve_and_reduce(h: FullHamiltonian, rho0: np.ndarray,
@@ -198,16 +188,12 @@ def evolve_and_reduce(h: FullHamiltonian, rho0: np.ndarray,
     """
     ds, db = h.system_dim, h.bath_dim
     dim = ds * db
-    rho0 = _as_array("rho0", rho0, complex)
+    rho0 = _finite_array("rho0", rho0, complex)
     if rho0.shape != (dim, dim):
         raise ParameterError(f"rho0 must have shape ({dim}, {dim}), got {rho0.shape}")
-    if not np.all(np.isfinite(rho0)):
-        raise ParameterError("rho0 has non-finite entries")
-    times = _as_array("time", t, float)
+    times = _finite_array("time", t, float)
     if times.ndim > 1:
         raise ParameterError(f"time must be a number or a 1-d array, got shape {times.shape}")
-    if not np.all(np.isfinite(times)):
-        raise ParameterError("time must be finite")
     energies, vectors = h.energies, h.vectors
     r = vectors.conj().T @ rho0 @ vectors
     # V_(i,b),a split into (i, b, a); the right factor is conj V as (b, (j, c)),

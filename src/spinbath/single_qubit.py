@@ -27,8 +27,8 @@ import numpy as np
 
 from .configspace import (SETUP_BLOCK, Backend, collapse_classes, fold_fields,
                           mask_blocks, reduce_weighted, series_log_weights)
-from .model import (BathParams, SystemParams, Thermal, bath_sums, bloch_components,
-                    class_quantities, class_sums, config_quantities,
+from .model import (BathParams, SystemParams, Thermal, _check_records, bath_sums,
+                    bloch_components, class_quantities, class_sums, config_quantities,
                     log_correlation_factor, log_thermal_weight, pure_state,
                     require_uniform)
 
@@ -74,6 +74,7 @@ def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
     """Bloch vectors of the prepared state psi at each requested time, as a
     read-only (S, T, 3) array: one series per flag of correlated, False for a
     product preparation and True for a correlated one, all from one sweep."""
+    _check_records(sys, SystemParams, bath, th)
     psi = pure_state(psi)
     p0 = np.array(bloch_components(psi))
     splitting, rabi, log_weight = _qubit_fields(sys, bath, th, backend, psi, correlated)

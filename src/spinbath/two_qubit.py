@@ -23,9 +23,10 @@ import numpy as np
 from .configspace import (ITEM_BLOCK, Backend, collapse_classes, fold_fields,
                           mask_blocks, reduce_weighted, series_log_weights)
 from .errors import ParameterError
-from .model import (BathParams, Thermal, TwoQubitParams, _finite, bath_sums, class_sums,
-                    log_thermal_overlap, log_thermal_weight, pure_state, require_uniform)
-from .numerics import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_eig
+from .model import (BathParams, Thermal, TwoQubitParams, _check_records, _finite, bath_sums,
+                    class_sums, log_thermal_overlap, log_thermal_weight, pure_state,
+                    require_uniform)
+from .numerics import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _finite_array, hermitian_eig
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -60,7 +61,11 @@ def _pair_state(psi) -> np.ndarray:
 def conditional_hamiltonian(sys2: TwoQubitParams, g_sum) -> np.ndarray:
     """4x4 Hamiltonian of the pair under one bath pattern, or a stack of them
     for an array of coupling fields g_sum."""
-    g = np.asarray(g_sum, dtype=float)[..., None, None]
+    return _pair_hamiltonian(sys2, _finite_array("g_sum", g_sum, float)[..., None, None])
+
+
+def _pair_hamiltonian(sys2: TwoQubitParams, g: np.ndarray) -> np.ndarray:
+    # g (..., 1, 1) from the bath, where an infinite field is a parameter overflow
     return _finite("pair Hamiltonian with splittings eps1 + g_sum, eps2 + g_sum",
                    0.5 * ((sys2.eps1 + g) * _SZ1 + sys2.delta1 * _SX1
                           + (sys2.eps2 + g) * _SZ2 + sys2.delta2 * _SX2)
@@ -95,7 +100,7 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
         np.empty(len(first)))
     for start in range(0, len(first), ITEM_BLOCK):
         rows = slice(start, start + ITEM_BLOCK)
-        energies[rows], vectors = hermitian_eig(conditional_hamiltonian(sys2, g_sum[rows]))
+        energies[rows], vectors = hermitian_eig(_pair_hamiltonian(sys2, g_sum[rows, None, None]))
         overlaps = vectors.conj().swapaxes(-2, -1) @ psi
         amplitudes[rows] = vectors * overlaps[:, None, :]
         log_factor[rows] = log_thermal_overlap(th.beta, energies[rows].T,
@@ -103,14 +108,11 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
     return energies, amplitudes, series_log_weights(log_weight, log_factor, correlated)
 
 
-def _checked_entries(rho) -> np.ndarray:
-    """rho as a complex array after the finiteness, Hermiticity and unit-trace
+def _checked_entries(rho: np.ndarray) -> np.ndarray:
+    """rho, a finite complex array, after the shape, Hermiticity and unit-trace
     checks of validate_density, which then checks positivity."""
-    rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ParameterError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise ParameterError("density matrix has non-finite entries")
     herm_dev = float(np.abs(rho - rho.conj().swapaxes(-2, -1)).max(initial=0.0))
     if herm_dev > HERMITICITY_TOL:
         raise ParameterError(f"density matrix not Hermitian: deviation {herm_dev:.3e}")
@@ -130,7 +132,7 @@ def validate_density(rho) -> np.ndarray:
     """Check finiteness, Hermiticity, unit trace, and positivity of a 4x4
     density matrix or of each in a (..., 4, 4) stack; return it as a complex
     array."""
-    rho = _checked_entries(rho)
+    rho = _checked_entries(_finite_array("density matrix", rho, complex))
     _check_floor(np.linalg.eigvalsh(rho))
     return rho
 
@@ -151,12 +153,12 @@ def concurrence(rho):
     the degenerate spectra that Bell-like states produce; singular values
     of the symmetric factor stay accurate to machine precision.
 
-    Stacks are validated and decomposed ITEM_BLOCK matrices at a time; the
-    positivity check reads the populations of the same decomposition.
+    A stack is checked finite whole, then validated and decomposed ITEM_BLOCK
+    matrices at a time; positivity reads the same decomposition's populations.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _finite_array("density matrix", rho, complex)
     # a wrong shape fails validation before any decomposition
-    stack = rho.reshape(-1, 4, 4) if rho.shape[-2:] == (4, 4) else validate_density(rho)
+    stack = rho.reshape(-1, 4, 4) if rho.shape[-2:] == (4, 4) else _checked_entries(rho)
     values = np.empty(len(stack))
     for start in range(0, len(stack), ITEM_BLOCK):
         populations, vectors = np.linalg.eigh(_checked_entries(stack[start:start + ITEM_BLOCK]))
@@ -173,6 +175,7 @@ def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
                        correlated: tuple[bool, ...]) -> np.ndarray:
     """Reduced pair states over a time grid as a read-only (S, T, 4, 4)
     array, one series per flag of correlated as in bloch_trajectory."""
+    _check_records(sys2, TwoQubitParams, bath, th)
     psi = _pair_state(psi)
     energies, amplitudes, log_weight = _pair_fields(sys2, bath, th, backend, psi, correlated)
 

@@ -1,4 +1,4 @@
-"""Large baths against the closed form of pure dephasing.
+"""Large baths against the exact sums of pure dephasing.
 
 With delta = 0 and chi = 0 every bath spin dephases the qubit on its own, so
 the coherence of a qubit prepared along +x is a product over the spins
@@ -27,9 +27,24 @@ multiplies g_i t for every spin. The correlated preparation adds one product
 per basis state r, weighted by |psi_r|^2 e^{-beta ((eps1 r1 + eps2 r2)/2 + lam r1 r2)},
 with beta g_i (r1 + r2)/2 added to each spin's exponent.
 
+Ising bonds chi_i keep these sums exact, but no longer a product over spins.
+Each is a product of 2x2 transfer matrices (Kramers and Wannier, Phys. Rev.
+60, 252 (1941); Baxter, "Exactly Solved Models in Statistical Mechanics"
+(1982), ch. 2): with the per-spin exponent a_i of the sums above, so that
+spin i contributes e^{a_i s_i}, and the bond weight e^{-beta chi_i s_i s_i+1},
+
+    sum_s prod_i e^{a_i s_i} prod_bonds e^{-beta chi_i s_i s_i+1}
+        = Tr(D_1 B_1 D_2 B_2 ... D_N B_N),
+
+where D_i = diag(e^{a_i}, e^{-a_i}) and B_i[s, s'] = e^{-beta chi_i s s'}. On
+a ring B_N is the bond from spin N back to spin 1; an open chain closes with
+B_N = u u^T, u = (1, 1), which makes the trace the end-vector sum
+u^T D_1 B_1 ... D_N u. With chi = 0 every B_i is u u^T and the trace is the
+product of 2 cosh(a_i) again.
+
 All of these are evaluated here in log space, from nothing but numpy, and
 checked against the package's collapse sum at N = 1,000 and its enumerate
-sum on Gaussian parameters.
+sum on Gaussian parameters, without bonds and with them.
 """
 
 import numpy as np
@@ -40,29 +55,59 @@ from spinbath import (Backend, BathParams, Boundary, SystemParams, Thermal, TwoQ
 
 EPSILON = 2.0
 TIMES = np.linspace(0.0, 10.0, 41)
-# over 100 times the largest deviation measured (7.7e-13: collapse at
-# N = 1,000, beta = 5; a pair entry's largest, 2.0e-13, is there too): the
-# log-space sums over 1,001 fields and their reference differ only by
-# rounding in logs of size up to about 10^3
+# over 100 times the largest deviation measured (6.0e-13: collapse at
+# N = 1,000, beta = 5; with bonds 4.4e-13, a pair entry's largest 3.0e-13;
+# the enumerated chains stay below 2e-14): the log-space sums over 1,001
+# fields and their reference differ only by rounding in logs of size up to
+# about 10^3
 TOLERANCE = 1e-10
+SPINS = np.array([1.0, -1.0])
 
 
-def log_two_cosh(z):
-    """log(2 cosh z), elementwise, finite for any real part of z."""
-    z = np.where(z.real < 0.0, -z, z)
-    return z + np.log1p(np.exp(-2.0 * z))
+def renormalized(matrices, log_scale):
+    """matrices divided each by its largest entry in modulus, and log_scale
+    plus the log of that entry."""
+    scale = np.abs(matrices).max(axis=(-2, -1))
+    return matrices / scale[..., None, None], log_scale + np.log(scale)
 
 
-def reference_px(beta, eps_i, g_i, correlated):
-    """p_x over TIMES of a +x qubit with splitting EPSILON and no tunneling,
-    in a bath without bonds."""
-    eps_i, g_i = np.asarray(eps_i), np.asarray(g_i)
+def log_transfer_product(site, beta_chi, periodic):
+    """log Tr(D_1 B_1 ... D_N B_N) of the module docstring, elementwise over
+    the leading axes of site (..., N), the complex exponents a_i; beta_chi
+    holds beta chi_i, one per bond.
+
+    Every product is renormalized, its log scale kept aside, so no partial
+    product over- or underflows. A run of sites with equal exponents and
+    bonds shares one matrix D_i B_i, raised to the run's length by repeated
+    squaring: a uniform chain of 1,000 spins costs about 20 products."""
+    n = site.shape[-1]
+    # an open chain's closing bond has chi = 0, whose matrix is u u^T
+    beta_chi = np.asarray(beta_chi) if periodic else np.append(beta_chi, 0.0)
+    same = ((site[..., 1:] == site[..., :-1]).all(axis=tuple(range(site.ndim - 1)))
+            & (beta_chi[1:] == beta_chi[:-1]))
+    starts = np.flatnonzero(np.append(True, ~same))
+    matrices = np.exp(site[..., starts, None, None] * SPINS[:, None]
+                      - beta_chi[starts, None, None] * np.outer(SPINS, SPINS))
+    product = np.broadcast_to(np.eye(2, dtype=complex), site.shape[:-1] + (2, 2))
+    log_scale = np.zeros(site.shape[:-1])
+    for run, length in enumerate(np.diff(np.append(starts, n))):
+        power, log_power = renormalized(matrices[..., run, :, :], 0.0)
+        while length:
+            if length & 1:
+                product, log_scale = renormalized(product @ power, log_scale + log_power)
+            power, log_power = renormalized(power @ power, 2.0 * log_power)
+            length >>= 1
+    return log_scale + np.log(np.trace(product, axis1=-2, axis2=-1))
+
+
+def reference_px(beta, bath, correlated):
+    """p_x over TIMES of a +x qubit with splitting EPSILON and no tunneling."""
+    eps_i, g_i = np.asarray(bath.eps_i), np.asarray(bath.g_i)
     t = np.concatenate(([0.0], TIMES))[:, None]
-    sigmas = (1.0, -1.0) if correlated else (0.0,)
-    # spins on the contiguous last axis, which numpy sums pairwise
-    logs = np.array([sigma * beta * EPSILON / 2.0 + log_two_cosh(
-        -beta * eps_i / 2.0 + sigma * beta * g_i / 2.0 + 1j * g_i * t).sum(axis=-1)
-        for sigma in sigmas])
+    sigmas = np.array((1.0, -1.0) if correlated else (0.0,))
+    site = -beta * eps_i / 2.0 + sigmas[:, None, None] * beta * g_i / 2.0 + 1j * g_i * t
+    logs = sigmas[:, None] * beta * EPSILON / 2.0 + log_transfer_product(
+        site, beta * np.asarray(bath.chi_i), bath.boundary is Boundary.PERIODIC)
     # no term exceeds its own value at t = 0 in modulus
     total = np.exp(logs - logs[:, 0].real.max()).sum(axis=0)
     return (np.exp(1j * EPSILON * TIMES) * total[1:] / total[0]).real
@@ -75,18 +120,20 @@ def package_px(bath, beta, backend):
     return bloch[..., 0]
 
 
+def assert_px_matches(bath, beta, backend):
+    computed = package_px(bath, beta, backend)
+    for series, correlated in enumerate((False, True)):
+        assert np.abs(computed[series] - reference_px(beta, bath, correlated)).max() <= TOLERANCE
+
+
 BETAS = [0.01, 1.0, 5.0]
 
 
 @pytest.mark.parametrize("beta", BETAS)
 @pytest.mark.parametrize("boundary", list(Boundary))
 def test_collapse_matches_the_closed_form_at_a_thousand_spins(boundary, beta):
-    n = 1_000
-    bath = BathParams.uniform(n, 1.0, 0.05, 0.0, boundary)
-    computed = package_px(bath, beta, Backend.COLLAPSE)
-    for series, correlated in enumerate((False, True)):
-        expected = reference_px(beta, bath.eps_i, bath.g_i, correlated)
-        assert np.abs(computed[series] - expected).max() <= TOLERANCE
+    assert_px_matches(BathParams.uniform(1_000, 1.0, 0.05, 0.0, boundary), beta,
+                      Backend.COLLAPSE)
 
 
 @pytest.mark.parametrize("beta", BETAS)
@@ -95,10 +142,36 @@ def test_enumerate_matches_the_closed_form_on_gaussian_parameters(n, beta):
     rng = np.random.default_rng(n)
     eps_i, g_i = rng.normal(1.0, 0.3, n), rng.normal(0.2, 0.1, n)
     bath = BathParams(n, tuple(eps_i), tuple(g_i), (0.0,) * (n - 1))
-    computed = package_px(bath, beta, Backend.ENUMERATE)
-    for series, correlated in enumerate((False, True)):
-        expected = reference_px(beta, eps_i, g_i, correlated)
-        assert np.abs(computed[series] - expected).max() <= TOLERANCE
+    assert_px_matches(bath, beta, Backend.ENUMERATE)
+
+
+# beta = 0.01 leaves beta chi near 0, so the cases with bonds start at 1
+BOND_BETAS = [1.0, 5.0]
+# bonds of either sign: antiferromagnetic for one qubit, ferromagnetic for
+# the pair, and Gaussian ones about 0 on the enumerated chains
+CHI = 0.3
+
+
+def gaussian_bath(n, boundary):
+    """A chain of n spins with Gaussian eps_i, g_i and bonds chi_i."""
+    rng = np.random.default_rng(n)
+    bonds = n if boundary is Boundary.PERIODIC else n - 1
+    return BathParams(n, tuple(rng.normal(1.0, 0.3, n)), tuple(rng.normal(0.2, 0.1, n)),
+                      tuple(rng.normal(0.0, CHI, bonds)), boundary)
+
+
+@pytest.mark.parametrize("beta", BOND_BETAS)
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_collapse_with_bonds_matches_the_transfer_matrices_at_a_thousand_spins(boundary, beta):
+    assert_px_matches(BathParams.uniform(1_000, 1.0, 0.05, CHI, boundary), beta,
+                      Backend.COLLAPSE)
+
+
+@pytest.mark.parametrize("beta", BOND_BETAS)
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_enumerate_with_bonds_matches_the_transfer_matrices_on_gaussian_parameters(boundary,
+                                                                                  beta):
+    assert_px_matches(gaussian_bath(12, boundary), beta, Backend.ENUMERATE)
 
 
 PAIR_EPS = (1.0, 2.0)
@@ -112,25 +185,22 @@ BELL = bell_state()
 GENERIC = pure_state(np.array([0.3 + 0.1j, -0.5j, 0.6, 0.2 - 0.4j]) / np.sqrt(0.91))
 
 
-def reference_rho(beta, lam, psi, eps_i, g_i, correlated):
+def reference_rho(beta, lam, psi, bath, correlated):
     """(T, 4, 4) reduced pair states over PAIR_TIMES of the state psi with
-    splittings PAIR_EPS, coupling lam and no tunneling, in a bath without
-    bonds."""
-    eps_i, g_i = np.asarray(eps_i), np.asarray(g_i)
+    splittings PAIR_EPS, coupling lam and no tunneling."""
+    eps_i, g_i = np.asarray(bath.eps_i), np.asarray(bath.g_i)
     energy = 0.5 * (PAIR_EPS[0] * S1 + PAIR_EPS[1] * S2) + lam * S1 * S2
     populations = np.abs(psi) ** 2
     # (log prefactor, (r1 + r2)/2) of each preparation term; zero
     # populations drop out
-    terms = ([(np.log(populations[r]) - beta * energy[r], (S1[r] + S2[r]) / 2.0)
-              for r in range(4) if populations[r] > 0.0] if correlated else [(0.0, 0.0)])
-    # equal spins give equal factors, so each distinct (eps_i, g_i) is taken
-    # once, times its count, on the last axis; one column per c, then one
-    # row per time
-    (eps_i, g_i), counts = np.unique(np.stack((eps_i, g_i)), axis=1, return_counts=True)
+    prefactors, m = np.array([(np.log(populations[r]) - beta * energy[r], (S1[r] + S2[r]) / 2.0)
+                              for r in range(4) if populations[r] > 0.0]
+                             if correlated else [(0.0, 0.0)]).T
+    # one row per time, then one column per c, then the spins
     ct = np.concatenate(([0.0], PAIR_TIMES))[:, None, None] * np.arange(-2.0, 3.0)[:, None]
-    logs = np.array([prefactor + (counts * log_two_cosh(
-        beta * eps_i / 2.0 + beta * g_i * m + 1j * g_i * ct)).sum(axis=-1)
-        for prefactor, m in terms])
+    site = -(beta * eps_i / 2.0 + beta * g_i * m[:, None, None, None] + 1j * g_i * ct)
+    logs = prefactors[:, None, None] + log_transfer_product(
+        site, beta * np.asarray(bath.chi_i), bath.boundary is Boundary.PERIODIC)
     # no term exceeds its own value at t = 0 in modulus
     total = np.exp(logs - logs[:, 0].real.max()).sum(axis=0)
     phase = np.exp(-1j * (energy[:, None] - energy[None, :]) * PAIR_TIMES[:, None, None])
@@ -146,7 +216,7 @@ def package_rho(bath, beta, lam, psi, backend):
 def assert_pair_matches(bath, beta, lam, psi, backend):
     computed = package_rho(bath, beta, lam, psi, backend)
     for series, correlated in enumerate((False, True)):
-        expected = reference_rho(beta, lam, psi, bath.eps_i, bath.g_i, correlated)
+        expected = reference_rho(beta, lam, psi, bath, correlated)
         assert np.abs(computed[series] - expected).max() <= TOLERANCE
 
 
@@ -172,3 +242,23 @@ def test_pair_enumerate_matches_the_closed_form_on_gaussian_parameters(beta, lam
     bath = BathParams(n, tuple(rng.normal(1.0, 0.3, n)), tuple(rng.normal(0.2, 0.1, n)),
                       (0.0,) * (n - 1))
     assert_pair_matches(bath, beta, lam, psi, Backend.ENUMERATE)
+
+
+# generic amplitudes give every c, and lam shifts their entries
+BOND_PAIR_CASE = pytest.mark.parametrize("beta, lam, psi", [(BETAS[1], 3.0, GENERIC)],
+                                         ids=["generic-lam3"])
+
+
+@BOND_PAIR_CASE
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_pair_collapse_with_bonds_matches_the_transfer_matrices_at_a_thousand_spins(
+        boundary, beta, lam, psi):
+    assert_pair_matches(BathParams.uniform(1_000, 1.0, 0.05, -CHI, boundary), beta, lam, psi,
+                        Backend.COLLAPSE)
+
+
+@BOND_PAIR_CASE
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_pair_enumerate_with_bonds_matches_the_transfer_matrices_on_gaussian_parameters(
+        boundary, beta, lam, psi):
+    assert_pair_matches(gaussian_bath(12, boundary), beta, lam, psi, Backend.ENUMERATE)

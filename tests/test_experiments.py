@@ -16,16 +16,18 @@ from hypothesis import strategies as st
 
 import spinbath
 from spinbath import experiments, single_qubit, two_qubit
-from spinbath.configspace import Backend, collapse_classes
+from spinbath.configspace import Backend, collapse_classes, mask_blocks
 from spinbath.errors import CapacityError, ParameterError, UsageError
 from spinbath.experiments import (BathSpec, ExperimentConfig, GaussianStats,
                                   ResultTable, TimeGrid, config_from_keys,
                                   config_metadata, list_presets, oracle_check,
                                   parse_config_file, preset, run)
-from spinbath.model import BathParams, Boundary, SystemParams, Thermal
-from spinbath.numerics import RNG_ALGORITHM, RandomSpec
+from spinbath.model import (BathParams, Boundary, SystemParams, Thermal, bath_sums,
+                            bloch_components, class_sums, pure_state)
+from spinbath.numerics import RNG_ALGORITHM, RandomSpec, gaussian_draw, hermitian_eig
 from spinbath.single_qubit import bloch_trajectory
-from spinbath.two_qubit import TwoQubitParams, density_trajectory
+from spinbath.two_qubit import (TwoQubitParams, concurrence, conditional_hamiltonian,
+                                density_trajectory, validate_density)
 from test_oracle import refusal
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -253,10 +255,78 @@ def test_non_numeric_inputs_raise_a_named_error(build, error, field):
         build()
 
 
+_BATH = BathParams.uniform(3, 1.0, 0.5, 0.1)
+_PAIR = TwoQubitParams(1.0, 2.0, 0.5, 0.5)
+
+
+def _single_run(sys=SystemParams(2.0, 1.0), bath=_BATH, th=Thermal(1.0), times=(0.0, 1.0)):
+    return bloch_trajectory(sys, bath, th, Backend.ENUMERATE, [1.0, 0.0], times, (False,))
+
+
+def _pair_run(sys2=_PAIR, bath=_BATH, th=Thermal(1.0)):
+    return density_trajectory(sys2, bath, th, Backend.ENUMERATE, [1.0, 0.0, 0.0, 0.0],
+                              (0.0, 1.0), (False,))
+
+
+# array inputs that do not convert or hold a non-finite entry, integers that
+# are not exact, and records of the wrong type: each is named, where it was a
+# raw TypeError, ValueError or AttributeError (or, for bloch_components, no
+# error at all)
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: hermitian_eig("abc"), ParameterError, "matrix must be numeric"),
+    (lambda: pure_state("ab"), ParameterError, "state amplitudes must be numeric"),
+    (lambda: bloch_components("ab"), ParameterError, "state amplitudes must be numeric"),
+    (lambda: bloch_components([np.nan, 1.0]), ParameterError,
+     "state amplitudes has non-finite entries"),
+    (lambda: concurrence("abc"), ParameterError, "density matrix must be numeric"),
+    (lambda: validate_density("abc"), ParameterError, "density matrix must be numeric"),
+    (lambda: _single_run(times="ab"), ParameterError, "times must be numeric"),
+    (lambda: conditional_hamiltonian(_PAIR, "ab"), ParameterError, "g_sum must be numeric"),
+    (lambda: RandomSpec(0.0, 1.0, 4.5), ParameterError, "seed must be an integer"),
+    (lambda: RandomSpec(0.0, 1.0, True), ParameterError, "seed must be an integer"),
+    (lambda: gaussian_draw(RandomSpec(0, 1, 1), 2.5), ParameterError,
+     "count must be an integer"),
+    (lambda: mask_blocks(4.5), ParameterError, "n_spins must be an integer"),
+    (lambda: collapse_classes(4.5), ParameterError, "n_spins must be an integer"),
+    (lambda: BathParams.uniform(4.5, 1, 1, 0), ParameterError, "n_spins must be an integer"),
+    (lambda: BathParams(True, (1.0,), (1.0,), ()), ParameterError, "n_spins must be an integer"),
+    (lambda: bath_sums(_BATH, 1.0), ParameterError, "mask must have an integer dtype"),
+    (lambda: class_sums(_BATH, "a", 0), ParameterError,
+     "down-spin count must have an integer dtype"),
+    (lambda: class_sums(_BATH, 1, 0.5), ParameterError, "wall count must have an integer dtype"),
+    (lambda: oracle_check(preset("fig4"), "3"), UsageError,
+     "oracle bath size must be an integer"),
+    (lambda: oracle_check(preset("fig4"), 2.5), UsageError,
+     "oracle bath size must be an integer"),
+    (lambda: _single_run(sys=_PAIR), ParameterError, "system must be a SystemParams"),
+    (lambda: _single_run(bath="x"), ParameterError, "bath must be a BathParams"),
+    (lambda: _single_run(th=1.0), ParameterError, "thermal must be a Thermal"),
+    (lambda: _pair_run(sys2=SystemParams(2.0, 1.0)), ParameterError,
+     "system must be a TwoQubitParams"),
+    (lambda: _pair_run(bath="x"), ParameterError, "bath must be a BathParams"),
+    (lambda: _pair_run(th=1.0), ParameterError, "thermal must be a Thermal"),
+], ids=["text_matrix", "text_state", "text_bloch_state", "nan_bloch_state", "text_concurrence",
+        "text_density", "text_times", "text_g_sum", "fractional_seed", "bool_seed",
+        "fractional_count", "fractional_mask_spins", "fractional_class_spins",
+        "fractional_uniform_spins", "bool_spins", "float_mask", "text_down_count",
+        "float_wall_count", "text_oracle_size", "fractional_oracle_size", "pair_for_single", "text_single_bath",
+        "float_single_thermal", "single_for_pair", "text_pair_bath", "float_pair_thermal"])
+def test_array_integer_and_record_inputs_raise_a_named_error(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        build()
+
+
 def test_text_that_converts_stays_accepted():
     assert SystemParams("1.5", 1).epsilon == 1.5
     assert BathParams(1, ("1.5",), (1.0,), ()).eps_i == (1.5,)
     assert BathSpec(4, "uniform", eps="1.5", g=1.0, chi=0.1).materialize().eps_i == (1.5,) * 4
+
+
+def test_integer_inputs_take_text_and_numbers_that_int_keeps():
+    assert RandomSpec(0.0, 1.0, "7").seed == 7
+    assert RandomSpec(0.0, 1.0, 7.0).seed == 7
+    assert BathParams("2", (1.0,) * 2, (1.0,) * 2, (0.0,)).n_spins == 2
+    assert gaussian_draw(RandomSpec(0, 1, 1), 2.0).shape == (2,)
 
 
 class TestConfigParsing:

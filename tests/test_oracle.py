@@ -364,7 +364,7 @@ class TestEvolveInputs:
         with pytest.raises(ParameterError, match="1-d array"):
             evolve_and_reduce(h, rho0, np.zeros((2, 3)))
         for bad in (np.nan, np.inf, [0.0, np.nan], None):
-            with pytest.raises(ParameterError, match="time must be finite"):
+            with pytest.raises(ParameterError, match="time has non-finite entries"):
                 evolve_and_reduce(h, rho0, bad)
         for bad in (1j, "soon", [0.0, [1.0]]):
             with pytest.raises(ParameterError, match="time must be numeric"):
