@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .model import ENUMERATION_CAP, Boundary, _finite
-from .numerics import _converted, _finite_array, _pairwise_sum
+from .numerics import _converted, _finite_array, _numeric_array, _pairwise_sum
 
 # a two-series, 40-point run at the cap peaks below 1 GB (measured in README)
 COLLAPSE_CAP = 3_500
@@ -119,7 +119,11 @@ def fold_fields(field, log_weight) -> tuple[np.ndarray, np.ndarray]:
     field's first item and the log of the field's summed weights, found in
     log space. Fields that compare equal merge, so -0.0 joins 0.0.
     """
-    field = np.asarray(field)
+    field = _numeric_array("field", field, float)
+    log_weight = _numeric_array("log weight", log_weight, float)
+    if field.ndim != 1 or log_weight.shape != field.shape:
+        raise ParameterError(f"field and log weight must be 1-d of one length, got shapes "
+                             f"{field.shape} and {log_weight.shape}")
     # a stable sort is cheap where the fields arrive monotone, as collapse
     # classes do in k order; elsewhere the default sort is faster, and item
     # order inside a run of equal fields is restored below. The end points
@@ -138,7 +142,7 @@ def fold_fields(field, log_weight) -> tuple[np.ndarray, np.ndarray]:
         keys = ((np.cumsum(starts) - 1) << 32) | order
         keys.sort()
         order = keys & 0xFFFFFFFF
-    logs = np.asarray(log_weight, dtype=float)[order]
+    logs = log_weight[order]
     if len(first) == len(order):
         # no field repeats: a lone item's log-sum-exp, x + log(exp(x - x)),
         # is x + (x - x) bit for bit, -0.0 and non-finite x included
@@ -151,10 +155,14 @@ def fold_fields(field, log_weight) -> tuple[np.ndarray, np.ndarray]:
 
 
 def series_log_weights(log_weight, log_factor, correlated: tuple[bool, ...]) -> np.ndarray:
-    """The (fields, S) log weights: column s is log_weight, plus the
-    correlation factor log_factor (read only then) where correlated[s]."""
+    """The (fields, S) log weights: column s is the 1-d log_weight, plus the
+    correlation factor log_factor where correlated[s]."""
     if not correlated:
         raise ParameterError("correlated must hold at least one series flag")
+    log_weight = _numeric_array("log weight", log_weight, float)
+    if log_weight.ndim != 1:
+        raise ParameterError(f"log weight must be 1-d, got shape {log_weight.shape}")
+    log_factor = _numeric_array("log factor", log_factor, float)
     return np.stack([log_weight + log_factor if flag else log_weight
                      for flag in correlated], axis=1)
 
@@ -180,7 +188,7 @@ def reduce_weighted(term, log_weight, times, dim: int) -> tuple[np.ndarray, np.n
         raise ParameterError("times must be ascending")
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
-    log_weight = np.asarray(log_weight, dtype=float)
+    log_weight = _numeric_array("log weight", log_weight, float)
     if log_weight.ndim != 2 or 0 in log_weight.shape:
         raise ParameterError(
             f"log_weight must be a non-empty (items, S) matrix, got {log_weight.shape}")

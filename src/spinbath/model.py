@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .numerics import _converted, _finite_array
+from .numerics import _converted, _finite_array, _numeric_array
 
 STATE_NORM_TOL = 1e-12
 # the most bath spins whose 2^N patterns are summed one by one (bath_sums)
@@ -176,11 +176,10 @@ class Thermal:
             raise ParameterError(f"beta must be >= 0, got {self.beta}")
 
 
-def _check_records(system, system_type: type, bath, th) -> None:
-    """Raise a ParameterError naming the expected type where a trajectory's
-    system, bath or thermal record is of another type."""
-    for name, value, expected in (("system", system, system_type), ("bath", bath, BathParams),
-                                  ("thermal", th, Thermal)):
+def _check_records(*records: tuple[str, object, type]) -> None:
+    """Raise a ParameterError naming the expected type for the first
+    (name, value, expected type) record whose value is of another type."""
+    for name, value, expected in records:
         if not isinstance(value, expected):
             raise ParameterError(f"{name} must be a {expected.__name__}, "
                                  f"got {type(value).__name__}")
@@ -336,8 +335,10 @@ def log_correlation_factor(sys: SystemParams, th: Thermal, splitting, rabi,
     and h vanishes), so the factor is exp(-beta*rabi) q_+ + exp(beta*rabi) q_-,
     with no singularity at rabi -> 0: log_thermal_overlap over those two levels.
     """
+    _check_records(("system", sys, SystemParams), ("thermal", th, Thermal))
+    splitting = _numeric_array("splitting", splitting, float)
+    rabi = _numeric_array("rabi", rabi, float)
     px, _, pz = bloch_components(psi)
-    rabi = np.asarray(rabi)
     mean_h = 0.5 * (splitting * pz + sys.delta * px)
     ratio = np.divide(mean_h, rabi, out=np.zeros(rabi.shape), where=rabi != 0.0)
     # rounding can push |ratio| past 1, and a population is never negative

@@ -30,11 +30,11 @@ HERMITICITY_TOL = 1e-10
 def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each in a stack.
 
-    Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
-    eigenvectors as orthonormal columns, so that
+    Returns (eigenvalues, eigenvectors), eigenvalues ascending, eigenvectors
+    orthonormal columns (float64 for a real input), so that
     matrix == vectors @ diag(values) @ vectors.conj().T for every matrix.
     """
-    m = _finite_array("matrix", matrix, complex)
+    m = _finite_array("matrix", matrix, complex if np.iscomplexobj(matrix) else float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ParameterError(f"expected a square matrix, got shape {m.shape}")
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
@@ -68,12 +68,18 @@ def _converted(name: str, value, kind: type = float):
     return converted
 
 
-def _finite_array(name: str, value, dtype) -> np.ndarray:
-    """value as a finite array of dtype, or a ParameterError naming the field."""
+def _numeric_array(name: str, value, dtype) -> np.ndarray:
+    """value as an array of dtype, or a ParameterError naming the field; an
+    array of dtype is returned as is."""
     try:
-        array = np.asarray(value, dtype=dtype)
+        return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{name} must be numeric: {exc}") from exc
+
+
+def _finite_array(name: str, value, dtype) -> np.ndarray:
+    """value as a finite array of dtype, or a ParameterError naming the field."""
+    array = _numeric_array(name, value, dtype)
     if not np.isfinite(array).all():
         raise ParameterError(f"{name} has non-finite entries")
     return array

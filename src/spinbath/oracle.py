@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NumericError, ParameterError
-from .model import BathParams, SystemParams, TwoQubitParams, pure_state
+from .model import BathParams, SystemParams, Thermal, TwoQubitParams, _check_records, pure_state
 from .numerics import _finite_array, hermitian_eig
 
-# a two-series check at the cap takes at most 4 minutes and 2 GB (README)
+# a two-series check at the cap takes about a minute and 1.2 GB (README)
 DIMENSION_CAP = 2 ** 12
 
 
@@ -124,7 +124,7 @@ def _joint_matrix(sys, bath: BathParams) -> tuple[np.ndarray, np.ndarray]:
     diag = np.tile(bath_diagonal, 1 << n_system)
     diag += (sum(0.5 * eps * zq for (eps, _), zq in zip(qubits, z)) + lam * np.prod(z, axis=0)
              + 0.5 * sum(z) * np.tile(field, 1 << n_system))
-    matrix = np.diag(diag.astype(complex))
+    matrix = np.diag(diag)
     # 0.5 delta sigma_x links each index to the one with qubit q's bit flipped
     index = np.arange(1 << total)
     for q, (_, delta) in enumerate(qubits):
@@ -142,7 +142,7 @@ def build_hamiltonian(sys, bath: BathParams) -> FullHamiltonian:
     return FullHamiltonian(len(_qubits(sys)[0]), bath.n_spins, bath_diagonal, energies, vectors)
 
 
-def initial_state(h: FullHamiltonian, th, psi, correlated: bool) -> np.ndarray:
+def initial_state(h: FullHamiltonian, th: Thermal, psi, correlated: bool) -> np.ndarray:
     """Joint initial density matrix |psi><psi| (x) B / Tr B.
 
     Uncorrelated: B holds the bath's thermal weights, diagonal in the z
@@ -153,6 +153,7 @@ def initial_state(h: FullHamiltonian, th, psi, correlated: bool) -> np.ndarray:
     spectrally shifted so large beta never underflows the whole weight
     vector.
     """
+    _check_records(("h", h, FullHamiltonian), ("thermal", th, Thermal))
     psi = pure_state(psi)
     if psi.shape != (h.system_dim,):
         raise ParameterError(f"state has {psi.size} amplitudes, expected {h.system_dim}")
@@ -179,13 +180,16 @@ def evolve_and_reduce(h: FullHamiltonian, rho0: np.ndarray,
 
         rho_S(t)_ij = sum_{a,c} exp(-i (E_a - E_c) t) R_ac K_iajc.
 
-    K is built in chunks of D // ds^2 eigenvector indices a, so no chunk is
-    larger than V; each chunk is one GEMM over the bath index, a product with
-    R, one GEMM against the phases exp(i E_c t) and one contraction with
-    exp(-i E_a t). Chunks add in a fixed order, so reruns are bit-identical.
+    K is built in chunks of D // (2 ds^2) eigenvector indices a, so no chunk
+    is larger than half of V; each chunk is one GEMM over the bath index, a
+    product with R, one GEMM against the phases exp(i E_c t) and one
+    contraction with exp(-i E_a t). With a real V, K and R (from rho0's real
+    and imaginary parts apart) take real GEMMs. Chunks add in a fixed order,
+    so reruns are bit-identical.
     Grids longer than the joint dimension D go in blocks of D times, each
     building K again, so the D x T phase matrix never outgrows V.
     """
+    _check_records(("h", h, FullHamiltonian))
     ds, db = h.system_dim, h.bath_dim
     dim = ds * db
     rho0 = _finite_array("rho0", rho0, complex)
@@ -195,14 +199,13 @@ def evolve_and_reduce(h: FullHamiltonian, rho0: np.ndarray,
     if times.ndim > 1:
         raise ParameterError(f"time must be a number or a 1-d array, got shape {times.shape}")
     energies, vectors = h.energies, h.vectors
-    r = vectors.conj().T @ rho0 @ vectors
-    # V_(i,b),a split into (i, b, a); the right factor is conj V as (b, (j, c)),
-    # a copy because the transpose is not contiguous, so each chunk of K is
-    # one GEMM
+    r = 1j * (vectors.conj().T @ np.ascontiguousarray(rho0.imag) @ vectors)
+    r += vectors.conj().T @ np.ascontiguousarray(rho0.real) @ vectors
+    # V_(i,b),a split into (i, b, a); the right factor, conj V as (b, (j, c)),
+    # is a contiguous copy, so each chunk of K is one GEMM
     split = vectors.reshape(ds, db, dim)
-    right = split.transpose(1, 0, 2).reshape(db, ds * dim)
-    np.conjugate(right, out=right)
-    chunk = max(1, dim // (ds * ds))
+    right = split.conj().transpose(1, 0, 2).reshape(db, ds * dim)
+    chunk = max(1, dim // (2 * ds * ds))
     grid = np.atleast_1d(times)
     out = np.zeros((grid.size, ds, ds), dtype=complex)
     for first in range(0, grid.size, dim):
@@ -212,8 +215,7 @@ def evolve_and_reduce(h: FullHamiltonian, rho0: np.ndarray,
             a = slice(start, min(start + chunk, dim))
             m = a.stop - a.start
             left = split[:, :, a].transpose(0, 2, 1).reshape(ds * m, db)
-            kernel = (left @ right).reshape(ds, m, ds, dim)
-            kernel *= r[a][None, :, None, :]
+            kernel = (left @ right).reshape(ds, m, ds, dim) * r[a][None, :, None, :]
             partial = (kernel.reshape(ds * m * ds, dim) @ phases).reshape(ds, m, ds, -1)
             out[block] += np.einsum("iajt,at->tij", partial, phases[a].conj())
     return out[0] if times.ndim == 0 else out

@@ -74,7 +74,8 @@ def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
     """Bloch vectors of the prepared state psi at each requested time, as a
     read-only (S, T, 3) array: one series per flag of correlated, False for a
     product preparation and True for a correlated one, all from one sweep."""
-    _check_records(sys, SystemParams, bath, th)
+    _check_records(("system", sys, SystemParams), ("bath", bath, BathParams),
+                   ("thermal", th, Thermal))
     psi = pure_state(psi)
     p0 = np.array(bloch_components(psi))
     splitting, rabi, log_weight = _qubit_fields(sys, bath, th, backend, psi, correlated)

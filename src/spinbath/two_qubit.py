@@ -175,7 +175,8 @@ def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
                        correlated: tuple[bool, ...]) -> np.ndarray:
     """Reduced pair states over a time grid as a read-only (S, T, 4, 4)
     array, one series per flag of correlated as in bloch_trajectory."""
-    _check_records(sys2, TwoQubitParams, bath, th)
+    _check_records(("system", sys2, TwoQubitParams), ("bath", bath, BathParams),
+                   ("thermal", th, Thermal))
     psi = _pair_state(psi)
     energies, amplitudes, log_weight = _pair_fields(sys2, bath, th, backend, psi, correlated)
 

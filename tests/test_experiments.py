@@ -16,15 +16,17 @@ from hypothesis import strategies as st
 
 import spinbath
 from spinbath import experiments, single_qubit, two_qubit
-from spinbath.configspace import Backend, collapse_classes, mask_blocks
+from spinbath.configspace import (Backend, collapse_classes, fold_fields, mask_blocks,
+                                  reduce_weighted, series_log_weights)
 from spinbath.errors import CapacityError, ParameterError, UsageError
 from spinbath.experiments import (BathSpec, ExperimentConfig, GaussianStats,
                                   ResultTable, TimeGrid, config_from_keys,
                                   config_metadata, list_presets, oracle_check,
                                   parse_config_file, preset, run)
 from spinbath.model import (BathParams, Boundary, SystemParams, Thermal, bath_sums,
-                            bloch_components, class_sums, pure_state)
+                            bloch_components, class_sums, log_correlation_factor, pure_state)
 from spinbath.numerics import RNG_ALGORITHM, RandomSpec, gaussian_draw, hermitian_eig
+from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from spinbath.single_qubit import bloch_trajectory
 from spinbath.two_qubit import (TwoQubitParams, concurrence, conditional_hamiltonian,
                                 density_trajectory, validate_density)
@@ -268,6 +270,11 @@ def _pair_run(sys2=_PAIR, bath=_BATH, th=Thermal(1.0)):
                               (0.0, 1.0), (False,))
 
 
+def _oracle_state(h=None, th=Thermal(1.0)):
+    h = build_hamiltonian(SystemParams(2.0, 1.0), _BATH) if h is None else h
+    return initial_state(h, th, [1, 0], True)
+
+
 # array inputs that do not convert or hold a non-finite entry, integers that
 # are not exact, and records of the wrong type: each is named, where it was a
 # raw TypeError, ValueError or AttributeError (or, for bloch_components, no
@@ -305,12 +312,32 @@ def _pair_run(sys2=_PAIR, bath=_BATH, th=Thermal(1.0)):
      "system must be a TwoQubitParams"),
     (lambda: _pair_run(bath="x"), ParameterError, "bath must be a BathParams"),
     (lambda: _pair_run(th=1.0), ParameterError, "thermal must be a Thermal"),
+    (lambda: _oracle_state(th=1.0), ParameterError, "thermal must be a Thermal, got float"),
+    (lambda: _oracle_state(h="h"), ParameterError, "h must be a FullHamiltonian, got str"),
+    (lambda: evolve_and_reduce(None, np.eye(16), 1.0), ParameterError,
+     "h must be a FullHamiltonian, got NoneType"),
+    (lambda: reduce_weighted(None, "ab", [0.0, 1.0], 1), ParameterError,
+     "log weight must be numeric"),
+    (lambda: fold_fields("ab", [1, 2]), ParameterError, "field must be numeric"),
+    (lambda: fold_fields([1.0, 2.0], [0.0]), ParameterError,
+     "field and log weight must be 1-d of one length, got shapes (2,) and (1,)"),
+    (lambda: series_log_weights("a", "b", (True,)), ParameterError,
+     "log weight must be numeric"),
+    (lambda: series_log_weights(0.0, 0.0, (True,)), ParameterError,
+     "log weight must be 1-d, got shape ()"),
+    (lambda: log_correlation_factor(SystemParams(1, 1), Thermal(1), "a", "b", [1, 0]),
+     ParameterError, "splitting must be numeric"),
+    (lambda: log_correlation_factor(1.0, Thermal(1), 1.0, 1.0, [1, 0]), ParameterError,
+     "system must be a SystemParams, got float"),
 ], ids=["text_matrix", "text_state", "text_bloch_state", "nan_bloch_state", "text_concurrence",
         "text_density", "text_times", "text_g_sum", "fractional_seed", "bool_seed",
         "fractional_count", "fractional_mask_spins", "fractional_class_spins",
         "fractional_uniform_spins", "bool_spins", "float_mask", "text_down_count",
         "float_wall_count", "text_oracle_size", "fractional_oracle_size", "pair_for_single", "text_single_bath",
-        "float_single_thermal", "single_for_pair", "text_pair_bath", "float_pair_thermal"])
+        "float_single_thermal", "single_for_pair", "text_pair_bath", "float_pair_thermal",
+        "float_oracle_thermal", "text_oracle_h", "none_evolve_h", "text_reduce_weights",
+        "text_fold_fields", "short_fold_weights", "text_series_weights",
+        "scalar_series_weights", "text_splitting", "float_factor_system"])
 def test_array_integer_and_record_inputs_raise_a_named_error(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         build()

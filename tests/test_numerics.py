@@ -1,6 +1,7 @@
 """Linear-algebra helpers, deterministic reduction primitives, seeded RNG."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,8 +25,19 @@ class TestHermitianEig:
         assert np.allclose(recon, np.diag([3.0, -1.0, 2.0]), atol=1e-14)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ParameterError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for kind in (float, complex):
+            with pytest.raises(ParameterError, match=re.escape(
+                    "matrix is not Hermitian: max |M - M^H| / max(1, max |M|) = 1.000e+00")):
+                hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=kind))
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_vectors_keep_the_input_kind(self, kind):
+        # the real part of a Hermitian matrix is real symmetric
+        h = random_hermitian(np.random.default_rng(5), 4)
+        m = h.real if kind is float else h
+        for matrix in (m, np.stack([m, m]), m.tolist()):
+            values, vectors = hermitian_eig(matrix)
+            assert (values.dtype, vectors.dtype) == (np.float64, np.dtype(kind))
 
     def test_rejects_non_square(self):
         with pytest.raises(ParameterError):
@@ -41,7 +53,7 @@ class TestHermitianEig:
         rng = np.random.default_rng(seed)
         h = random_hermitian(rng, dim)
         stack = np.stack([h, random_hermitian(rng, dim)])
-        for m in (h, stack):
+        for m in (h, stack, h.real):
             values, vectors = hermitian_eig(m)
             assert np.all(np.diff(values, axis=-1) >= 0)
             recon = (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-2, -1)

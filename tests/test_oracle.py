@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from spinbath import oracle
 from spinbath.errors import CapacityError, ParameterError
+from spinbath.experiments import preset
 from spinbath.model import BathParams, Boundary, SystemParams, Thermal, bath_sums, pure_state
-from spinbath.oracle import (DIMENSION_CAP, build_hamiltonian, evolve_and_reduce,
-                             initial_state)
+from spinbath.numerics import hermitian_eig
+from spinbath.oracle import (DIMENSION_CAP, FullHamiltonian, build_hamiltonian,
+                             evolve_and_reduce, initial_state)
 from spinbath.two_qubit import TwoQubitParams, bell_state
 
 
@@ -123,6 +125,13 @@ class TestBuildHamiltonian:
         assert oracle._joint_matrix(sys2, small_bath(3))[0].shape == (32, 32)
         assert h.vectors.shape == (32, 32)
         assert h.n_system == 2
+
+    @pytest.mark.parametrize("system", [small_system(), PAIR], ids=["single", "pair"])
+    def test_real_arithmetic(self, system):
+        # only sigma_z and sigma_x enter, so the joint matrix is real symmetric
+        h = build_hamiltonian(system, small_bath(3))
+        assert oracle._joint_matrix(system, small_bath(3))[0].dtype == np.float64
+        assert (h.energies.dtype, h.vectors.dtype) == (np.float64, np.float64)
 
     def test_capacity(self):
         bath = BathParams.uniform(13, 1.0, 1.0, 0.0)
@@ -321,6 +330,24 @@ class TestBatchedTimes:
         batched = evolve_and_reduce(h, rho0, times)
         expected = np.array([textbook_reduce(h, rho0, t) for t in times])
         assert np.abs(batched - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("name, n", [("fig4", 4), ("fig13", 3)])
+    def test_real_vectors_match_complex_ones(self, name, n):
+        # the same joint matrix diagonalized as complex gives other eigenvector
+        # phases, never other reduced states
+        config = preset(name)
+        system, bath = config.system, config.bath.resized(n).materialize()
+        matrix, bath_diagonal = oracle._joint_matrix(system, bath)
+        real = build_hamiltonian(system, bath)
+        complex_h = FullHamiltonian(real.n_system, n, bath_diagonal,
+                                    *hermitian_eig(matrix.astype(complex)))
+        assert complex_h.vectors.dtype == np.complex128
+        psi, times = config.state_vector(), config.grid.times()
+        for correlated in (False, True):
+            real_rho, complex_rho = (
+                evolve_and_reduce(h, initial_state(h, config.thermal(), psi, correlated), times)
+                for h in (real, complex_h))
+            assert np.abs(real_rho - complex_rho).max() < 1e-12
 
     def test_rerun_is_bit_identical(self):
         h = build_hamiltonian(PAIR, small_bath(3, seed=15))
