@@ -78,9 +78,9 @@ def mask_blocks(n_spins: int):
 
 
 def collapse_classes(n_spins: int, boundary: Boundary = Boundary.OPEN) -> np.recarray:
-    """Degeneracy classes of a chain of n_spins spins: a record array with
-    fields k (down spins), w (domain walls) and log_multiplicity, sorted by
-    (k, w).
+    """Degeneracy classes of a chain of n_spins spins, its boundary a
+    Boundary or its name: a record array with fields k (down spins), w
+    (domain walls) and log_multiplicity, sorted by (k, w).
 
     Multiplicities come from run combinatorics: a pattern with k down spins
     arranged in r maximal runs has w = r - 1 walls on an open chain, and an
@@ -94,7 +94,7 @@ def collapse_classes(n_spins: int, boundary: Boundary = Boundary.OPEN) -> np.rec
     n = _require_capacity(n_spins, Backend.COLLAPSE)
     down = np.arange(n + 1)
     m = np.minimum(down, n - down)
-    periodic = boundary is Boundary.PERIODIC
+    periodic = Boundary(boundary) is Boundary.PERIODIC
     per_k = np.where(m == 0, 1, m if periodic else np.minimum(2 * m, n - 1))
     k = np.repeat(down, per_k)
     rank = np.arange(k.size) - np.repeat(np.cumsum(per_k) - per_k, per_k)
@@ -154,11 +154,24 @@ def fold_fields(field, log_weight) -> tuple[np.ndarray, np.ndarray]:
     return order[first], top
 
 
+def _series_flags(correlated) -> tuple[bool, ...]:
+    """correlated, a non-empty sequence of bools (one per series), as a
+    tuple, or a ParameterError."""
+    try:
+        flags = tuple(correlated)
+    except TypeError:
+        flags = None
+    if flags is None or not all(isinstance(flag, (bool, np.bool_)) for flag in flags):
+        raise ParameterError(f"correlated must be a sequence of bools, got {correlated!r}")
+    if not flags:
+        raise ParameterError("correlated must hold at least one series flag")
+    return tuple(map(bool, flags))
+
+
 def series_log_weights(log_weight, log_factor, correlated: tuple[bool, ...]) -> np.ndarray:
     """The (fields, S) log weights: column s is the 1-d log_weight, plus the
     correlation factor log_factor where correlated[s]."""
-    if not correlated:
-        raise ParameterError("correlated must hold at least one series flag")
+    correlated = _series_flags(correlated)
     log_weight = _numeric_array("log weight", log_weight, float)
     if log_weight.ndim != 1:
         raise ParameterError(f"log weight must be 1-d, got shape {log_weight.shape}")
@@ -186,6 +199,7 @@ def reduce_weighted(term, log_weight, times, dim: int) -> tuple[np.ndarray, np.n
         raise ParameterError("times must be a non-empty 1-d sequence")
     if np.any(np.diff(t) < 0):
         raise ParameterError("times must be ascending")
+    dim = _converted("dim", dim, int)
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     log_weight = _numeric_array("log weight", log_weight, float)

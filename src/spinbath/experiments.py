@@ -631,10 +631,11 @@ def oracle_check(config: ExperimentConfig, n_override: int,
     if (isinstance(n_override, bool) or not isinstance(n_override, numbers.Integral)
             or n_override < 1):
         raise UsageError(f"oracle bath size must be an integer >= 1, got {n_override!r}")
+    skew = _require_real("analytic_beta_skew", analytic_beta_skew)
     require_dimension(1 if config.mode == "single" else 2, n_override)
     small = replace(config, bath=config.bath.resized(n_override))
     bath = small.bath.materialize()
-    analytic = _trajectories(small, bath, Thermal(small.beta * (1.0 + analytic_beta_skew)),
+    analytic = _trajectories(small, bath, Thermal(small.beta * (1.0 + skew)),
                              Backend.ENUMERATE)
     h = build_hamiltonian(small.system, bath)
     entries: list[tuple[str, float]] = []

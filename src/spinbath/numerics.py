@@ -16,13 +16,6 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2):
-    _m.setflags(write=False)
-
 # max |M - M^dagger| allowed relative to max |M|
 HERMITICITY_TOL = 1e-10
 
@@ -37,8 +30,8 @@ def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     m = _finite_array("matrix", matrix, complex if np.iscomplexobj(matrix) else float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ParameterError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    dev = np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    dev = np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
     if np.any(dev > HERMITICITY_TOL * scale):
         raise ParameterError(
             f"matrix is not Hermitian: max |M - M^H| / max(1, max |M|) = "
@@ -164,6 +157,8 @@ def gaussian_draw(spec: RandomSpec, count: int) -> np.ndarray:
     Deterministic for a fixed seed; successive calls with the same spec
     restart the stream rather than continuing it.
     """
+    if not isinstance(spec, RandomSpec):
+        raise ParameterError(f"spec must be a RandomSpec, got {type(spec).__name__}")
     count = _converted("count", count, int)
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")

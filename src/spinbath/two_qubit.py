@@ -4,11 +4,12 @@ Both qubits couple through sigma_z to the same bath field, so each bath
 pattern drives an independent 4x4 problem built from the pattern-shifted
 splittings (eps1 + g_sum, eps2 + g_sum) and the qubit-qubit coupling lam.
 Patterns that share g_sum share that problem, so they are folded onto their
-distinct fields, whose conditional Hamiltonians are diagonalized in batches;
-each field's state evolves as V exp(-iEt) V^dagger psi. The
-reduced pair state is the weighted mixture over patterns, with the same
-uncorrelated/correlated weight choice as the single-qubit case, and
-entanglement is scored by the standard spin-flip concurrence.
+distinct fields, whose conditional Hamiltonians are real symmetric and
+diagonalized in batches. Their eigenvectors V are real, so each field's
+state evolves as psi(t) = V exp(-iEt) V^T psi. The reduced pair state is
+the weighted mixture over patterns, with the same uncorrelated/correlated
+weight choice as the single-qubit case, and entanglement is scored by the
+standard spin-flip concurrence.
 
 Basis order: qubit 1 is the most significant bit of the 4 amplitudes, so
 index 0 is both up and index 3 both down.
@@ -20,24 +21,24 @@ import math
 
 import numpy as np
 
-from .configspace import (ITEM_BLOCK, Backend, collapse_classes, fold_fields,
+from .configspace import (ITEM_BLOCK, Backend, _series_flags, collapse_classes, fold_fields,
                           mask_blocks, reduce_weighted, series_log_weights)
 from .errors import ParameterError
 from .model import (BathParams, Thermal, TwoQubitParams, _check_records, _finite, bath_sums,
                     class_sums, log_thermal_overlap, log_thermal_weight, pure_state,
                     require_uniform)
-from .numerics import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _finite_array, hermitian_eig
+from .numerics import _finite_array, hermitian_eig
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
-_SZ1 = np.kron(SIGMA_Z, IDENTITY_2)
-_SX1 = np.kron(SIGMA_X, IDENTITY_2)
-_SZ2 = np.kron(IDENTITY_2, SIGMA_Z)
-_SX2 = np.kron(IDENTITY_2, SIGMA_X)
-_SZZ = np.kron(SIGMA_Z, SIGMA_Z)
-_SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
+# all real: only sigma_z and sigma_x enter the Hamiltonians, and the spin flip
+# sigma_y x sigma_y is the antidiagonal (-1, 1, 1, -1)
+_Z, _X, _I = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+_SZ1, _SX1, _SZ2, _SX2, _SZZ = (np.kron(_Z, _I), np.kron(_X, _I), np.kron(_I, _Z),
+                                np.kron(_I, _X), np.kron(_Z, _Z))
+_SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])).copy()
 for _m in (_SZ1, _SX1, _SZ2, _SX2, _SZZ, _SPIN_FLIP):
     _m.setflags(write=False)
 
@@ -101,7 +102,7 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
     for start in range(0, len(first), ITEM_BLOCK):
         rows = slice(start, start + ITEM_BLOCK)
         energies[rows], vectors = hermitian_eig(_pair_hamiltonian(sys2, g_sum[rows, None, None]))
-        overlaps = vectors.conj().swapaxes(-2, -1) @ psi
+        overlaps = vectors.swapaxes(-2, -1) @ psi
         amplitudes[rows] = vectors * overlaps[:, None, :]
         log_factor[rows] = log_thermal_overlap(th.beta, energies[rows].T,
                                                (np.abs(overlaps) ** 2).T)
@@ -177,6 +178,8 @@ def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
     array, one series per flag of correlated as in bloch_trajectory."""
     _check_records(("system", sys2, TwoQubitParams), ("bath", bath, BathParams),
                    ("thermal", th, Thermal))
+    # a bad flag is refused before any bath work
+    correlated = _series_flags(correlated)
     psi = _pair_state(psi)
     energies, amplitudes, log_weight = _pair_fields(sys2, bath, th, backend, psi, correlated)
 

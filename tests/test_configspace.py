@@ -113,6 +113,15 @@ class TestCollapseClasses:
         table = class_table(n, boundary)
         assert all(table[(n - k, w)] == m for (k, w), m in table.items())
 
+    def test_boundary_by_name(self):
+        for boundary in Boundary:
+            by_name = collapse_classes(4, boundary.value)
+            by_enum = collapse_classes(4, boundary)
+            assert by_name.tolist() == by_enum.tolist()
+        assert len(collapse_classes(4, "periodic")) == 6
+        with pytest.raises(ParameterError, match="^boundary must be open or periodic, got 'ring'"):
+            collapse_classes(4, "ring")
+
     def test_class_count_scales_quadratically(self):
         # O(n^2) classes instead of 2^n patterns
         assert len(collapse_classes(50, Boundary.OPEN)) <= 50 * 50

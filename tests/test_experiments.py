@@ -261,13 +261,14 @@ _BATH = BathParams.uniform(3, 1.0, 0.5, 0.1)
 _PAIR = TwoQubitParams(1.0, 2.0, 0.5, 0.5)
 
 
-def _single_run(sys=SystemParams(2.0, 1.0), bath=_BATH, th=Thermal(1.0), times=(0.0, 1.0)):
-    return bloch_trajectory(sys, bath, th, Backend.ENUMERATE, [1.0, 0.0], times, (False,))
+def _single_run(sys=SystemParams(2.0, 1.0), bath=_BATH, th=Thermal(1.0), times=(0.0, 1.0),
+                correlated=(False,)):
+    return bloch_trajectory(sys, bath, th, Backend.ENUMERATE, [1.0, 0.0], times, correlated)
 
 
-def _pair_run(sys2=_PAIR, bath=_BATH, th=Thermal(1.0)):
+def _pair_run(sys2=_PAIR, bath=_BATH, th=Thermal(1.0), correlated=(False,)):
     return density_trajectory(sys2, bath, th, Backend.ENUMERATE, [1.0, 0.0, 0.0, 0.0],
-                              (0.0, 1.0), (False,))
+                              (0.0, 1.0), correlated)
 
 
 def _oracle_state(h=None, th=Thermal(1.0)):
@@ -329,6 +330,17 @@ def _oracle_state(h=None, th=Thermal(1.0)):
      ParameterError, "splitting must be numeric"),
     (lambda: log_correlation_factor(1.0, Thermal(1), 1.0, 1.0, [1, 0]), ParameterError,
      "system must be a SystemParams, got float"),
+    (lambda: _single_run(correlated=True), ParameterError,
+     "correlated must be a sequence of bools, got True"),
+    (lambda: _pair_run(correlated="ab"), ParameterError,
+     "correlated must be a sequence of bools, got 'ab'"),
+    (lambda: _pair_run(correlated=()), ParameterError,
+     "correlated must hold at least one series flag"),
+    (lambda: reduce_weighted(None, [[0.0]], [0.0, 1.0], 1.5), ParameterError,
+     "dim must be an integer, got 1.5"),
+    (lambda: oracle_check(preset("fig4"), 3, analytic_beta_skew="x"), UsageError,
+     "analytic_beta_skew must be a number, got 'x'"),
+    (lambda: gaussian_draw("x", 3), ParameterError, "spec must be a RandomSpec, got str"),
 ], ids=["text_matrix", "text_state", "text_bloch_state", "nan_bloch_state", "text_concurrence",
         "text_density", "text_times", "text_g_sum", "fractional_seed", "bool_seed",
         "fractional_count", "fractional_mask_spins", "fractional_class_spins",
@@ -337,10 +349,22 @@ def _oracle_state(h=None, th=Thermal(1.0)):
         "float_single_thermal", "single_for_pair", "text_pair_bath", "float_pair_thermal",
         "float_oracle_thermal", "text_oracle_h", "none_evolve_h", "text_reduce_weights",
         "text_fold_fields", "short_fold_weights", "text_series_weights",
-        "scalar_series_weights", "text_splitting", "float_factor_system"])
+        "scalar_series_weights", "text_splitting", "float_factor_system", "bool_series_flags",
+        "text_series_flags", "no_series_flags", "float_dim", "text_beta_skew",
+        "text_random_spec"])
 def test_array_integer_and_record_inputs_raise_a_named_error(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         build()
+
+
+@pytest.mark.parametrize("run, module", [(_single_run, single_qubit), (_pair_run, two_qubit)])
+def test_series_flags_are_refused_before_any_bath_work(monkeypatch, run, module):
+    def no_bath_work(*args):
+        raise AssertionError("bath work started")
+
+    monkeypatch.setattr(module, "mask_blocks", no_bath_work)
+    with pytest.raises(ParameterError, match="^correlated must be a sequence of bools"):
+        run(correlated=(False, 1))
 
 
 def test_text_that_converts_stays_accepted():

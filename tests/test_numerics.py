@@ -39,6 +39,13 @@ class TestHermitianEig:
             values, vectors = hermitian_eig(matrix)
             assert (values.dtype, vectors.dtype) == (np.float64, np.dtype(kind))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3, 3)])
+    def test_empty_input(self, shape):
+        # an empty matrix gives what an empty stack always gave: nothing
+        for kind in (float, complex):
+            values, vectors = hermitian_eig(np.zeros(shape, dtype=kind))
+            assert (values.shape, vectors.shape) == (shape[:-1], shape)
+
     def test_rejects_non_square(self):
         with pytest.raises(ParameterError):
             hermitian_eig(np.zeros((2, 3)))

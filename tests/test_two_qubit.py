@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinbath import two_qubit
 from spinbath.configspace import ITEM_BLOCK, Backend
 from spinbath.errors import ParameterError
 from spinbath.model import BathParams, Boundary, Thermal, pure_state
+from spinbath.numerics import hermitian_eig
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from spinbath.two_qubit import (TwoQubitParams, bell_state, concurrence,
                                 conditional_hamiltonian, density_trajectory,
@@ -58,7 +60,28 @@ class TestConditionalHamiltonian:
             + 0.5 * sys2.delta2 * np.kron(eye, sx)
             + sys2.lam * np.kron(sz, sz)
         )
-        assert np.abs(conditional_hamiltonian(sys2, g_sum) - expected).max() < 1e-14
+        h = conditional_hamiltonian(sys2, g_sum)
+        assert h.dtype == np.float64
+        assert np.abs(h - expected).max() < 1e-14
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_trajectory_diagonalizes_real_stacks(self, monkeypatch, backend):
+        seen = []
+
+        def spy(matrix):
+            seen.append(matrix.dtype)
+            return hermitian_eig(matrix)
+
+        monkeypatch.setattr(two_qubit, "hermitian_eig", spy)
+        bath = BathParams.uniform(4, 1.0, 0.5, 0.2)
+        density_trajectory(TwoQubitParams(lam=0.7, **BASE), bath, Thermal(1.0), backend,
+                           bell_state(), [0.0, 1.0], (False, True))
+        assert seen and set(seen) == {np.dtype(np.float64)}
+
+    def test_spin_flip_is_real_sigma_y_x_sigma_y(self):
+        sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        assert two_qubit._SPIN_FLIP.dtype == np.float64
+        assert np.array_equal(two_qubit._SPIN_FLIP, np.kron(sy, sy))
 
 
 class TestInteractingRoute:
