@@ -23,7 +23,7 @@ from . import __version__
 from .configspace import Backend, _require_capacity
 from .errors import ParameterError, UsageError
 from .model import (BathParams, Boundary, SystemParams, Thermal, TwoQubitParams,
-                    pure_state, require_uniform)
+                    _check_records, pure_state, require_uniform)
 from .numerics import RNG_ALGORITHM, RandomSpec, gaussian_draw
 from .oracle import build_hamiltonian, evolve_and_reduce, initial_state, require_dimension
 from .single_qubit import bloch_trajectory
@@ -488,6 +488,7 @@ def _trajectories(config: ExperimentConfig, bath: BathParams, th: Thermal,
 
 def run(config: ExperimentConfig) -> ResultTable:
     """Compute the configured trajectories and return the plot-ready table."""
+    _check_records(("config", config, ExperimentConfig))
     backend = config.backend
     # before materialize(), which draws a random bath's parameters one by one
     _require_capacity(config.bath.n_spins, backend)
@@ -628,10 +629,14 @@ def oracle_check(config: ExperimentConfig, n_override: int,
     analytic_beta_skew is a test hook: it scales the analytic path's inverse
     temperature so the detector can be shown to trip on a corrupted weight.
     """
+    _check_records(("config", config, ExperimentConfig), error=UsageError)
     if (isinstance(n_override, bool) or not isinstance(n_override, numbers.Integral)
             or n_override < 1):
         raise UsageError(f"oracle bath size must be an integer >= 1, got {n_override!r}")
     skew = _require_real("analytic_beta_skew", analytic_beta_skew)
+    # the analytic path runs at beta (1 + skew), which must not be negative
+    if skew < -1.0:
+        raise UsageError(f"analytic_beta_skew must be >= -1, got {skew!r}")
     require_dimension(1 if config.mode == "single" else 2, n_override)
     small = replace(config, bath=config.bath.resized(n_override))
     bath = small.bath.materialize()
@@ -639,11 +644,14 @@ def oracle_check(config: ExperimentConfig, n_override: int,
                              Backend.ENUMERATE)
     h = build_hamiltonian(small.system, bath)
     entries: list[tuple[str, float]] = []
-    # the brute-force reference evolves each series on its own
-    psi, times = small.state_vector(), small.grid.times()
-    for series, computed in zip(small.series, analytic):
-        rho0 = initial_state(h, small.thermal(), psi, series == SERIES_CORRELATED)
-        reduced = evolve_and_reduce(h, rho0, times)
+    # the brute-force reference evolves every series in one call; each state
+    # is written into one preallocated stack, so no stacked copy is made
+    psi, dim = small.state_vector(), h.system_dim * h.bath_dim
+    rho0 = np.empty((len(small.series), dim, dim), dtype=complex)
+    for state, series in zip(rho0, small.series):
+        state[...] = initial_state(h, small.thermal(), psi, series == SERIES_CORRELATED)
+    evolved = evolve_and_reduce(h, rho0, small.grid.times())
+    for series, computed, reduced in zip(small.series, analytic, evolved):
         if small.mode == "single":
             entries.append((f"bloch_{series}",
                             float(np.abs(computed - _bloch_of_density(reduced)).max())))

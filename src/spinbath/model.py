@@ -176,13 +176,13 @@ class Thermal:
             raise ParameterError(f"beta must be >= 0, got {self.beta}")
 
 
-def _check_records(*records: tuple[str, object, type]) -> None:
-    """Raise a ParameterError naming the expected type for the first
-    (name, value, expected type) record whose value is of another type."""
+def _check_records(*records: tuple[str, object, type], error: type = ParameterError) -> None:
+    """Raise error, a ParameterError unless given, naming the expected type for
+    the first (name, value, expected type) record whose value is of another
+    type."""
     for name, value, expected in records:
         if not isinstance(value, expected):
-            raise ParameterError(f"{name} must be a {expected.__name__}, "
-                                 f"got {type(value).__name__}")
+            raise error(f"{name} must be a {expected.__name__}, got {type(value).__name__}")
 
 
 def _integers(name: str, value) -> np.ndarray:

@@ -34,9 +34,9 @@ import numpy as np
 
 from .errors import CapacityError, NumericError, ParameterError
 from .model import BathParams, SystemParams, Thermal, TwoQubitParams, _check_records, pure_state
-from .numerics import _finite_array, hermitian_eig
+from .numerics import HERMITICITY_TOL, _finite_array, hermitian_eig
 
-# a two-series check at the cap takes about a minute and 1.2 GB (README)
+# a two-series check at the cap takes about half a minute and 1.1 GB (README)
 DIMENSION_CAP = 2 ** 12
 
 
@@ -158,7 +158,12 @@ def initial_state(h: FullHamiltonian, th: Thermal, psi, correlated: bool) -> np.
     if psi.shape != (h.system_dim,):
         raise ParameterError(f"state has {psi.size} amplitudes, expected {h.system_dim}")
     if correlated:
-        projected = np.tensordot(psi.conj(), h.vectors.reshape(h.system_dim, h.bath_dim, -1), 1)
+        # psi's real and imaginary parts contract with V apart, so a real V
+        # stays real, and with a real psi so does the block product
+        split = h.vectors.reshape(h.system_dim, h.bath_dim, -1)
+        projected = np.tensordot(psi.real, split, 1)
+        if psi.imag.any():
+            projected = projected - 1j * np.tensordot(psi.imag, split, 1)
         weights = np.exp(-th.beta * (h.energies - h.energies.min()))
         block = (projected * weights) @ projected.conj().T
     else:
@@ -170,52 +175,98 @@ def initial_state(h: FullHamiltonian, th: Thermal, psi, correlated: bool) -> np.
     return np.kron(np.outer(psi, psi.conj()), block / partition)
 
 
+def _require_hermitian(states: np.ndarray, ds: int) -> None:
+    """Raise unless an (S, D, D) stack is Hermitian within HERMITICITY_TOL of
+    max(1, max |rho0|); compared one system block (i, j <= i) against its
+    mirror at a time, so no D x D temporary is made."""
+    db = states.shape[-1] // ds
+    blocks = states.reshape(len(states), ds, db, ds, db)
+    dev, scale = 0.0, 1.0
+    for i in range(ds):
+        for j in range(i + 1):
+            block, mirror = blocks[:, i, :, j], blocks[:, j, :, i]
+            dev = max(dev, float(np.abs(block - mirror.conj().swapaxes(1, 2)).max(initial=0.0)))
+            scale = max(scale, float(np.abs(block).max(initial=0.0)),
+                        float(np.abs(mirror).max(initial=0.0)))
+    if dev > HERMITICITY_TOL * scale:
+        raise ParameterError(f"rho0 is not Hermitian: max |rho0 - rho0^H| / max(1, max |rho0|) = "
+                             f"{dev / scale:.3e}")
+
+
 def evolve_and_reduce(h: FullHamiltonian, rho0: np.ndarray,
                       t: float | np.ndarray) -> np.ndarray:
-    """System reduced density matrix at time t, (ds, ds), or at each time of
-    a 1-d array t, (T, ds, ds), from the joint initial state rho0.
+    """System reduced density matrix from the joint initial state rho0, a
+    (D, D) matrix or an (S, D, D) stack of them: (ds, ds) at time t, or
+    (T, ds, ds) at each time of a 1-d array t, behind a leading S for a stack.
 
     In the joint eigenbasis, with R = V^dagger rho0 V and the partial-trace
     kernel K_iajc = sum_b V_(i,b),a conj(V_(j,b),c),
 
         rho_S(t)_ij = sum_{a,c} exp(-i (E_a - E_c) t) R_ac K_iajc.
 
-    K is built in chunks of D // (2 ds^2) eigenvector indices a, so no chunk
-    is larger than half of V; each chunk is one GEMM over the bath index, a
-    product with R, one GEMM against the phases exp(i E_c t) and one
-    contraction with exp(-i E_a t). With a real V, K and R (from rho0's real
-    and imaginary parts apart) take real GEMMs. Chunks add in a fixed order,
+    rho_S is Hermitian, so only the blocks i <= j are formed, and the rest are
+    their conjugates. K is built in chunks of D // (2 n_blocks) eigenvector
+    indices a, so no chunk is larger than half of V; a chunk is one batched
+    GEMM over the bath index on views of V, and serves every state. R is
+    formed from rho0's real and imaginary parts apart, and a part that is
+    exactly zero is left out; each part times the kernel is one GEMM against
+    [cos(E_c t) | sin(E_c t)], and a contraction with exp(-i E_a t) follows.
+    With a real V all of it is real arithmetic. Chunks add in a fixed order,
     so reruns are bit-identical.
     Grids longer than the joint dimension D go in blocks of D times, each
-    building K again, so the D x T phase matrix never outgrows V.
+    building K again, so the D x 2T phase matrix never outgrows V.
     """
     _check_records(("h", h, FullHamiltonian))
     ds, db = h.system_dim, h.bath_dim
     dim = ds * db
     rho0 = _finite_array("rho0", rho0, complex)
-    if rho0.shape != (dim, dim):
-        raise ParameterError(f"rho0 must have shape ({dim}, {dim}), got {rho0.shape}")
+    if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (dim, dim):
+        raise ParameterError(f"rho0 must have shape ({dim}, {dim}) or (S, {dim}, {dim}), "
+                             f"got {rho0.shape}")
     times = _finite_array("time", t, float)
     if times.ndim > 1:
         raise ParameterError(f"time must be a number or a 1-d array, got shape {times.shape}")
+    states = rho0.reshape(-1, dim, dim)
+    _require_hermitian(states, ds)
     energies, vectors = h.energies, h.vectors
-    r = 1j * (vectors.conj().T @ np.ascontiguousarray(rho0.imag) @ vectors)
-    r += vectors.conj().T @ np.ascontiguousarray(rho0.real) @ vectors
-    # V_(i,b),a split into (i, b, a); the right factor, conj V as (b, (j, c)),
-    # is a contiguous copy, so each chunk of K is one GEMM
+    # V^dagger part V for the parts 0 and 1 of rho0 = Re + 1j Im, per state
+    parts = [[(p, vectors.conj().T @ np.ascontiguousarray(part) @ vectors)
+              for p, part in enumerate((state.real, state.imag)) if part.any()]
+             for state in states]
+    # V_(i,b),a split into (i, b, a); the kernel blocks (i, j >= i) start at
+    # the diagonal block of row i, and are V's row block i against its rows
+    # from i on
+    rows, cols = np.triu_indices(ds)
+    starts = np.flatnonzero(rows == cols)
+    chunk = max(1, dim // (2 * rows.size))
     split = vectors.reshape(ds, db, dim)
-    right = split.conj().transpose(1, 0, 2).reshape(db, ds * dim)
-    chunk = max(1, dim // (2 * ds * ds))
+    right = split.conj()
     grid = np.atleast_1d(times)
-    out = np.zeros((grid.size, ds, ds), dtype=complex)
+    # per state, part and kernel block: sum_a y_x[a] w_y(E_a t) for x, y in (cos, sin)
+    sums = np.zeros((len(states), 2, rows.size, 2, 2, grid.size), dtype=vectors.dtype)
     for first in range(0, grid.size, dim):
         block = slice(first, first + dim)
-        phases = np.exp(1j * np.outer(energies, grid[block]))
+        angles = np.outer(energies, grid[block])
+        n = angles.shape[1]
+        waves = np.hstack([np.cos(angles), np.sin(angles)])
         for start in range(0, dim, chunk):
             a = slice(start, min(start + chunk, dim))
             m = a.stop - a.start
-            left = split[:, :, a].transpose(0, 2, 1).reshape(ds * m, db)
-            kernel = (left @ right).reshape(ds, m, ds, dim) * r[a][None, :, None, :]
-            partial = (kernel.reshape(ds * m * ds, dim) @ phases).reshape(ds, m, ds, -1)
-            out[block] += np.einsum("iajt,at->tij", partial, phases[a].conj())
-    return out[0] if times.ndim == 0 else out
+            kernel = np.empty((rows.size, m, dim), dtype=vectors.dtype)
+            for i, k in enumerate(starts):
+                np.matmul(split[i, :, a].T, right[i:], out=kernel[k:k + ds - i])
+            for out, state_parts in zip(sums, parts):
+                for p, r in state_parts:
+                    # y_cos + i y_sin = sum_c R_ac K_iajc exp(i E_c t)
+                    y = ((kernel * r[a]).reshape(-1, dim) @ waves).reshape(rows.size, m, 2, n)
+                    out[p, ..., block] += np.einsum("kaxt,ayt->kxyt", y,
+                                                    waves[a].reshape(m, 2, n))
+    # sum_a (cos - i sin)(E_a t) (y_cos + i y_sin), then Re + 1j Im
+    x = sums[..., 0, 0, :] + sums[..., 1, 1, :] + 1j * (sums[..., 1, 0, :] - sums[..., 0, 1, :])
+    upper = x[:, 0] + 1j * x[:, 1]
+    reduced = np.empty((len(states), grid.size, ds, ds), dtype=complex)
+    # conjugates first, so a diagonal block keeps its own value
+    reduced[..., cols, rows] = upper.conj().swapaxes(1, 2)
+    reduced[..., rows, cols] = upper.swapaxes(1, 2)
+    reduced = reduced if rho0.ndim == 3 else reduced[0]
+    return reduced[..., 0, :, :] if times.ndim == 0 else reduced

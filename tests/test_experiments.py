@@ -341,6 +341,10 @@ def _oracle_state(h=None, th=Thermal(1.0)):
     (lambda: oracle_check(preset("fig4"), 3, analytic_beta_skew="x"), UsageError,
      "analytic_beta_skew must be a number, got 'x'"),
     (lambda: gaussian_draw("x", 3), ParameterError, "spec must be a RandomSpec, got str"),
+    (lambda: run("fig4"), ParameterError, "config must be a ExperimentConfig, got str"),
+    (lambda: oracle_check("fig4", 3), UsageError, "config must be a ExperimentConfig, got str"),
+    (lambda: oracle_check(preset("fig4"), 3, analytic_beta_skew=-3.0), UsageError,
+     "analytic_beta_skew must be >= -1, got -3.0"),
 ], ids=["text_matrix", "text_state", "text_bloch_state", "nan_bloch_state", "text_concurrence",
         "text_density", "text_times", "text_g_sum", "fractional_seed", "bool_seed",
         "fractional_count", "fractional_mask_spins", "fractional_class_spins",
@@ -351,7 +355,7 @@ def _oracle_state(h=None, th=Thermal(1.0)):
         "text_fold_fields", "short_fold_weights", "text_series_weights",
         "scalar_series_weights", "text_splitting", "float_factor_system", "bool_series_flags",
         "text_series_flags", "no_series_flags", "float_dim", "text_beta_skew",
-        "text_random_spec"])
+        "text_random_spec", "text_run_config", "text_oracle_config", "negative_beta_skew"])
 def test_array_integer_and_record_inputs_raise_a_named_error(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         build()
@@ -814,6 +818,24 @@ class TestOracleCheck:
         config = config_from_keys(single_keys())
         report = oracle_check(config, n_override=3, analytic_beta_skew=1e-5)
         assert not report.passed
+
+    def test_skew_of_minus_one_runs_at_beta_zero(self):
+        # beta 0 is a valid analytic temperature, so the check runs and trips
+        assert not oracle_check(preset("fig4"), 3, analytic_beta_skew=-1.0).passed
+
+    @pytest.mark.parametrize("name", ["fig4", "fig13"])
+    def test_one_evolve_call_serves_every_series(self, monkeypatch, name):
+        calls = []
+
+        def spy(h, rho0, t):
+            calls.append(np.shape(rho0))
+            return evolve_and_reduce(h, rho0, t)
+
+        monkeypatch.setattr(experiments, "evolve_and_reduce", spy)
+        config = preset(name)
+        assert oracle_check(config, 3).passed
+        dim = 1 << (3 + (1 if config.mode == "single" else 2))
+        assert calls == [(len(config.series), dim, dim)]
 
     def test_dimension_cap(self):
         config = config_from_keys(single_keys())

@@ -359,6 +359,39 @@ class TestBatchedTimes:
         h = build_hamiltonian(small_system(), small_bath(2))
         rho0 = initial_state(h, Thermal(1.0), pure_state([1.0, 0.0]), correlated=False)
         assert evolve_and_reduce(h, rho0, []).shape == (0, 2, 2)
+        assert evolve_and_reduce(h, rho0[:0].reshape(0, 8, 8), TIMES).shape == (0, 13, 2, 2)
+
+
+class TestStackedStates:
+    @pytest.mark.parametrize("t", [1.7, TIMES], ids=["scalar_t", "array_t"])
+    @pytest.mark.parametrize("amplitudes", [(0.6, 0.8), (0.6, 0.8j)], ids=["real", "complex"])
+    @pytest.mark.parametrize("pair", [False, True], ids=["qubit", "pair"])
+    def test_stack_matches_one_state_at_a_time(self, pair, amplitudes, t):
+        h = build_hamiltonian(PAIR if pair else small_system(), small_bath(3, seed=16))
+        psi = pure_state(np.kron(amplitudes, [1.0, 0.0]) if pair else amplitudes)
+        rho0 = np.array([initial_state(h, Thermal(1.5), psi, correlated)
+                         for correlated in (False, True)])
+        stacked = evolve_and_reduce(h, rho0, t)
+        assert stacked.shape == (2, *np.shape(t), h.system_dim, h.system_dim)
+        for state, reduced in zip(rho0, stacked):
+            assert np.abs(reduced - evolve_and_reduce(h, state, t)).max() < 1e-14
+
+    @pytest.mark.parametrize("pair", [False, True], ids=["qubit", "pair"])
+    def test_blocks_below_the_diagonal_are_conjugates(self, pair):
+        h = build_hamiltonian(PAIR if pair else small_system(), small_bath(3, seed=17))
+        psi = pure_state(np.full(h.system_dim, 0.5j if pair else 0.5 ** 0.5))
+        rho = evolve_and_reduce(h, initial_state(h, Thermal(1.5), psi, True), TIMES)
+        i, j = np.triu_indices(h.system_dim, 1)
+        assert np.array_equal(rho[:, j, i], rho[:, i, j].conj())
+
+    def test_non_hermitian_rho0_is_refused(self):
+        h = build_hamiltonian(small_system(), small_bath(2))
+        rho0 = initial_state(h, Thermal(1.0), pure_state([0.6, 0.8]), correlated=True)
+        skewed = rho0.copy()
+        skewed[0, 5] += 1e-3
+        for bad in (skewed, np.array([rho0, skewed])):
+            with pytest.raises(ParameterError, match=r"^rho0 is not Hermitian: max \|rho0"):
+                evolve_and_reduce(h, bad, TIMES)
 
 
 class TestEvolveInputs:
