@@ -11,32 +11,31 @@ classes rather than the full Hilbert space.
 # set before the submodule imports: experiments reads it for the CSV echo
 __version__ = "0.1.0"
 
-from .configspace import Backend, collapse_classes, reduce_weighted
+from .configspace import Backend
+# not public: benchmark/workloads.py imports collapse_classes from the package
+from .configspace import collapse_classes
 from .errors import (CapacityError, NumericError, ParameterError, SpinbathError,
                      UsageError)
 from .experiments import (ExperimentConfig, OracleReport, ResultTable, TimeGrid,
                           list_presets, oracle_check, parse_config_file, preset, run)
 from .model import (BathParams, Boundary, SystemParams, Thermal, TwoQubitParams,
-                    bath_sums, bloch_components, class_quantities, config_quantities,
-                    log_correlation_factor, pure_state)
-from .numerics import RandomSpec, gaussian_draw, hermitian_eig
+                    bloch_components, pure_state)
+from .numerics import RandomSpec, gaussian_draw
 from .oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from .single_qubit import bloch_trajectory
-from .two_qubit import (bell_state, concurrence, density_trajectory, product_state,
-                        validate_density)
+from .two_qubit import bell_state, concurrence, density_trajectory, product_state
 
+# what a user of the model calls; other module-level names are internal
 __all__ = [
     "__version__",
-    "Backend", "collapse_classes", "reduce_weighted",
+    "Backend",
     "CapacityError", "NumericError", "ParameterError", "SpinbathError", "UsageError",
     "ExperimentConfig", "OracleReport", "ResultTable", "TimeGrid",
     "list_presets", "oracle_check", "parse_config_file", "preset", "run",
-    "BathParams", "Boundary", "SystemParams", "Thermal",
-    "bath_sums", "bloch_components", "class_quantities", "config_quantities",
-    "log_correlation_factor", "pure_state",
-    "RandomSpec", "gaussian_draw", "hermitian_eig",
+    "BathParams", "Boundary", "SystemParams", "Thermal", "TwoQubitParams",
+    "bloch_components", "pure_state",
+    "RandomSpec", "gaussian_draw",
     "build_hamiltonian", "evolve_and_reduce", "initial_state",
     "bloch_trajectory",
-    "TwoQubitParams", "bell_state", "concurrence", "density_trajectory",
-    "product_state", "validate_density",
+    "bell_state", "concurrence", "density_trajectory", "product_state",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .model import ENUMERATION_CAP, Boundary, _finite
-from .numerics import _converted, _finite_array, _numeric_array, _pairwise_sum
+from .numerics import _converted, _finite_array, _pairwise_sum
 
 # a two-series, 40-point run at the cap peaks below 1 GB (measured in README)
 COLLAPSE_CAP = 3_500
@@ -117,13 +117,9 @@ def fold_fields(field, log_weight) -> tuple[np.ndarray, np.ndarray]:
     log_weight holds each item's log weight (a collapse class's carries its
     log multiplicity). Returns, in ascending field order, the index of each
     field's first item and the log of the field's summed weights, found in
-    log space. Fields that compare equal merge, so -0.0 joins 0.0.
+    log space. Fields that compare equal merge, so -0.0 joins 0.0. Both are
+    1-d arrays of one length, as the bath stage builds them.
     """
-    field = _numeric_array("field", field, float)
-    log_weight = _numeric_array("log weight", log_weight, float)
-    if field.ndim != 1 or log_weight.shape != field.shape:
-        raise ParameterError(f"field and log weight must be 1-d of one length, got shapes "
-                             f"{field.shape} and {log_weight.shape}")
     # a stable sort is cheap where the fields arrive monotone, as collapse
     # classes do in k order; elsewhere the default sort is faster, and item
     # order inside a run of equal fields is restored below. The end points
@@ -168,14 +164,21 @@ def _series_flags(correlated) -> tuple[bool, ...]:
     return tuple(map(bool, flags))
 
 
+def _time_grid(times) -> np.ndarray:
+    """times as a non-empty, finite, ascending 1-d float array, or a
+    ParameterError."""
+    t = _finite_array("times", times, float)
+    if t.ndim != 1 or t.size == 0:
+        raise ParameterError("times must be a non-empty 1-d sequence")
+    if np.any(np.diff(t) < 0):
+        raise ParameterError("times must be ascending")
+    return t
+
+
 def series_log_weights(log_weight, log_factor, correlated: tuple[bool, ...]) -> np.ndarray:
-    """The (fields, S) log weights: column s is the 1-d log_weight, plus the
-    correlation factor log_factor where correlated[s]."""
-    correlated = _series_flags(correlated)
-    log_weight = _numeric_array("log weight", log_weight, float)
-    if log_weight.ndim != 1:
-        raise ParameterError(f"log weight must be 1-d, got shape {log_weight.shape}")
-    log_factor = _numeric_array("log factor", log_factor, float)
+    """The (fields, S) log weights: column s is the 1-d array log_weight, plus
+    the correlation factor log_factor where correlated[s], flags that
+    _series_flags has checked."""
     return np.stack([log_weight + log_factor if flag else log_weight
                      for flag in correlated], axis=1)
 
@@ -189,23 +192,12 @@ def reduce_weighted(term, log_weight, times, dim: int) -> tuple[np.ndarray, np.n
     term(rows, t) gets a slice of item indices and an array of times and
     returns the items' unweighted terms as an array of shape
     (rows, len(t), dim). times must be a non-empty, finite, ascending 1-d
-    sequence. Each column is shifted by its largest log weight before the
-    exp, so no weight overflows and every normalizer is at least 1. The
-    summation order depends only on the item count, so results are
-    bit-identical from run to run.
+    sequence, as _time_grid makes it. Each column is shifted by its largest
+    log weight before the exp, so no weight overflows and every normalizer is
+    at least 1. The summation order depends only on the item count, so
+    results are bit-identical from run to run.
     """
-    t = _finite_array("times", times, float)
-    if t.ndim != 1 or t.size == 0:
-        raise ParameterError("times must be a non-empty 1-d sequence")
-    if np.any(np.diff(t) < 0):
-        raise ParameterError("times must be ascending")
-    dim = _converted("dim", dim, int)
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
-    log_weight = _numeric_array("log weight", log_weight, float)
-    if log_weight.ndim != 2 or 0 in log_weight.shape:
-        raise ParameterError(
-            f"log_weight must be a non-empty (items, S) matrix, got {log_weight.shape}")
+    t = np.asarray(times, dtype=float)
     shift = _finite("log weight", log_weight).max(axis=0)
     # (S, items) and C-ordered, so every sum below runs over the last axis
     weight = np.subtract(log_weight.T, shift[:, None], order="C")
@@ -226,9 +218,6 @@ def reduce_weighted(term, log_weight, times, dim: int) -> tuple[np.ndarray, np.n
             with np.errstate(over="ignore", invalid="ignore"):
                 values = term(block_rows, points)
             count = block_rows.stop - block_rows.start
-            if values.shape != (count, points.size, dim):
-                raise ParameterError(f"term returned shape {values.shape} for {count} "
-                                     f"items, {points.size} times and dim {dim}")
             # the (S, entries, items) product, with the longer of items and
             # entries innermost in memory, where the tree's adds run fastest
             entries = values.reshape(count, -1)

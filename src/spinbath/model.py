@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
-from .numerics import _converted, _finite_array, _numeric_array
+from .errors import ParameterError
+from .numerics import _converted, _finite_array
 
 STATE_NORM_TOL = 1e-12
 # the most bath spins whose 2^N patterns are summed one by one (bath_sums)
@@ -185,17 +185,6 @@ def _check_records(*records: tuple[str, object, type], error: type = ParameterEr
             raise error(f"{name} must be a {expected.__name__}, got {type(value).__name__}")
 
 
-def _integers(name: str, value) -> np.ndarray:
-    """value as an array, or a ParameterError naming the field unless its
-    dtype is an integer one; Python ints beyond int64 stay objects, which
-    the range checks refuse."""
-    array = np.asarray(value)
-    if array.dtype.kind not in "iu" and not (
-            array.dtype.kind == "O" and all(isinstance(x, int) for x in array.flat)):
-        raise ParameterError(f"{name} must have an integer dtype, got {array.dtype}")
-    return array
-
-
 def _finite(name: str, value):
     """value, or a ParameterError naming it when the parameters made an entry
     overflow to inf or nan; callers compute it with numpy's warnings off."""
@@ -234,24 +223,18 @@ def bath_sums(bath: BathParams, mask) -> np.ndarray:
     index the bath's half-chain tables, built once per bath, and only the
     bond across the cut and, on a ring, the bond from site N back to site 1
     are added per pattern. So 2^N patterns cost O(2^N) lookups, not
-    O(2^N N) multiplies."""
+    O(2^N N) multiplies. The masks are integers in [0, 2^N), with N at most
+    ENUMERATION_CAP, as mask_blocks and fold_fields hand them over."""
     n = bath.n_spins
-    if n > ENUMERATION_CAP:
-        raise CapacityError(f"per-pattern sums are tabulated for at most "
-                            f"{ENUMERATION_CAP} bath spins, got {n}")
-    masks = _integers("mask", mask)
-    # a negative mask shifts to -1, one of 2^n or more to a positive number
-    if np.any(masks >> n):
-        raise ParameterError(f"mask {mask} out of range for {n} bath spins")
     low, high = bath._half_chain_sums
     cut = (n + 1) // 2
-    sums = low.take(masks & ((1 << cut) - 1), axis=1)
-    sums += high.take(masks >> cut, axis=1)
+    sums = low.take(mask & ((1 << cut) - 1), axis=1)
+    sums += high.take(mask >> cut, axis=1)
     # bond i couples sites i and i+1, the last one wrapping on a ring (to
     # itself for one spin). The halves hold the bonds inside them; left are
     # the bond across the cut, i = cut - 1, and the ring's last, i = n - 1
     for bond in sorted({cut - 1, n - 1} & set(range(bath.bond_count))):
-        anti = ((masks >> bond) ^ (masks >> ((bond + 1) % n))) & 1
+        anti = ((mask >> bond) ^ (mask >> ((bond + 1) % n))) & 1
         sums[2] += np.array((bath.chi_i[bond], -bath.chi_i[bond])).take(anti)
     return sums
 
@@ -261,14 +244,9 @@ def class_sums(bath: BathParams, k, w) -> tuple:
     w domain walls, elementwise over arrays k and w. Valid only for uniform
     bath parameters, where the signed sums depend on the pattern only through
     (k, w): each down spin flips one g and one eps term, each wall flips one
-    bond term."""
+    bond term. k and w are a class's counts, as collapse_classes lists them."""
     eps, g, chi = require_uniform(bath)
     n, bonds = bath.n_spins, bath.bond_count
-    k, w = _integers("down-spin count", k), _integers("wall count", w)
-    if np.any(k < 0) or np.any(k > n):
-        raise ParameterError(f"down-spin count {k} out of range for {n} spins")
-    if np.any(w < 0) or np.any(w > bonds):
-        raise ParameterError(f"wall count {w} out of range for {bonds} bonds")
     return g * (n - 2 * k), eps * (n - 2 * k), chi * (bonds - 2 * w)
 
 
@@ -334,10 +312,8 @@ def log_correlation_factor(sys: SystemParams, th: Thermal, splitting, rabi,
     which psi has populations q_± = (1 ± <h>/rabi)/2 (both 1/2 where rabi = 0
     and h vanishes), so the factor is exp(-beta*rabi) q_+ + exp(beta*rabi) q_-,
     with no singularity at rabi -> 0: log_thermal_overlap over those two levels.
+    splitting and rabi are float arrays, as config_quantities returns them.
     """
-    _check_records(("system", sys, SystemParams), ("thermal", th, Thermal))
-    splitting = _numeric_array("splitting", splitting, float)
-    rabi = _numeric_array("rabi", rabi, float)
     px, _, pz = bloch_components(psi)
     mean_h = 0.5 * (splitting * pz + sys.delta * px)
     ratio = np.divide(mean_h, rabi, out=np.zeros(rabi.shape), where=rabi != 0.0)

@@ -34,10 +34,12 @@ import numpy as np
 
 from .errors import CapacityError, NumericError, ParameterError
 from .model import BathParams, SystemParams, Thermal, TwoQubitParams, _check_records, pure_state
-from .numerics import HERMITICITY_TOL, _finite_array, hermitian_eig
+from .numerics import _finite_array, hermitian_eig
 
 # a two-series check at the cap takes about half a minute and 1.1 GB (README)
 DIMENSION_CAP = 2 ** 12
+# max |rho0 - rho0^dagger| allowed relative to max(1, max |rho0|)
+HERMITICITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,9 @@ def _qubits(sys) -> tuple[tuple[tuple[float, float], ...], float]:
 
 def _joint_matrix(sys, bath: BathParams) -> tuple[np.ndarray, np.ndarray]:
     """Dense joint Hamiltonian for one central qubit (SystemParams) or a
-    coupled pair (TwoQubitParams) plus the bath, and the bath-only diagonal."""
+    coupled pair (TwoQubitParams) plus the bath, and the bath-only diagonal.
+    The matrix is exactly symmetric: each sigma_x entry is written for every
+    index, so for its mirror too."""
     qubits, lam = _qubits(sys)
     n_system = len(qubits)
     require_dimension(n_system, bath.n_spins)
@@ -135,6 +139,7 @@ def _joint_matrix(sys, bath: BathParams) -> tuple[np.ndarray, np.ndarray]:
 def build_hamiltonian(sys, bath: BathParams) -> FullHamiltonian:
     """The joint Hamiltonian of _joint_matrix, diagonalized; the dense D x D
     matrix is released once its eigendecomposition is taken."""
+    _check_records(("bath", bath, BathParams))
     matrix, bath_diagonal = _joint_matrix(sys, bath)
     energies, vectors = hermitian_eig(matrix)
     for array in (energies, vectors):

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .configspace import (SETUP_BLOCK, Backend, _series_flags, collapse_classes, fold_fields,
-                          mask_blocks, reduce_weighted, series_log_weights)
+from .configspace import (SETUP_BLOCK, Backend, _series_flags, _time_grid, collapse_classes,
+                          fold_fields, mask_blocks, reduce_weighted, series_log_weights)
 from .model import (BathParams, SystemParams, Thermal, _check_records, bath_sums,
                     bloch_components, class_quantities, class_sums, config_quantities,
                     log_correlation_factor, log_thermal_weight, pure_state,
@@ -76,8 +76,8 @@ def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
     product preparation and True for a correlated one, all from one sweep."""
     _check_records(("system", sys, SystemParams), ("bath", bath, BathParams),
                    ("thermal", th, Thermal))
-    # a bad flag is refused before any bath work
-    correlated = _series_flags(correlated)
+    # a bad flag or time grid is refused before any bath work
+    correlated, times = _series_flags(correlated), _time_grid(times)
     psi = pure_state(psi)
     p0 = np.array(bloch_components(psi))
     splitting, rabi, log_weight = _qubit_fields(sys, bath, th, backend, psi, correlated)

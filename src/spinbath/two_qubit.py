@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from .configspace import (ITEM_BLOCK, Backend, _series_flags, collapse_classes, fold_fields,
-                          mask_blocks, reduce_weighted, series_log_weights)
+from .configspace import (ITEM_BLOCK, Backend, _series_flags, _time_grid, collapse_classes,
+                          fold_fields, mask_blocks, reduce_weighted, series_log_weights)
 from .errors import ParameterError
 from .model import (BathParams, Thermal, TwoQubitParams, _check_records, _finite, bath_sums,
                     class_sums, log_thermal_overlap, log_thermal_weight, pure_state,
@@ -59,14 +59,10 @@ def _pair_state(psi) -> np.ndarray:
     return psi
 
 
-def conditional_hamiltonian(sys2: TwoQubitParams, g_sum) -> np.ndarray:
-    """4x4 Hamiltonian of the pair under one bath pattern, or a stack of them
-    for an array of coupling fields g_sum."""
-    return _pair_hamiltonian(sys2, _finite_array("g_sum", g_sum, float)[..., None, None])
-
-
 def _pair_hamiltonian(sys2: TwoQubitParams, g: np.ndarray) -> np.ndarray:
-    # g (..., 1, 1) from the bath, where an infinite field is a parameter overflow
+    # the pair's 4x4 Hamiltonian under each coupling field g (..., 1, 1) from
+    # the bath, exactly symmetric as a sum of symmetric terms; an infinite
+    # field is a parameter overflow
     return _finite("pair Hamiltonian with splittings eps1 + g_sum, eps2 + g_sum",
                    0.5 * ((sys2.eps1 + g) * _SZ1 + sys2.delta1 * _SX1
                           + (sys2.eps2 + g) * _SZ2 + sys2.delta2 * _SX2)
@@ -111,7 +107,7 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
 
 def _checked_entries(rho: np.ndarray) -> np.ndarray:
     """rho, a finite complex array, after the shape, Hermiticity and unit-trace
-    checks of validate_density, which then checks positivity."""
+    checks; concurrence then checks positivity."""
     if rho.shape[-2:] != (4, 4):
         raise ParameterError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
     herm_dev = float(np.abs(rho - rho.conj().swapaxes(-2, -1)).max(initial=0.0))
@@ -120,21 +116,6 @@ def _checked_entries(rho: np.ndarray) -> np.ndarray:
     trace_dev = float(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     if trace_dev > TRACE_TOL:
         raise ParameterError(f"density matrix trace off unity by {trace_dev:.3e}")
-    return rho
-
-
-def _check_floor(eigenvalues) -> None:
-    smallest = float(np.min(eigenvalues, initial=0.0))
-    if smallest < EIGENVALUE_FLOOR:
-        raise ParameterError(f"density matrix has eigenvalue {smallest:.3e} below floor")
-
-
-def validate_density(rho) -> np.ndarray:
-    """Check finiteness, Hermiticity, unit trace, and positivity of a 4x4
-    density matrix or of each in a (..., 4, 4) stack; return it as a complex
-    array."""
-    rho = _checked_entries(_finite_array("density matrix", rho, complex))
-    _check_floor(np.linalg.eigvalsh(rho))
     return rho
 
 
@@ -163,7 +144,9 @@ def concurrence(rho):
     values = np.empty(len(stack))
     for start in range(0, len(stack), ITEM_BLOCK):
         populations, vectors = np.linalg.eigh(_checked_entries(stack[start:start + ITEM_BLOCK]))
-        _check_floor(populations)
+        smallest = float(np.min(populations, initial=0.0))
+        if smallest < EIGENVALUE_FLOOR:
+            raise ParameterError(f"density matrix has eigenvalue {smallest:.3e} below floor")
         factor = vectors * np.sqrt(np.clip(populations, 0.0, None))[..., None, :]
         roots = np.linalg.svd(factor.swapaxes(-2, -1) @ _SPIN_FLIP @ factor, compute_uv=False)
         excess = roots[:, 0] - roots[:, 1] - roots[:, 2] - roots[:, 3]
@@ -178,8 +161,8 @@ def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
     array, one series per flag of correlated as in bloch_trajectory."""
     _check_records(("system", sys2, TwoQubitParams), ("bath", bath, BathParams),
                    ("thermal", th, Thermal))
-    # a bad flag is refused before any bath work
-    correlated = _series_flags(correlated)
+    # a bad flag or time grid is refused before any bath work
+    correlated, times = _series_flags(correlated), _time_grid(times)
     psi = _pair_state(psi)
     energies, amplitudes, log_weight = _pair_fields(sys2, bath, th, backend, psi, correlated)
 

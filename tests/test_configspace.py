@@ -203,15 +203,6 @@ class TestReduceWeighted:
         _, before = fold_fields(classes.k, log_weight + per_k[classes.k])
         assert np.abs(folded + per_k[classes.k[first]] - before).max() < 1e-12
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ParameterError, match="shape"):
-            reduce_weighted(lambda rows, t: np.ones((1, t.size, 2)), np.zeros((4, 1)), [0.0], 3)
-
-    def test_empty_items(self):
-        for log_weight in (np.zeros((0, 1)), np.zeros((4, 0)), np.zeros(4)):
-            with pytest.raises(ParameterError, match="weight must be a non-empty"):
-                reduce_weighted(ones, log_weight, [0.0, 1.0], 2)
-
     def test_non_finite_log_weight(self):
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ParameterError, match="log weight is not finite"):

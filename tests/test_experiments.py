@@ -16,20 +16,18 @@ from hypothesis import strategies as st
 
 import spinbath
 from spinbath import experiments, single_qubit, two_qubit
-from spinbath.configspace import (Backend, collapse_classes, fold_fields, mask_blocks,
-                                  reduce_weighted, series_log_weights)
+from spinbath.configspace import Backend, collapse_classes, mask_blocks
 from spinbath.errors import CapacityError, ParameterError, UsageError
 from spinbath.experiments import (BathSpec, ExperimentConfig, GaussianStats,
                                   ResultTable, TimeGrid, config_from_keys,
                                   config_metadata, list_presets, oracle_check,
                                   parse_config_file, preset, run)
-from spinbath.model import (BathParams, Boundary, SystemParams, Thermal, bath_sums,
-                            bloch_components, class_sums, log_correlation_factor, pure_state)
+from spinbath.model import (BathParams, Boundary, SystemParams, Thermal, bloch_components,
+                            pure_state)
 from spinbath.numerics import RNG_ALGORITHM, RandomSpec, gaussian_draw, hermitian_eig
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from spinbath.single_qubit import bloch_trajectory
-from spinbath.two_qubit import (TwoQubitParams, concurrence, conditional_hamiltonian,
-                                density_trajectory, validate_density)
+from spinbath.two_qubit import TwoQubitParams, concurrence, density_trajectory
 from test_oracle import refusal
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -266,9 +264,9 @@ def _single_run(sys=SystemParams(2.0, 1.0), bath=_BATH, th=Thermal(1.0), times=(
     return bloch_trajectory(sys, bath, th, Backend.ENUMERATE, [1.0, 0.0], times, correlated)
 
 
-def _pair_run(sys2=_PAIR, bath=_BATH, th=Thermal(1.0), correlated=(False,)):
+def _pair_run(sys2=_PAIR, bath=_BATH, th=Thermal(1.0), times=(0.0, 1.0), correlated=(False,)):
     return density_trajectory(sys2, bath, th, Backend.ENUMERATE, [1.0, 0.0, 0.0, 0.0],
-                              (0.0, 1.0), correlated)
+                              times, correlated)
 
 
 def _oracle_state(h=None, th=Thermal(1.0)):
@@ -287,9 +285,7 @@ def _oracle_state(h=None, th=Thermal(1.0)):
     (lambda: bloch_components([np.nan, 1.0]), ParameterError,
      "state amplitudes has non-finite entries"),
     (lambda: concurrence("abc"), ParameterError, "density matrix must be numeric"),
-    (lambda: validate_density("abc"), ParameterError, "density matrix must be numeric"),
     (lambda: _single_run(times="ab"), ParameterError, "times must be numeric"),
-    (lambda: conditional_hamiltonian(_PAIR, "ab"), ParameterError, "g_sum must be numeric"),
     (lambda: RandomSpec(0.0, 1.0, 4.5), ParameterError, "seed must be an integer"),
     (lambda: RandomSpec(0.0, 1.0, True), ParameterError, "seed must be an integer"),
     (lambda: gaussian_draw(RandomSpec(0, 1, 1), 2.5), ParameterError,
@@ -298,10 +294,6 @@ def _oracle_state(h=None, th=Thermal(1.0)):
     (lambda: collapse_classes(4.5), ParameterError, "n_spins must be an integer"),
     (lambda: BathParams.uniform(4.5, 1, 1, 0), ParameterError, "n_spins must be an integer"),
     (lambda: BathParams(True, (1.0,), (1.0,), ()), ParameterError, "n_spins must be an integer"),
-    (lambda: bath_sums(_BATH, 1.0), ParameterError, "mask must have an integer dtype"),
-    (lambda: class_sums(_BATH, "a", 0), ParameterError,
-     "down-spin count must have an integer dtype"),
-    (lambda: class_sums(_BATH, 1, 0.5), ParameterError, "wall count must have an integer dtype"),
     (lambda: oracle_check(preset("fig4"), "3"), UsageError,
      "oracle bath size must be an integer"),
     (lambda: oracle_check(preset("fig4"), 2.5), UsageError,
@@ -315,29 +307,16 @@ def _oracle_state(h=None, th=Thermal(1.0)):
     (lambda: _pair_run(th=1.0), ParameterError, "thermal must be a Thermal"),
     (lambda: _oracle_state(th=1.0), ParameterError, "thermal must be a Thermal, got float"),
     (lambda: _oracle_state(h="h"), ParameterError, "h must be a FullHamiltonian, got str"),
+    (lambda: build_hamiltonian(SystemParams(1, 1), "x"), ParameterError,
+     "bath must be a BathParams, got str"),
     (lambda: evolve_and_reduce(None, np.eye(16), 1.0), ParameterError,
      "h must be a FullHamiltonian, got NoneType"),
-    (lambda: reduce_weighted(None, "ab", [0.0, 1.0], 1), ParameterError,
-     "log weight must be numeric"),
-    (lambda: fold_fields("ab", [1, 2]), ParameterError, "field must be numeric"),
-    (lambda: fold_fields([1.0, 2.0], [0.0]), ParameterError,
-     "field and log weight must be 1-d of one length, got shapes (2,) and (1,)"),
-    (lambda: series_log_weights("a", "b", (True,)), ParameterError,
-     "log weight must be numeric"),
-    (lambda: series_log_weights(0.0, 0.0, (True,)), ParameterError,
-     "log weight must be 1-d, got shape ()"),
-    (lambda: log_correlation_factor(SystemParams(1, 1), Thermal(1), "a", "b", [1, 0]),
-     ParameterError, "splitting must be numeric"),
-    (lambda: log_correlation_factor(1.0, Thermal(1), 1.0, 1.0, [1, 0]), ParameterError,
-     "system must be a SystemParams, got float"),
     (lambda: _single_run(correlated=True), ParameterError,
      "correlated must be a sequence of bools, got True"),
     (lambda: _pair_run(correlated="ab"), ParameterError,
      "correlated must be a sequence of bools, got 'ab'"),
     (lambda: _pair_run(correlated=()), ParameterError,
      "correlated must hold at least one series flag"),
-    (lambda: reduce_weighted(None, [[0.0]], [0.0, 1.0], 1.5), ParameterError,
-     "dim must be an integer, got 1.5"),
     (lambda: oracle_check(preset("fig4"), 3, analytic_beta_skew="x"), UsageError,
      "analytic_beta_skew must be a number, got 'x'"),
     (lambda: gaussian_draw("x", 3), ParameterError, "spec must be a RandomSpec, got str"),
@@ -346,16 +325,14 @@ def _oracle_state(h=None, th=Thermal(1.0)):
     (lambda: oracle_check(preset("fig4"), 3, analytic_beta_skew=-3.0), UsageError,
      "analytic_beta_skew must be >= -1, got -3.0"),
 ], ids=["text_matrix", "text_state", "text_bloch_state", "nan_bloch_state", "text_concurrence",
-        "text_density", "text_times", "text_g_sum", "fractional_seed", "bool_seed",
-        "fractional_count", "fractional_mask_spins", "fractional_class_spins",
-        "fractional_uniform_spins", "bool_spins", "float_mask", "text_down_count",
-        "float_wall_count", "text_oracle_size", "fractional_oracle_size", "pair_for_single", "text_single_bath",
-        "float_single_thermal", "single_for_pair", "text_pair_bath", "float_pair_thermal",
-        "float_oracle_thermal", "text_oracle_h", "none_evolve_h", "text_reduce_weights",
-        "text_fold_fields", "short_fold_weights", "text_series_weights",
-        "scalar_series_weights", "text_splitting", "float_factor_system", "bool_series_flags",
-        "text_series_flags", "no_series_flags", "float_dim", "text_beta_skew",
-        "text_random_spec", "text_run_config", "text_oracle_config", "negative_beta_skew"])
+        "text_times", "fractional_seed", "bool_seed", "fractional_count",
+        "fractional_mask_spins", "fractional_class_spins", "fractional_uniform_spins",
+        "bool_spins", "text_oracle_size", "fractional_oracle_size", "pair_for_single",
+        "text_single_bath", "float_single_thermal", "single_for_pair", "text_pair_bath",
+        "float_pair_thermal", "float_oracle_thermal", "text_oracle_h", "text_oracle_bath",
+        "none_evolve_h", "bool_series_flags", "text_series_flags", "no_series_flags",
+        "text_beta_skew", "text_random_spec", "text_run_config", "text_oracle_config",
+        "negative_beta_skew"])
 def test_array_integer_and_record_inputs_raise_a_named_error(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         build()
@@ -367,8 +344,12 @@ def test_series_flags_are_refused_before_any_bath_work(monkeypatch, run, module)
         raise AssertionError("bath work started")
 
     monkeypatch.setattr(module, "mask_blocks", no_bath_work)
-    with pytest.raises(ParameterError, match="^correlated must be a sequence of bools"):
-        run(correlated=(False, 1))
+    cases = (({"correlated": (False, 1)}, "correlated must be a sequence of bools"),
+             ({"times": (1.0, 0.0)}, "times must be ascending"),
+             ({"times": ()}, "times must be a non-empty 1-d sequence"))
+    for inputs, message in cases:
+        with pytest.raises(ParameterError, match=f"^{message}"):
+            run(**inputs)
 
 
 def test_text_that_converts_stays_accepted():

@@ -1,11 +1,14 @@
 """Every name a package module imports is used in that module, and every
 private top-level definition is read by some package module (no linter is
-installed, so these are the unused-import and dead-definition checks)."""
+installed, so these are the unused-import and dead-definition checks); the
+package's public names are pinned."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import spinbath
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spinbath"
 
@@ -95,3 +98,25 @@ def test_checker_finds_unused_names():
                                         if path.name != "__init__.py"))
 def test_every_import_is_used(name):
     assert unused_imports((PACKAGE / name).read_text()) == []
+
+
+# what a user of the model calls: the records, the runs and presets, the two
+# trajectories, the states and concurrence, the three oracle steps, the
+# seeded draw and the errors
+PUBLIC = {
+    "__version__", "Backend",
+    "CapacityError", "NumericError", "ParameterError", "SpinbathError", "UsageError",
+    "ExperimentConfig", "OracleReport", "ResultTable", "TimeGrid",
+    "list_presets", "oracle_check", "parse_config_file", "preset", "run",
+    "BathParams", "Boundary", "SystemParams", "Thermal", "TwoQubitParams",
+    "bloch_components", "pure_state", "RandomSpec", "gaussian_draw",
+    "build_hamiltonian", "evolve_and_reduce", "initial_state",
+    "bloch_trajectory", "density_trajectory", "bell_state", "product_state", "concurrence",
+}
+
+
+def test_public_surface_is_pinned():
+    assert len(PUBLIC) == 33 and set(spinbath.__all__) == PUBLIC
+    assert all(hasattr(spinbath, name) for name in spinbath.__all__)
+    # not public, but benchmark/workloads.py imports it from the package
+    assert callable(spinbath.collapse_classes)

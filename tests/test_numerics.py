@@ -1,7 +1,6 @@
 """Linear-algebra helpers, deterministic reduction primitives, seeded RNG."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -9,7 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbath.errors import ParameterError
+from spinbath.model import BathParams, Boundary, SystemParams
 from spinbath.numerics import RandomSpec, _pairwise_sum, gaussian_draw, hermitian_eig
+from spinbath.oracle import _joint_matrix
+from spinbath.two_qubit import TwoQubitParams, _pair_hamiltonian
+
+
+def decades(rng, size=None):
+    """Values of either sign, their magnitudes spread over six decades."""
+    return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+
+
+def random_bath(rng, boundary):
+    n = int(rng.integers(1, 5))
+    bonds = n if boundary is Boundary.PERIODIC else n - 1
+    return BathParams(n, *(tuple(decades(rng, size)) for size in (n, n, bonds)), boundary)
 
 
 def random_hermitian(rng, dim):
@@ -23,12 +36,6 @@ class TestHermitianEig:
         assert np.allclose(values, [-1.0, 2.0, 3.0])
         recon = (vectors * values) @ vectors.conj().T
         assert np.allclose(recon, np.diag([3.0, -1.0, 2.0]), atol=1e-14)
-
-    def test_rejects_non_hermitian(self):
-        for kind in (float, complex):
-            with pytest.raises(ParameterError, match=re.escape(
-                    "matrix is not Hermitian: max |M - M^H| / max(1, max |M|) = 1.000e+00")):
-                hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=kind))
 
     @pytest.mark.parametrize("kind", [float, complex])
     def test_vectors_keep_the_input_kind(self, kind):
@@ -53,6 +60,19 @@ class TestHermitianEig:
     def test_rejects_non_finite(self):
         with pytest.raises(ParameterError):
             hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_callers_build_exactly_symmetric_matrices(self, boundary):
+        # hermitian_eig does not check Hermiticity: its two callers, the
+        # pair's 4x4 stacks and the oracle's joint matrix, hold it bit for bit
+        rng = np.random.default_rng(7 if boundary is Boundary.OPEN else 8)
+        for draw in range(100):
+            pair = TwoQubitParams(*decades(rng, 4), lam=0.0 if draw % 2 else decades(rng))
+            bath = random_bath(rng, boundary)
+            for m in (_pair_hamiltonian(pair, decades(rng, (64, 1, 1))),
+                      _joint_matrix(pair, bath)[0],
+                      _joint_matrix(SystemParams(*decades(rng, 2)), bath)[0]):
+                assert np.array_equal(m, m.swapaxes(-2, -1))
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6))
     @settings(max_examples=25, deadline=None)

@@ -14,9 +14,8 @@ from spinbath.errors import ParameterError
 from spinbath.model import BathParams, Boundary, Thermal, pure_state
 from spinbath.numerics import hermitian_eig
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
-from spinbath.two_qubit import (TwoQubitParams, bell_state, concurrence,
-                                conditional_hamiltonian, density_trajectory,
-                                product_state, validate_density)
+from spinbath.two_qubit import (TwoQubitParams, _pair_hamiltonian, bell_state, concurrence,
+                                density_trajectory, product_state)
 
 BASE = dict(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0)
 
@@ -60,7 +59,7 @@ class TestConditionalHamiltonian:
             + 0.5 * sys2.delta2 * np.kron(eye, sx)
             + sys2.lam * np.kron(sz, sz)
         )
-        h = conditional_hamiltonian(sys2, g_sum)
+        h = _pair_hamiltonian(sys2, g_sum)
         assert h.dtype == np.float64
         assert np.abs(h - expected).max() < 1e-14
 
@@ -141,42 +140,41 @@ class TestTrajectories:
         sys2 = TwoQubitParams(lam=3.0, **BASE)
         bath = random_bath(13)
         times = np.linspace(0.0, 8.0, 12)
-        validate_density(density_trajectory(sys2, bath, Thermal(2.0), Backend.ENUMERATE,
-                                            bell_state(), times, (False, True)))
+        concurrence(density_trajectory(sys2, bath, Thermal(2.0), Backend.ENUMERATE,
+                                       bell_state(), times, (False, True)))
 
 
+# concurrence validates every state it scores
 class TestValidateDensity:
     def test_rejects_non_hermitian(self):
         rho = np.eye(4, dtype=complex) / 4.0
         rho[0, 1] = 0.1
         with pytest.raises(ParameterError, match="Hermitian"):
-            validate_density(rho)
+            concurrence(rho)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ParameterError, match="trace"):
-            validate_density(np.eye(4, dtype=complex) / 2.0)
+            concurrence(np.eye(4, dtype=complex) / 2.0)
 
     def test_rejects_negative_eigenvalue(self):
         rho = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
         with pytest.raises(ParameterError, match="eigenvalue"):
-            validate_density(rho)
+            concurrence(rho)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ParameterError):
-            validate_density(np.eye(3, dtype=complex) / 3.0)
+            concurrence(np.eye(3, dtype=complex) / 3.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("check", [validate_density, concurrence])
-    def test_rejects_non_finite_without_warning(self, check, bad):
+    def test_rejects_non_finite_without_warning(self, bad):
         rho = np.eye(4, dtype=complex) / 4.0
         rho[1, 2] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="non-finite"):
-                check(rho)
+                concurrence(rho)
 
-    @pytest.mark.parametrize("check", [validate_density, concurrence])
-    def test_checks_run_in_order(self, check):
+    def test_checks_run_in_order(self):
         # finite, Hermitian, trace, floor; the skewed and doubled cases also
         # fail the floor, so only the order of the checks picks their message
         negative = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
@@ -186,14 +184,13 @@ class TestValidateDensity:
                  (2.0 * negative, "trace"), (negative, "eigenvalue"))
         for rho, message in cases:
             with pytest.raises(ParameterError, match=message):
-                check(rho)
+                concurrence(rho)
 
-    @pytest.mark.parametrize("check", [validate_density, concurrence])
-    def test_stack_rejects_one_bad_matrix_in_second_block(self, check):
+    def test_stack_rejects_one_bad_matrix_in_second_block(self):
         stack = np.tile(np.eye(4, dtype=complex) / 4.0, (2 * ITEM_BLOCK, 1, 1))
         stack[ITEM_BLOCK + 3] = np.diag([0.6, 0.5, -0.1, 0.0])
         with pytest.raises(ParameterError, match="eigenvalue"):
-            check(stack)
+            concurrence(stack)
 
 
 def random_mixed_states(seed, count):
