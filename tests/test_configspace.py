@@ -130,6 +130,18 @@ class TestCollapseClasses:
         with pytest.raises(CapacityError):
             collapse_classes(COLLAPSE_CAP + 1, Boundary.OPEN)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_counts_fit_the_chain(self, boundary, n):
+        # class_sums trusts its k and w: they come from here alone
+        classes = collapse_classes(n, boundary)
+        bonds = n if boundary is Boundary.PERIODIC else n - 1
+        assert classes.k.dtype.kind == classes.w.dtype.kind == "i"
+        assert classes.k.min() == 0 and classes.k.max() == n
+        assert classes.w.min() == 0 and classes.w.max() <= bonds
+        if boundary is Boundary.PERIODIC:
+            assert np.all(classes.w % 2 == 0)
+
     def test_sorted_by_k_then_w(self):
         classes = collapse_classes(9, Boundary.OPEN)
         keys = list(zip(classes.k.tolist(), classes.w.tolist()))
@@ -160,6 +172,8 @@ class TestMaskBlocks:
     def test_blocks_cover_every_mask_in_order(self):
         blocks = list(mask_blocks(14))
         assert len(blocks) > 1 and all(len(b) <= configspace.SETUP_BLOCK for b in blocks)
+        # bath_sums trusts its masks to be integers
+        assert all(b.dtype.kind == "i" for b in blocks)
         assert np.array_equal(np.concatenate(blocks), np.arange(1 << 14))
 
 

@@ -22,8 +22,8 @@ from spinbath.experiments import (BathSpec, ExperimentConfig, GaussianStats,
                                   ResultTable, TimeGrid, config_from_keys,
                                   config_metadata, list_presets, oracle_check,
                                   parse_config_file, preset, run)
-from spinbath.model import (BathParams, Boundary, SystemParams, Thermal, bloch_components,
-                            pure_state)
+from spinbath.model import (ENUMERATION_CAP, BathParams, Boundary, SystemParams, Thermal,
+                            bloch_components, pure_state)
 from spinbath.numerics import RNG_ALGORITHM, RandomSpec, gaussian_draw, hermitian_eig
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
 from spinbath.single_qubit import bloch_trajectory
@@ -344,12 +344,44 @@ def test_series_flags_are_refused_before_any_bath_work(monkeypatch, run, module)
         raise AssertionError("bath work started")
 
     monkeypatch.setattr(module, "mask_blocks", no_bath_work)
-    cases = (({"correlated": (False, 1)}, "correlated must be a sequence of bools"),
-             ({"times": (1.0, 0.0)}, "times must be ascending"),
-             ({"times": ()}, "times must be a non-empty 1-d sequence"))
-    for inputs, message in cases:
-        with pytest.raises(ParameterError, match=f"^{message}"):
-            run(**inputs)
+    with pytest.raises(ParameterError, match="^correlated must be a sequence of bools"):
+        run(correlated=(False, 1))
+
+
+# reduce_weighted trusts its grid: each trajectory checks it at entry
+@pytest.mark.parametrize("times, message", [
+    ((), "times must be a non-empty 1-d sequence"),
+    (0.5, "times must be a non-empty 1-d sequence"),
+    (((0.0, 1.0),), "times must be a non-empty 1-d sequence"),
+    ((1.0, 0.0), "times must be ascending"),
+    ((0.0, np.nan), "times has non-finite entries"),
+    ((0.0, np.inf), "times has non-finite entries"),
+    ("ab", "times must be numeric"),
+], ids=["empty", "scalar", "two_d", "descending", "nan", "inf", "text"])
+@pytest.mark.parametrize("run, module", [(_single_run, single_qubit), (_pair_run, two_qubit)])
+def test_bad_time_grids_are_refused_before_any_bath_work(monkeypatch, run, module, times,
+                                                         message):
+    def no_bath_work(*args):
+        raise AssertionError("bath work started")
+
+    monkeypatch.setattr(module, "mask_blocks", no_bath_work)
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+        run(times=times)
+
+
+def test_time_grid_may_repeat_a_point():
+    for run in (_single_run, _pair_run):
+        out = run(times=[0.0, 1.0, 1.0])
+        assert np.array_equal(out[:, 1], out[:, 2])
+
+
+# bath_sums trusts the cap: mask_blocks refuses the bath before its tables exist
+@pytest.mark.parametrize("run", [_single_run, _pair_run])
+def test_beyond_enumeration_cap_is_refused_before_bath_tables(run):
+    bath = BathParams.uniform(ENUMERATION_CAP + 1, 0.5, 1.5, 0.1)
+    with pytest.raises(CapacityError, match="only a uniform bath runs beyond"):
+        run(bath=bath)
+    assert "_half_chain_sums" not in vars(bath)
 
 
 def test_text_that_converts_stays_accepted():
