@@ -476,14 +476,15 @@ def write_text(path, text: str) -> None:
 
 
 def _trajectories(config: ExperimentConfig, bath: BathParams, th: Thermal,
-                  backend: Backend) -> np.ndarray:
+                  backend: Backend, components: str) -> np.ndarray:
     """The configured series over the configured grid, from one trajectory
-    call: Bloch vectors (S, T, 3) in single mode, pair states (S, T, 4, 4)
-    in two_qubit mode."""
-    trajectory = bloch_trajectory if config.mode == "single" else density_trajectory
+    call: the named Bloch components (S, T, len(components)) in single mode,
+    pair states (S, T, 4, 4) in two_qubit mode."""
     flags = tuple(series == SERIES_CORRELATED for series in config.series)
-    return trajectory(config.system, bath, th, backend, config.state_vector(),
-                      config.grid.times(), flags)
+    args = (config.system, bath, th, backend, config.state_vector(), config.grid.times(), flags)
+    if config.mode == "single":
+        return bloch_trajectory(*args, components)
+    return density_trajectory(*args)
 
 
 def run(config: ExperimentConfig) -> ResultTable:
@@ -492,7 +493,8 @@ def run(config: ExperimentConfig) -> ResultTable:
     backend = config.backend
     # before materialize(), which draws a random bath's parameters one by one
     _require_capacity(config.bath.n_spins, backend)
-    computed = _trajectories(config, config.bath.materialize(), config.thermal(), backend)
+    # a single-qubit CSV holds p_x alone, so the sweep computes no other component
+    computed = _trajectories(config, config.bath.materialize(), config.thermal(), backend, "x")
     if config.mode == "single":
         prefix, values = "px", computed[..., 0]
     else:
@@ -640,8 +642,9 @@ def oracle_check(config: ExperimentConfig, n_override: int,
     require_dimension(1 if config.mode == "single" else 2, n_override)
     small = replace(config, bath=config.bath.resized(n_override))
     bath = small.bath.materialize()
+    # the whole Bloch vector, which the oracle's reduced state is compared with
     analytic = _trajectories(small, bath, Thermal(small.beta * (1.0 + skew)),
-                             Backend.ENUMERATE)
+                             Backend.ENUMERATE, "xyz")
     h = build_hamiltonian(small.system, bath)
     entries: list[tuple[str, float]] = []
     # the brute-force reference evolves every series in one call; each state

@@ -264,7 +264,10 @@ def class_quantities(sys: SystemParams, bath: BathParams, k, w) -> tuple:
 
 def pure_state(amplitudes) -> np.ndarray:
     """Validate and return a unit-norm complex state vector."""
-    psi = _finite_array("state amplitudes", amplitudes, complex).ravel()
+    psi = _finite_array("state amplitudes", amplitudes, complex)
+    if sum(n > 1 for n in psi.shape) > 1:
+        raise ParameterError(f"state amplitudes must be one vector, got shape {psi.shape}")
+    psi = psi.ravel()
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ParameterError(f"state must have unit norm, got {norm!r}")

@@ -27,6 +27,7 @@ import numpy as np
 
 from .configspace import (SETUP_BLOCK, Backend, _series_flags, _time_grid, collapse_classes,
                           fold_fields, mask_blocks, reduce_weighted, series_log_weights)
+from .errors import ParameterError
 from .model import (BathParams, SystemParams, Thermal, _check_records, bath_sums,
                     bloch_components, class_quantities, class_sums, config_quantities,
                     log_correlation_factor, log_thermal_weight, pure_state,
@@ -68,16 +69,28 @@ def _qubit_fields(sys: SystemParams, bath: BathParams, th: Thermal,
     return splitting, rabi, series_log_weights(log_weight, log_factor, correlated)
 
 
+def _component_indices(components) -> list[int]:
+    """Positions in (x, y, z) of the requested Bloch components, in order."""
+    if (not isinstance(components, str) or not components
+            or len(set(components)) < len(components) or not set(components) <= set("xyz")):
+        raise ParameterError("components must be a non-empty string of distinct letters "
+                             f"from 'xyz', got {components!r}")
+    return ["xyz".index(letter) for letter in components]
+
+
 def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
-                     backend: Backend, psi, times,
-                     correlated: tuple[bool, ...]) -> np.ndarray:
-    """Bloch vectors of the prepared state psi at each requested time, as a
-    read-only (S, T, 3) array: one series per flag of correlated, False for a
-    product preparation and True for a correlated one, all from one sweep."""
+                     backend: Backend, psi, times, correlated: tuple[bool, ...],
+                     components: str = "xyz") -> np.ndarray:
+    """Bloch vector components of the prepared state psi at each requested
+    time, as a read-only (S, T, len(components)) array: one series per flag
+    of correlated, False for a product preparation and True for a correlated
+    one, all from one sweep; components names the ones computed, in order
+    (each the same bits as in the full "xyz" call)."""
     _check_records(("system", sys, SystemParams), ("bath", bath, BathParams),
                    ("thermal", th, Thermal))
-    # a bad flag or time grid is refused before any bath work
+    # a bad flag, time grid or component is refused before any bath work
     correlated, times = _series_flags(correlated), _time_grid(times)
+    idx = _component_indices(components)
     psi = pure_state(psi)
     p0 = np.array(bloch_components(psi))
     splitting, rabi, log_weight = _qubit_fields(sys, bath, th, backend, psi, correlated)
@@ -96,13 +109,17 @@ def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
         dot = vr * px + ur * pz
         angle = 2.0 * rabi[rows, None] * t
         sine, versine = np.sin(angle), 1.0 - np.cos(angle)
-        out = np.empty(angle.shape + (3,))
-        out[..., 0] = (0.0 * pz - ur * py) * sine - (px - vr * dot) * versine
-        out[..., 1] = (ur * px - vr * pz) * sine - (py - 0.0 * dot) * versine
-        out[..., 2] = (vr * py - 0.0 * px) * sine - (pz - ur * dot) * versine
+        out = np.empty(angle.shape + (len(idx),))
+        for column, i in enumerate(idx):
+            if i == 0:
+                out[..., column] = (0.0 * pz - ur * py) * sine - (px - vr * dot) * versine
+            elif i == 1:
+                out[..., column] = (ur * px - vr * pz) * sine - (py - 0.0 * dot) * versine
+            else:
+                out[..., column] = (vr * py - 0.0 * px) * sine - (pz - ur * dot) * versine
         return out
 
-    displacement, _ = reduce_weighted(term, log_weight, times, 3)
-    p = p0 + displacement
+    displacement, _ = reduce_weighted(term, log_weight, times, len(idx))
+    p = p0[idx] + displacement
     p.setflags(write=False)
     return p

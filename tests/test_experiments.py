@@ -260,8 +260,9 @@ _PAIR = TwoQubitParams(1.0, 2.0, 0.5, 0.5)
 
 
 def _single_run(sys=SystemParams(2.0, 1.0), bath=_BATH, th=Thermal(1.0), times=(0.0, 1.0),
-                correlated=(False,)):
-    return bloch_trajectory(sys, bath, th, Backend.ENUMERATE, [1.0, 0.0], times, correlated)
+                correlated=(False,), components="xyz"):
+    return bloch_trajectory(sys, bath, th, Backend.ENUMERATE, [1.0, 0.0], times, correlated,
+                            components)
 
 
 def _pair_run(sys2=_PAIR, bath=_BATH, th=Thermal(1.0), times=(0.0, 1.0), correlated=(False,)):
@@ -281,6 +282,12 @@ def _oracle_state(h=None, th=Thermal(1.0)):
 @pytest.mark.parametrize("build, error, message", [
     (lambda: hermitian_eig("abc"), ParameterError, "matrix must be numeric"),
     (lambda: pure_state("ab"), ParameterError, "state amplitudes must be numeric"),
+    (lambda: pure_state(np.ones((2, 2)) / 2), ParameterError,
+     "state amplitudes must be one vector, got shape (2, 2)"),
+    # a one-qubit |0><0| holds four entries, but it is no pair state |00>
+    (lambda: density_trajectory(_PAIR, _BATH, Thermal(1.0), Backend.ENUMERATE,
+                                np.array([[1.0, 0.0], [0.0, 0.0]]), [0.0, 1.0], (False,)),
+     ParameterError, "state amplitudes must be one vector, got shape (2, 2)"),
     (lambda: bloch_components("ab"), ParameterError, "state amplitudes must be numeric"),
     (lambda: bloch_components([np.nan, 1.0]), ParameterError,
      "state amplitudes has non-finite entries"),
@@ -324,10 +331,11 @@ def _oracle_state(h=None, th=Thermal(1.0)):
     (lambda: oracle_check("fig4", 3), UsageError, "config must be a ExperimentConfig, got str"),
     (lambda: oracle_check(preset("fig4"), 3, analytic_beta_skew=-3.0), UsageError,
      "analytic_beta_skew must be >= -1, got -3.0"),
-], ids=["text_matrix", "text_state", "text_bloch_state", "nan_bloch_state", "text_concurrence",
-        "text_times", "fractional_seed", "bool_seed", "fractional_count",
-        "fractional_mask_spins", "fractional_class_spins", "fractional_uniform_spins",
-        "bool_spins", "text_oracle_size", "fractional_oracle_size", "pair_for_single",
+], ids=["text_matrix", "text_state", "matrix_state", "matrix_pair_state", "text_bloch_state",
+        "nan_bloch_state", "text_concurrence", "text_times", "fractional_seed", "bool_seed",
+        "fractional_count", "fractional_mask_spins", "fractional_class_spins",
+        "fractional_uniform_spins", "bool_spins", "text_oracle_size", "fractional_oracle_size",
+        "pair_for_single",
         "text_single_bath", "float_single_thermal", "single_for_pair", "text_pair_bath",
         "float_pair_thermal", "float_oracle_thermal", "text_oracle_h", "text_oracle_bath",
         "none_evolve_h", "bool_series_flags", "text_series_flags", "no_series_flags",
@@ -338,14 +346,26 @@ def test_array_integer_and_record_inputs_raise_a_named_error(build, error, messa
         build()
 
 
-@pytest.mark.parametrize("run, module", [(_single_run, single_qubit), (_pair_run, two_qubit)])
-def test_series_flags_are_refused_before_any_bath_work(monkeypatch, run, module):
+_BAD_COMPONENTS = ("", "xx", "w", "X", 0, ("x",), None)
+
+
+@pytest.mark.parametrize("run, module, arguments, message", [
+    (_single_run, single_qubit, {"correlated": (False, 1)},
+     "correlated must be a sequence of bools, got (False, 1)"),
+    (_pair_run, two_qubit, {"correlated": (False, 1)},
+     "correlated must be a sequence of bools, got (False, 1)"),
+    *((_single_run, single_qubit, {"components": bad},
+       "components must be a non-empty string of distinct letters from 'xyz', "
+       f"got {bad!r}") for bad in _BAD_COMPONENTS),
+], ids=["single_flags", "pair_flags", *(f"components_{bad!r}" for bad in _BAD_COMPONENTS)])
+def test_series_flags_are_refused_before_any_bath_work(monkeypatch, run, module, arguments,
+                                                        message):
     def no_bath_work(*args):
         raise AssertionError("bath work started")
 
     monkeypatch.setattr(module, "mask_blocks", no_bath_work)
-    with pytest.raises(ParameterError, match="^correlated must be a sequence of bools"):
-        run(correlated=(False, 1))
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        run(**arguments)
 
 
 # reduce_weighted trusts its grid: each trajectory checks it at entry
@@ -849,6 +869,21 @@ class TestOracleCheck:
         assert oracle_check(config, 3).passed
         dim = 1 << (3 + (1 if config.mode == "single" else 2))
         assert calls == [(len(config.series), dim, dim)]
+
+    def test_run_sweeps_px_alone_and_the_oracle_the_whole_vector(self, monkeypatch):
+        # run() writes p_x only, while the oracle check compares the whole
+        # Bloch vector with the brute-force reduced state, so it needs all three
+        calls = []
+
+        def recorder(*args):
+            result = bloch_trajectory(*args)
+            calls.append((args[7:], result.shape[-1]))
+            return result
+
+        monkeypatch.setattr(experiments, "bloch_trajectory", recorder)
+        run(preset("fig4"))
+        assert oracle_check(preset("fig4"), 3).passed
+        assert calls == [(("x",), 1), (("xyz",), 3)]
 
     def test_dimension_cap(self):
         config = config_from_keys(single_keys())

@@ -181,6 +181,10 @@ class TestPureState:
         with pytest.raises(ParameterError):
             pure_state([0.0, 0.0])
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 1), (1, 2), (1, 2, 1)])
+    def test_accepts_a_vector_with_unit_axes(self, shape):
+        assert pure_state(np.reshape([0.6, 0.8], shape)).shape == (2,)
+
     def test_bloch_components_plus_x(self):
         px, py, pz = bloch_components(pure_state([2 ** -0.5, 2 ** -0.5]))
         assert (px, py, pz) == pytest.approx((1.0, 0.0, 0.0))

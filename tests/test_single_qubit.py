@@ -1,5 +1,6 @@
 """Single-qubit weighted trajectories."""
 
+import itertools
 import math
 
 import numpy as np
@@ -185,6 +186,45 @@ class TestRodrigues:
 
             want = p0 + reduce_weighted(term, log_weight, times, 3)[0]
             assert got.tobytes() == want.tobytes()
+
+
+# every non-empty ordered choice of distinct letters from "xyz": 3 + 6 + 6
+ORDERED_COMPONENTS = tuple("".join(letters) for size in (1, 2, 3)
+                           for letters in itertools.permutations("xyz", size))
+
+
+class TestComponents:
+    # n = 12 enumerates 4,096 fields, and at 4 points the sweep's item blocks
+    # then differ with the number of components, so the tree over fields is
+    # split into blocks differently
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(list(Backend)),
+           st.sampled_from(list(Boundary)), st.sampled_from([1, 4, 12]),
+           st.sampled_from([1, 4, 40]), st.sampled_from([(False,), (True,), (False, True)]))
+    @settings(max_examples=25, deadline=None)
+    def test_requested_components_are_the_full_calls_columns(self, seed, backend, boundary,
+                                                              n, n_points, flags):
+        rng = np.random.default_rng(seed)
+        sys1 = SystemParams(epsilon=float(rng.uniform(-2, 2)), delta=float(rng.uniform(-2, 2)))
+        bonds = n if boundary is Boundary.PERIODIC else n - 1
+        if backend is Backend.COLLAPSE:
+            bath = BathParams.uniform(n, *rng.uniform(-2, 2, 2), float(rng.uniform(-1, 1)),
+                                      boundary)
+        else:
+            bath = BathParams(n, tuple(rng.uniform(-2, 2, n)), tuple(rng.normal(0, 1, n)),
+                              tuple(rng.uniform(-1, 1, bonds)), boundary)
+        amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        psi = pure_state(amps / np.linalg.norm(amps))
+        th = Thermal(float(rng.uniform(0, 3)))
+        times = np.sort(rng.uniform(0, 10, n_points))
+        full = bloch_trajectory(sys1, bath, th, backend, psi, times, flags)
+        p0 = np.array(bloch_components(psi))
+        for components in ORDERED_COMPONENTS:
+            idx = ["xyz".index(letter) for letter in components]
+            part = bloch_trajectory(sys1, bath, th, backend, psi, times, flags, components)
+            assert np.array_equal(part, full[..., idx])
+            assert not part.flags.writeable
+            at_zero = bloch_trajectory(sys1, bath, th, backend, psi, [0.0], flags, components)
+            assert np.array_equal(at_zero, np.broadcast_to(p0[idx], (len(flags), 1, len(idx))))
 
 
 class TestEnumerateSetup:
