@@ -34,9 +34,9 @@ COLLAPSE_CAP = 3_500
 # into the one pairwise tree over all items), and the stack size of the
 # pair's batched 4x4 decompositions
 ITEM_BLOCK = 1024
-# items per call of the per-item setup loops (bath sums, correlation
-# factors): large enough that per-call overhead stays small, small enough
-# that the temporaries of a call stay well below a MB each
+# fields per call of the one-qubit correlation-factor loop: large enough
+# that per-call overhead stays small, small enough that the temporaries of a
+# call stay well below a MB each
 SETUP_BLOCK = 8 * ITEM_BLOCK
 # the sweep takes as many time points per block as keep ITEM_BLOCK items x
 # times x dim within this many elements (at least one point), then doubles
@@ -67,14 +67,6 @@ def _require_capacity(n_spins: int, backend: Backend) -> int:
     if Backend(backend) is Backend.COLLAPSE and n_spins > COLLAPSE_CAP:
         raise CapacityError(f"n_spins {n_spins} exceeds the collapse cap {COLLAPSE_CAP}")
     return n_spins
-
-
-def mask_blocks(n_spins: int):
-    """Every bath bitmask for n_spins spins, as ascending arrays of at most
-    SETUP_BLOCK masks; enforces the enumeration cap."""
-    total = 1 << _require_capacity(n_spins, Backend.ENUMERATE)
-    return (np.arange(start, min(start + SETUP_BLOCK, total))
-            for start in range(0, total, SETUP_BLOCK))
 
 
 def collapse_classes(n_spins: int, boundary: Boundary = Boundary.OPEN) -> np.recarray:

@@ -130,6 +130,8 @@ class BathSpec:
             object.__setattr__(self, "seed", _require_int("bath.random.seed", self.seed))
             for name in ("g", "eps", "chi"):
                 stats = getattr(self, f"{name}_stats")
+                if not isinstance(stats, GaussianStats):
+                    raise UsageError(f"bath.random.{name} must be a GaussianStats, got {stats!r}")
                 _require_real(f"bath.random.{name}.mean", stats.mean)
                 std = _require_real(f"bath.random.{name}.std", stats.std)
                 if std < 0:
@@ -188,8 +190,18 @@ class ExperimentConfig:
             raise UsageError(f"mode {self.mode} needs {expected.__name__} system parameters")
         if self.mode == "single" and self.state_kind != "angles":
             raise UsageError("single mode takes state.theta/state.phi angles")
-        if self.mode == "two_qubit" and self.state_kind == "angles":
-            raise UsageError("two_qubit mode takes state.name or state.amplitudes")
+        if self.mode == "two_qubit" and self.state_kind not in ("bell", "product", "amplitudes"):
+            raise UsageError("two_qubit mode takes state.name or state.amplitudes, "
+                             f"got {self.state_kind!r}")
+        # the config key of each state parameter, in order
+        keys = {"angles": ("state.theta", "state.phi"),
+                "amplitudes": ("state.amplitudes",) * 8}.get(self.state_kind, ())
+        params = tuple(self.state_params) if isinstance(self.state_params, Iterable) else None
+        if params is None or len(params) != len(keys):
+            named = " and ".join(dict.fromkeys(keys)) or f"state.name {self.state_kind}"
+            raise UsageError(f"{named} must hold {len(keys)} numbers, got {self.state_params!r}")
+        object.__setattr__(self, "state_params",
+                           tuple(_require_real(key, value) for key, value in zip(keys, params)))
         if self.series not in _SERIES_CHOICES.values():
             raise UsageError(f"series must be one of {list(_SERIES_CHOICES.values())}, "
                              f"got {self.series!r}")
@@ -203,16 +215,14 @@ class ExperimentConfig:
             return bell_state()
         if self.state_kind == "product":
             return product_state()
-        if self.state_kind == "amplitudes":
-            # (re, im) pairs, scaled by the largest part so the norm neither
-            # overflows nor underflows
-            parts = np.array(self.state_params, dtype=float)
-            largest = np.abs(parts).max()
-            if largest == 0.0:
-                raise UsageError("state.amplitudes must not all be zero")
-            vec = (parts / largest).view(complex)
-            return pure_state(vec / np.linalg.norm(vec))
-        raise UsageError(f"unknown state kind {self.state_kind!r}")
+        # (re, im) pairs, scaled by the largest part so the norm neither
+        # overflows nor underflows
+        parts = np.array(self.state_params, dtype=float)
+        largest = np.abs(parts).max()
+        if largest == 0.0:
+            raise UsageError("state.amplitudes must not all be zero")
+        vec = (parts / largest).view(complex)
+        return pure_state(vec / np.linalg.norm(vec))
 
     def thermal(self) -> Thermal:
         return Thermal(self.beta)
@@ -222,17 +232,20 @@ class ExperimentConfig:
         """The exact sum the bath takes, read off its spec: a random bath
         enumerates and a uniform one collapses, neither drawn nor built; an
         explicit one collapses when require_uniform accepts its lists."""
-        spec = self.bath
-        if spec.kind != "explicit":
-            return Backend.ENUMERATE if spec.kind == "random" else Backend.COLLAPSE
-        # no list beyond the larger cap (collapse's) is built
-        _require_capacity(spec.n_spins, Backend.COLLAPSE)
-        bath = BathParams(spec.n_spins, spec.eps_list, spec.g_list, spec.chi_list, spec.boundary)
-        try:
-            require_uniform(bath)
-        except ParameterError:
-            return Backend.ENUMERATE
-        return Backend.COLLAPSE
+        if self.bath.kind == "explicit":
+            return _explicit_bath(self.bath)[1]
+        return Backend.ENUMERATE if self.bath.kind == "random" else Backend.COLLAPSE
+
+
+def _explicit_bath(spec: BathSpec) -> tuple[BathParams, Backend]:
+    """An explicit spec's bath, built within the collapse cap, and its backend."""
+    _require_capacity(spec.n_spins, Backend.COLLAPSE)
+    bath = spec.materialize()
+    try:
+        require_uniform(bath)
+    except ParameterError:
+        return bath, Backend.ENUMERATE
+    return bath, Backend.COLLAPSE
 
 
 def _fmt(value: float) -> str:
@@ -490,11 +503,13 @@ def _trajectories(config: ExperimentConfig, bath: BathParams, th: Thermal,
 def run(config: ExperimentConfig) -> ResultTable:
     """Compute the configured trajectories and return the plot-ready table."""
     _check_records(("config", config, ExperimentConfig))
-    backend = config.backend
+    spec = config.bath
+    # an explicit spec's lists are built once, to choose the backend and to run
+    bath, backend = _explicit_bath(spec) if spec.kind == "explicit" else (None, config.backend)
     # before materialize(), which draws a random bath's parameters one by one
-    _require_capacity(config.bath.n_spins, backend)
+    _require_capacity(spec.n_spins, backend)
     # a single-qubit CSV holds p_x alone, so the sweep computes no other component
-    computed = _trajectories(config, config.bath.materialize(), config.thermal(), backend, "x")
+    computed = _trajectories(config, bath or spec.materialize(), config.thermal(), backend, "x")
     if config.mode == "single":
         prefix, values = "px", computed[..., 0]
     else:

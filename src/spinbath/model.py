@@ -31,7 +31,7 @@ from .errors import ParameterError
 from .numerics import _converted, _finite_array
 
 STATE_NORM_TOL = 1e-12
-# the most bath spins whose 2^N patterns are summed one by one (bath_sums)
+# the most bath spins whose 2^N patterns bath_sums tabulates (384 MiB at the cap)
 ENUMERATION_CAP = 24
 
 
@@ -203,39 +203,38 @@ def log_thermal_weight(beta: float, eps_sum, chi_sum):
     return -beta * (chi_sum + 0.5 * eps_sum)
 
 
-def _qubit_quantities(sys: SystemParams, g_sum) -> tuple:
-    # the qubit's bath-shifted splitting epsilon + g_sum and its generalized
-    # rabi frequency sqrt(splitting^2 + delta^2)/2
-    splitting = _finite("qubit splitting epsilon + g_sum", sys.epsilon + g_sum)
-    return splitting, 0.5 * np.hypot(splitting, sys.delta)
-
-
-def bath_sums(bath: BathParams, mask) -> np.ndarray:
-    """(g_sum, eps_sum, chi_sum) as one (3, ...) array, the trailing shape
-    that of the bitmask or array of bitmasks (see module docstring for the
+def bath_sums(bath: BathParams) -> np.ndarray:
+    """(g_sum, eps_sum, chi_sum) of every bath pattern as one (3, 2^N) array,
+    whose column m is the pattern of bitmask m (see module docstring for the
     bit convention). Each is a signed sum over the pattern: a site's g_i and
     eps_i count + when its spin is up and - when down, a bond's chi_i + when
     its two spins are aligned and - when not. g_sum is the net coupling
     field the qubits see, and eps_sum/2 + chi_sum the pattern's bath energy.
 
     Each sum is a low-half term plus a high-half term (the meet-in-the-middle
-    split of Horowitz and Sahni, J. ACM 21, 1974): a pattern's two halves
-    index the bath's half-chain tables, built once per bath, and only the
+    split of Horowitz and Sahni, J. ACM 21, 1974): the bath's half-chain
+    tables, built once per bath, are added in one broadcast, and only the
     bond across the cut and, on a ring, the bond from site N back to site 1
-    are added per pattern. So 2^N patterns cost O(2^N) lookups, not
-    O(2^N N) multiplies. The masks are integers in [0, 2^N), with N at most
-    ENUMERATION_CAP, as mask_blocks and fold_fields hand them over."""
+    are added after it, in place on strided views: O(2^N) adds, not O(2^N N)
+    multiplies, and nothing 2^N-sized beside the table. N is at most
+    ENUMERATION_CAP, as the trajectories check before calling."""
     n = bath.n_spins
     low, high = bath._half_chain_sums
     cut = (n + 1) // 2
-    sums = low.take(mask & ((1 << cut) - 1), axis=1)
-    sums += high.take(mask >> cut, axis=1)
+    # column lo | hi << cut holds low's column lo plus high's column hi
+    sums = (low[:, None, :] + high[:, :, None]).reshape(3, -1)
     # bond i couples sites i and i+1, the last one wrapping on a ring (to
     # itself for one spin). The halves hold the bonds inside them; left are
     # the bond across the cut, i = cut - 1, and the ring's last, i = n - 1
-    for bond in sorted({cut - 1, n - 1} & set(range(bath.bond_count))):
-        anti = ((mask >> bond) ^ (mask >> ((bond + 1) % n))) & 1
-        sums[2] += np.array((bath.chi_i[bond], -bath.chi_i[bond])).take(anti)
+    for bond, chi in sorted((i, bath.chi_i[i]) for i in {cut - 1, n - 1} if i < bath.bond_count):
+        low_site, high_site = sorted((bond, (bond + 1) % n))
+        if low_site == high_site:
+            sums[2] += chi
+            continue
+        # axes 1 and 3 hold the two sites' bits: +chi where they agree
+        view = sums[2].reshape(1 << (n - 1 - high_site), 2, 1 << (high_site - low_site - 1),
+                               2, 1 << low_site)
+        view += np.array(((chi, -chi), (-chi, chi)))[:, None, :, None]
     return sums
 
 
@@ -250,16 +249,17 @@ def class_sums(bath: BathParams, k, w) -> tuple:
     return g * (n - 2 * k), eps * (n - 2 * k), chi * (bonds - 2 * w)
 
 
-def config_quantities(sys: SystemParams, bath: BathParams, mask) -> tuple:
-    """(splitting, rabi) of the qubit under the bath pattern given as a
-    bitmask (arrays for an array of masks)."""
-    return _qubit_quantities(sys, bath_sums(bath, mask)[0])
+def config_quantities(sys: SystemParams, g_sum) -> tuple:
+    """(splitting, rabi) of the qubit under coupling fields g_sum, elementwise:
+    epsilon + g_sum and the rabi frequency sqrt(splitting^2 + delta^2)/2."""
+    splitting = _finite("qubit splitting epsilon + g_sum", sys.epsilon + g_sum)
+    return splitting, 0.5 * np.hypot(splitting, sys.delta)
 
 
 def class_quantities(sys: SystemParams, bath: BathParams, k, w) -> tuple:
     """(splitting, rabi) shared by one (k, w) degeneracy class of a uniform
     bath (arrays for arrays of classes)."""
-    return _qubit_quantities(sys, class_sums(bath, k, w)[0])
+    return config_quantities(sys, class_sums(bath, k, w)[0])
 
 
 def pure_state(amplitudes) -> np.ndarray:

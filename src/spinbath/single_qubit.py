@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .configspace import (SETUP_BLOCK, Backend, _series_flags, _time_grid, collapse_classes,
-                          fold_fields, mask_blocks, reduce_weighted, series_log_weights)
+from .configspace import (SETUP_BLOCK, Backend, _require_capacity, _series_flags, _time_grid,
+                          collapse_classes, fold_fields, reduce_weighted, series_log_weights)
 from .errors import ParameterError
 from .model import (BathParams, SystemParams, Thermal, _check_records, bath_sums,
                     bloch_components, class_quantities, class_sums, config_quantities,
@@ -44,23 +44,19 @@ def _qubit_fields(sys: SystemParams, bath: BathParams, th: Thermal,
     if collapse:
         require_uniform(bath)
         classes = collapse_classes(bath.n_spins, bath.boundary)
-        sums = class_sums(bath, classes.k, classes.w)
+        g_sum, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
         log_multiplicity = classes.log_multiplicity
     else:
-        # mask_blocks checks the enumeration cap before anything 2^N-sized
-        blocks = mask_blocks(bath.n_spins)
-        sums = np.empty((3, 1 << bath.n_spins))
-        for masks in blocks:
-            sums[:, masks[0]:masks[-1] + 1] = bath_sums(bath, masks)
+        # the cap is checked before the half-chain tables exist
+        _require_capacity(bath.n_spins, Backend.ENUMERATE)
+        g_sum, eps_sum, chi_sum = bath_sums(bath)
         log_multiplicity = 0.0
-    g_sum, eps_sum, chi_sum = sums
     first, log_weight = fold_fields(
         g_sum, log_thermal_weight(th.beta, eps_sum, chi_sum) + log_multiplicity)
-    # only the folded fields reach the qubit: the per-item sums are released
-    # before the per-field work
-    del sums, g_sum, eps_sum, chi_sum
     splitting, rabi = (class_quantities(sys, bath, classes.k[first], classes.w[first])
-                       if collapse else config_quantities(sys, bath, first))
+                       if collapse else config_quantities(sys, g_sum[first]))
+    # only the folded fields go on to the per-field work
+    del g_sum, eps_sum, chi_sum
     log_factor = np.empty(len(first))
     # slice by slice, so the factor's temporaries stay block-sized
     for start in range(0, len(first), SETUP_BLOCK):
@@ -97,27 +93,25 @@ def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
     # rabi == 0 forces splitting == delta == 0, where the conditional
     # Hamiltonian vanishes and the zero axis leaves p0 in place
     u = np.divide(splitting, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
+    del splitting
     v = np.divide(sys.delta, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
-
-    px, py, pz = p0
+    # Rodrigues' n x p0 and p0 - n (n . p0) per field and requested component,
+    # for the axis n = (v, 0, u); its zero y entry keeps its exact zeros
+    # (0.0 * pz, 0.0 * dot), so each component rounds as in the full vector
+    axis, dot = (v, 0.0, u), v * p0[0] + u * p0[2]
+    cross, perp = np.empty((2, len(rabi), len(idx)))
+    for column, i in enumerate(idx):
+        # i - 2, i - 1 index components i + 1, i + 2 cyclically; written in place
+        np.multiply(axis[i - 2], p0[i - 1], out=cross[:, column])
+        cross[:, column] -= axis[i - 1] * p0[i - 2]
+        np.multiply(axis[i], dot, out=perp[:, column])
+        np.subtract(p0[i], perp[:, column], out=perp[:, column])
+    del axis, dot, u, v
 
     def term(rows, t):
-        # block by block, so nothing field-sized is held beyond u and v; the
-        # axis's zero y entry keeps its exact zeros (0.0 * pz, 0.0 * dot)
-        # so the components round as n x p0 and n (n . p0) with n = (v, 0, u)
-        ur, vr = u[rows, None], v[rows, None]
-        dot = vr * px + ur * pz
         angle = 2.0 * rabi[rows, None] * t
-        sine, versine = np.sin(angle), 1.0 - np.cos(angle)
-        out = np.empty(angle.shape + (len(idx),))
-        for column, i in enumerate(idx):
-            if i == 0:
-                out[..., column] = (0.0 * pz - ur * py) * sine - (px - vr * dot) * versine
-            elif i == 1:
-                out[..., column] = (ur * px - vr * pz) * sine - (py - 0.0 * dot) * versine
-            else:
-                out[..., column] = (vr * py - 0.0 * px) * sine - (pz - ur * dot) * versine
-        return out
+        sine, versine = np.sin(angle)[..., None], (1.0 - np.cos(angle))[..., None]
+        return cross[rows, None] * sine - perp[rows, None] * versine
 
     displacement, _ = reduce_weighted(term, log_weight, times, len(idx))
     p = p0[idx] + displacement

@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from .configspace import (ITEM_BLOCK, Backend, _series_flags, _time_grid, collapse_classes,
-                          fold_fields, mask_blocks, reduce_weighted, series_log_weights)
+from .configspace import (ITEM_BLOCK, Backend, _require_capacity, _series_flags, _time_grid,
+                          collapse_classes, fold_fields, reduce_weighted, series_log_weights)
 from .errors import ParameterError
 from .model import (BathParams, Thermal, TwoQubitParams, _check_records, _finite, bath_sums,
                     class_sums, log_thermal_overlap, log_thermal_weight, pure_state,
@@ -82,11 +82,9 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
         g_sum, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
         log_multiplicity = classes.log_multiplicity
     else:
-        # mask_blocks checks the enumeration cap before anything 2^N-sized
-        blocks = mask_blocks(bath.n_spins)
-        g_sum, eps_sum, chi_sum = sums = np.empty((3, 1 << bath.n_spins))
-        for masks in blocks:
-            sums[:, masks[0]:masks[-1] + 1] = bath_sums(bath, masks)
+        # the cap is checked before the half-chain tables exist
+        _require_capacity(bath.n_spins, Backend.ENUMERATE)
+        g_sum, eps_sum, chi_sum = bath_sums(bath)
         log_multiplicity = 0.0
     first, log_weight = fold_fields(
         g_sum, log_thermal_weight(th.beta, eps_sum, chi_sum) + log_multiplicity)

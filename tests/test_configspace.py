@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinbath import configspace
-from spinbath.configspace import (COLLAPSE_CAP, ENUMERATION_CAP, Backend,
-                                  collapse_classes, fold_fields, mask_blocks,
-                                  reduce_weighted)
+from spinbath.configspace import (COLLAPSE_CAP, ENUMERATION_CAP, Backend, _require_capacity,
+                                  collapse_classes, fold_fields, reduce_weighted)
 from spinbath.errors import CapacityError, ParameterError
-from spinbath.model import BathParams, Boundary, SystemParams, Thermal, pure_state
+from spinbath.model import BathParams, Boundary, SystemParams, Thermal, bath_sums, pure_state
 from spinbath.single_qubit import bloch_trajectory
 from spinbath.two_qubit import TwoQubitParams, bell_state, density_trajectory
 
@@ -73,16 +72,16 @@ def reference_fold(field, log_weight):
 
 class TestEnumerate:
     def test_small(self):
-        assert np.concatenate(list(mask_blocks(3))).tolist() == list(range(8))
+        assert _require_capacity(3, Backend.ENUMERATE) == 3
+        assert bath_sums(BathParams.uniform(3, 1.0, 1.0, 0.1)).shape == (3, 8)
 
     def test_cap_names_collapse(self):
         with pytest.raises(CapacityError, match="collapse"):
-            mask_blocks(ENUMERATION_CAP + 1)
+            _require_capacity(ENUMERATION_CAP + 1, Backend.ENUMERATE)
 
     def test_cap_boundary_allowed(self):
         # capacity itself is fine; only beyond it raises
-        blocks = mask_blocks(ENUMERATION_CAP)
-        assert next(blocks)[0] == 0
+        assert _require_capacity(ENUMERATION_CAP, Backend.ENUMERATE) == ENUMERATION_CAP
 
 
 class TestCollapseClasses:
@@ -166,15 +165,6 @@ class TestCollapseClasses:
 
 def ones(rows, t):
     return np.ones((rows.stop - rows.start, t.size, 1))
-
-
-class TestMaskBlocks:
-    def test_blocks_cover_every_mask_in_order(self):
-        blocks = list(mask_blocks(14))
-        assert len(blocks) > 1 and all(len(b) <= configspace.SETUP_BLOCK for b in blocks)
-        # bath_sums trusts its masks to be integers
-        assert all(b.dtype.kind == "i" for b in blocks)
-        assert np.array_equal(np.concatenate(blocks), np.arange(1 << 14))
 
 
 class TestReduceWeighted:

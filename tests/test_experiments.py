@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import spinbath
 from spinbath import experiments, single_qubit, two_qubit
-from spinbath.configspace import Backend, collapse_classes, mask_blocks
+from spinbath.configspace import Backend, _require_capacity, collapse_classes
 from spinbath.errors import CapacityError, ParameterError, UsageError
 from spinbath.experiments import (BathSpec, ExperimentConfig, GaussianStats,
                                   ResultTable, TimeGrid, config_from_keys,
@@ -297,7 +297,8 @@ def _oracle_state(h=None, th=Thermal(1.0)):
     (lambda: RandomSpec(0.0, 1.0, True), ParameterError, "seed must be an integer"),
     (lambda: gaussian_draw(RandomSpec(0, 1, 1), 2.5), ParameterError,
      "count must be an integer"),
-    (lambda: mask_blocks(4.5), ParameterError, "n_spins must be an integer"),
+    (lambda: _require_capacity(4.5, Backend.ENUMERATE), ParameterError,
+     "n_spins must be an integer"),
     (lambda: collapse_classes(4.5), ParameterError, "n_spins must be an integer"),
     (lambda: BathParams.uniform(4.5, 1, 1, 0), ParameterError, "n_spins must be an integer"),
     (lambda: BathParams(True, (1.0,), (1.0,), ()), ParameterError, "n_spins must be an integer"),
@@ -331,16 +332,24 @@ def _oracle_state(h=None, th=Thermal(1.0)):
     (lambda: oracle_check("fig4", 3), UsageError, "config must be a ExperimentConfig, got str"),
     (lambda: oracle_check(preset("fig4"), 3, analytic_beta_skew=-3.0), UsageError,
      "analytic_beta_skew must be >= -1, got -3.0"),
+    (lambda: run(replace(preset("fig4"), state_params=(1.0,))), UsageError,
+     "state.theta and state.phi must hold 2 numbers, got (1.0,)"),
+    (lambda: run(replace(preset("fig13"), state_kind="amplitudes", state_params=(1.0, 0, 0))),
+     UsageError, "state.amplitudes must hold 8 numbers, got (1.0, 0, 0)"),
+    (lambda: BathSpec(3, "random", seed=1, g_stats=(1, 2), eps_stats=(1, 2),
+                      chi_stats=(1, 2)), UsageError,
+     "bath.random.g must be a GaussianStats, got (1, 2)"),
 ], ids=["text_matrix", "text_state", "matrix_state", "matrix_pair_state", "text_bloch_state",
         "nan_bloch_state", "text_concurrence", "text_times", "fractional_seed", "bool_seed",
-        "fractional_count", "fractional_mask_spins", "fractional_class_spins",
+        "fractional_count", "fractional_enumerate_spins", "fractional_class_spins",
         "fractional_uniform_spins", "bool_spins", "text_oracle_size", "fractional_oracle_size",
         "pair_for_single",
         "text_single_bath", "float_single_thermal", "single_for_pair", "text_pair_bath",
         "float_pair_thermal", "float_oracle_thermal", "text_oracle_h", "text_oracle_bath",
         "none_evolve_h", "bool_series_flags", "text_series_flags", "no_series_flags",
         "text_beta_skew", "text_random_spec", "text_run_config", "text_oracle_config",
-        "negative_beta_skew"])
+        "negative_beta_skew", "one_state_angle", "three_state_amplitudes",
+        "tuple_random_stats"])
 def test_array_integer_and_record_inputs_raise_a_named_error(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         build()
@@ -363,7 +372,7 @@ def test_series_flags_are_refused_before_any_bath_work(monkeypatch, run, module,
     def no_bath_work(*args):
         raise AssertionError("bath work started")
 
-    monkeypatch.setattr(module, "mask_blocks", no_bath_work)
+    monkeypatch.setattr(module, "bath_sums", no_bath_work)
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         run(**arguments)
 
@@ -384,7 +393,7 @@ def test_bad_time_grids_are_refused_before_any_bath_work(monkeypatch, run, modul
     def no_bath_work(*args):
         raise AssertionError("bath work started")
 
-    monkeypatch.setattr(module, "mask_blocks", no_bath_work)
+    monkeypatch.setattr(module, "bath_sums", no_bath_work)
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
         run(times=times)
 
@@ -395,7 +404,7 @@ def test_time_grid_may_repeat_a_point():
         assert np.array_equal(out[:, 1], out[:, 2])
 
 
-# bath_sums trusts the cap: mask_blocks refuses the bath before its tables exist
+# bath_sums trusts the cap: each trajectory refuses the bath before its tables exist
 @pytest.mark.parametrize("run", [_single_run, _pair_run])
 def test_beyond_enumeration_cap_is_refused_before_bath_tables(run):
     bath = BathParams.uniform(ENUMERATION_CAP + 1, 0.5, 1.5, 0.1)
@@ -754,6 +763,26 @@ class TestBackendFromSpec:
         config = config_from_keys(keys())
         run(config)
         assert calls == [config.bath.kind]
+
+    @pytest.mark.parametrize("keys", [single_keys, pair_keys])
+    def test_run_builds_explicit_lists_once(self, monkeypatch, keys):
+        # the uniform lists choose collapse and serve the run from one build
+        builds = []
+
+        def counted(*args):
+            builds.append(args[0])
+            return BathParams(*args)
+
+        monkeypatch.setattr(experiments, "BathParams", counted)
+        explicit = {name: value for name, value in keys().items()
+                    if name not in ("bath.eps", "bath.g", "bath.chi")}
+        n = int(explicit["bath.n_spins"])
+        explicit.update({"bath.eps_list": ",".join(["1"] * n), "bath.g_list": ",".join(["2"] * n),
+                         "bath.chi_list": ",".join(["0.1"] * (n - 1))})
+        config = config_from_keys(explicit)
+        for _ in range(2):
+            run(config)
+        assert builds == [n, n]
 
     def test_over_cap_explicit_lists_are_not_built(self, monkeypatch):
         def refuse(*args):

@@ -62,10 +62,19 @@ class TestParams:
         assert require_uniform(BathParams(1, (2.0,), (3.0,), ())) == (2.0, 3.0, 0.0)
 
 
+def sign_matrix_sums(bath, masks):
+    """(g_sum, eps_sum, chi_sum) of each mask from one dense sign matrix."""
+    n = bath.n_spins
+    signs = 1.0 - 2.0 * ((masks[:, None] >> np.arange(n)) & 1)
+    # bond i joins sites i and i + 1, the last wrapping to site 0 on a ring
+    bond_signs = (signs * np.roll(signs, -1, axis=1))[:, :bath.bond_count]
+    return signs @ bath.g_i, signs @ bath.eps_i, bond_signs @ np.array(bath.chi_i)
+
+
 class TestBathSums:
     def test_all_up_is_plain_sum(self):
         bath = BathParams(3, (0.5, -1.0, 2.0), (1.0, 2.0, 3.0), (0.1, 0.2))
-        g_sum, eps_sum, chi_sum = bath_sums(bath, 0)
+        g_sum, eps_sum, chi_sum = bath_sums(bath)[:, 0]
         assert g_sum == pytest.approx(6.0)
         assert eps_sum == pytest.approx(1.5)
         assert chi_sum == pytest.approx(0.3 if True else 0.0, abs=1e-15)
@@ -73,7 +82,7 @@ class TestBathSums:
     def test_single_flip_changes_signs(self):
         bath = BathParams(3, (0.5, -1.0, 2.0), (1.0, 2.0, 3.0), (0.1, 0.2))
         # mask bit 0 flips site 1: g 1.0 -> -1.0, eps 0.5 -> -0.5, bond 1-2 flips
-        g_sum, eps_sum, chi_sum = bath_sums(bath, 0b001)
+        g_sum, eps_sum, chi_sum = bath_sums(bath)[:, 0b001]
         assert g_sum == pytest.approx(-1.0 + 2.0 + 3.0)
         assert eps_sum == pytest.approx(-0.5 - 1.0 + 2.0)
         assert chi_sum == pytest.approx(-0.1 + 0.2)
@@ -81,7 +90,7 @@ class TestBathSums:
     def test_periodic_wraparound_bond(self):
         bath = BathParams(3, (0.0,) * 3, (0.0,) * 3, (0.1, 0.2, 0.4), Boundary.PERIODIC)
         # flipping site 1 flips bonds (1,2) and (3,1)
-        _, _, chi_sum = bath_sums(bath, 0b001)
+        _, _, chi_sum = bath_sums(bath)[:, 0b001]
         assert chi_sum == pytest.approx(-0.1 + 0.2 - 0.4)
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=8),
@@ -93,8 +102,8 @@ class TestBathSums:
         bath = small_bath(lists, n, boundary)
         mask = int(rng.integers(0, 1 << n))
         flipped = mask ^ ((1 << n) - 1)
-        g1, e1, c1 = bath_sums(bath, mask)
-        g2, e2, c2 = bath_sums(bath, flipped)
+        g1, e1, c1 = bath_sums(bath)[:, mask]
+        g2, e2, c2 = bath_sums(bath)[:, flipped]
         assert g2 == pytest.approx(-g1, abs=1e-12)
         assert e2 == pytest.approx(-e1, abs=1e-12)
         assert c2 == pytest.approx(c1, abs=1e-12)
@@ -110,13 +119,20 @@ class TestBathSums:
         bonds = n if boundary is Boundary.PERIODIC else n - 1
         bath = BathParams(n, tuple(rng.normal(0.5, 1.0, n)), tuple(rng.normal(1.0, 0.5, n)),
                           tuple(rng.normal(0.1, 0.3, bonds)), boundary)
-        masks = np.arange(1 << n)
-        signs = 1.0 - 2.0 * ((masks[:, None] >> np.arange(n)) & 1)
-        # bond i joins sites i and i + 1, the last wrapping to site 0 on a ring
-        bond_signs = (signs * np.roll(signs, -1, axis=1))[:, :bonds]
-        want = (signs @ bath.g_i, signs @ bath.eps_i, bond_signs @ np.array(bath.chi_i))
-        for got, expected in zip(bath_sums(bath, masks), want):
-            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+        got = bath_sums(bath)
+        assert got.shape == (3, 1 << n)
+        for expected, sums in zip(sign_matrix_sums(bath, np.arange(1 << n)), got):
+            np.testing.assert_allclose(sums, expected, rtol=0.0, atol=1e-12)
+
+    def test_columns_run_in_mask_order(self):
+        # 2^14 columns, mask = low half | high half << cut, each against the
+        # sign matrix row of its mask
+        n = 14
+        rng = np.random.default_rng(n)
+        bath = BathParams(n, tuple(rng.normal(0.5, 1.0, n)), tuple(rng.normal(1.0, 0.5, n)),
+                          tuple(rng.normal(0.1, 0.3, n - 1)))
+        for expected, sums in zip(sign_matrix_sums(bath, np.arange(1 << n)), bath_sums(bath)):
+            np.testing.assert_allclose(sums, expected, rtol=0.0, atol=1e-12)
 
 
 class TestClassSums:
@@ -133,7 +149,7 @@ class TestClassSums:
         pairs = zip(bits, bits[1:] + [bits[0]]) if boundary is Boundary.PERIODIC \
             else zip(bits, bits[1:])
         w = sum(a != b for a, b in pairs)
-        assert class_sums(bath, k, w) == pytest.approx(bath_sums(bath, mask), abs=1e-12)
+        assert class_sums(bath, k, w) == pytest.approx(bath_sums(bath)[:, mask], abs=1e-12)
 
     def test_rejects_non_uniform(self):
         bath = BathParams(3, (1.0, 2.0, 1.0), (1.0,) * 3, (0.0, 0.0))
@@ -145,24 +161,24 @@ class TestConfigQuantities:
     def test_splitting_and_rabi(self):
         sys1 = SystemParams(epsilon=1.0, delta=2.0)
         bath = BathParams.uniform(2, 0.0, 1.5, 0.0)
-        splitting, rabi = config_quantities(sys1, bath, 0)
-        assert bath_sums(bath, 0)[0] == pytest.approx(3.0)
+        splitting, rabi = config_quantities(sys1, bath_sums(bath)[0, 0])
+        assert bath_sums(bath)[0, 0] == pytest.approx(3.0)
         assert splitting == pytest.approx(4.0)
         assert rabi == pytest.approx(0.5 * math.sqrt(16.0 + 4.0))
 
     def test_weight_is_thermal(self):
         bath = BathParams.uniform(2, 0.8, 0.0, 0.3)
-        _, eps_sum, chi_sum = bath_sums(bath, 0)
+        _, eps_sum, chi_sum = bath_sums(bath)[:, 0]
         assert log_thermal_weight(2.0, eps_sum, chi_sum) == pytest.approx(-2.0 * (0.3 + 0.8))
 
     def test_class_route_agrees(self):
         sys1 = SystemParams(epsilon=1.0, delta=0.5)
         bath = BathParams.uniform(5, 0.7, 1.1, 0.2)
-        q_mask = config_quantities(sys1, bath, 0b00110)
+        q_mask = config_quantities(sys1, bath_sums(bath)[0, 0b00110])
         k = 2
         w = 2  # pattern 01100 read site-1-first: up,down,down,up,up
         for got, want in ((class_quantities(sys1, bath, k, w), q_mask),
-                          (class_sums(bath, k, w), bath_sums(bath, 0b00110))):
+                          (class_sums(bath, k, w), bath_sums(bath)[:, 0b00110])):
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -203,7 +219,7 @@ class TestCorrelationFactor:
     def test_infinite_temperature_is_exactly_one(self):
         sys1 = SystemParams(epsilon=1.0, delta=0.7)
         bath = BathParams.uniform(3, 0.4, 0.9, 0.1)
-        q = config_quantities(sys1, bath, 0b010)
+        q = config_quantities(sys1, bath_sums(bath)[0, 0b010])
         psi = pure_state([0.6, 0.8])
         assert correlation_factor(sys1, Thermal(0.0), q, psi) == 1.0
         assert log_correlation_factor(sys1, Thermal(0.0), *q, psi) == 0.0
@@ -213,7 +229,7 @@ class TestCorrelationFactor:
         sys1 = SystemParams(epsilon=1.5, delta=0.0)
         bath = BathParams.uniform(2, 0.0, 0.25, 0.0)
         th = Thermal(2.0)
-        q = config_quantities(sys1, bath, 0)
+        q = config_quantities(sys1, bath_sums(bath)[0, 0])
         psi = pure_state([1.0, 0.0])
         expected = math.exp(-th.beta * q[0] / 2.0)
         assert correlation_factor(sys1, th, q, psi) == pytest.approx(expected, rel=1e-14)
@@ -223,7 +239,7 @@ class TestCorrelationFactor:
         sys1 = SystemParams(epsilon=0.8, delta=1.1)
         bath = BathParams.uniform(3, 0.3, 0.6, 0.2)
         th = Thermal(1.7)
-        q = config_quantities(sys1, bath, 0b101)
+        q = config_quantities(sys1, bath_sums(bath)[0, 0b101])
         _, rabi = q
         psi = pure_state([2 ** -0.5, 2 ** -0.5])
         expected = (math.cosh(th.beta * rabi)
@@ -237,7 +253,7 @@ class TestCorrelationFactor:
         raw = np.array([0.3 - 0.2j, 0.8 + 0.1j])
         psi = pure_state(raw / np.linalg.norm(raw))
         for mask in range(8):
-            q = config_quantities(sys1, bath, mask)
+            q = config_quantities(sys1, bath_sums(bath)[0, mask])
             splitting, _ = q
             h = np.array([[splitting / 2.0, sys1.delta / 2.0],
                           [sys1.delta / 2.0, -splitting / 2.0]])
@@ -256,7 +272,7 @@ class TestCorrelationFactor:
         bath = BathParams.uniform(4, float(rng.uniform(-2, 2)),
                                   float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1)))
         th = Thermal(beta)
-        splitting, rabi = config_quantities(sys1, bath, int(rng.integers(0, 16)))
+        splitting, rabi = config_quantities(sys1, bath_sums(bath)[0, int(rng.integers(0, 16))])
         amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         if np.linalg.norm(amps) < 1e-6:
             amps = np.array([1.0, 0.0])
@@ -345,7 +361,8 @@ class TestThermalOverlap:
         # delta = 0 and psi = |0>: the factor is exactly exp(-beta*rabi)
         sys1 = SystemParams(epsilon=1.5, delta=0.0)
         th = Thermal(2.0)
-        splitting, rabi = config_quantities(sys1, BathParams.uniform(2, 0.0, 0.25, 0.0), 0)
+        bath = BathParams.uniform(2, 0.0, 0.25, 0.0)
+        splitting, rabi = config_quantities(sys1, bath_sums(bath)[0, 0])
         factor = log_correlation_factor(sys1, th, splitting, rabi, pure_state([1.0, 0.0]))
         assert factor == -th.beta * rabi
 

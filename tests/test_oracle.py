@@ -167,17 +167,19 @@ class TestBuildHamiltonian:
         with pytest.raises(ParameterError):
             build_hamiltonian(object(), small_bath())
 
-    def test_bath_diagonal_matches_mask_sums(self):
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_bath_diagonal_matches_mask_sums(self, n, boundary):
         # bath energies agree with the per-pattern signed sums, modulo the
-        # bit-reversal between the two index conventions
-        bath = small_bath(3, seed=5)
+        # bit-reversal between the two index conventions; on the rings of one
+        # and two spins the cut bond and the ring bond coincide or share a pair
+        bath = small_bath(n, seed=5, boundary=boundary)
         h = build_hamiltonian(small_system(), bath)
-        n = bath.n_spins
-        for mask in range(1 << n):
-            oracle_index = int(f"{mask:0{n}b}"[::-1], 2)
-            _, eps_sum, chi_sum = bath_sums(bath, mask)
-            assert h.bath_diagonal[oracle_index] == pytest.approx(
-                0.5 * eps_sum + chi_sum, abs=1e-12)
+        _, eps_sum, chi_sum = bath_sums(bath)
+        masks = np.arange(1 << n)
+        oracle_index = (((masks[:, None] >> np.arange(n)) & 1) << np.arange(n)[::-1]).sum(axis=1)
+        np.testing.assert_allclose(h.bath_diagonal[oracle_index], 0.5 * eps_sum + chi_sum,
+                                   rtol=0.0, atol=1e-12)
 
     def test_delta_couples_system_only(self):
         # with delta = 0 the single-qubit Hamiltonian is diagonal

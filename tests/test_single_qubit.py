@@ -245,7 +245,7 @@ class TestEnumerateSetup:
 
     @pytest.mark.parametrize("pair", [False, True], ids=["one_qubit", "pair"])
     def test_half_chain_tables_built_once_per_bath(self, monkeypatch, pair):
-        # 2^12 masks take four blocks; the bath's tables serve all of them
+        # the bath keeps its tables: a second trajectory on it builds none
         calls = []
         build = model._half_chain_tables
         monkeypatch.setattr(model, "_half_chain_tables",
@@ -254,12 +254,14 @@ class TestEnumerateSetup:
         bath = BathParams(n, (1.0,) * n, tuple(np.random.default_rng(8).normal(1.0, 0.2, n)),
                           (0.1,) * n, Boundary.PERIODIC)
         times, th = np.linspace(0.0, 1.0, 3), Thermal(1.0)
-        if pair:
-            density_trajectory(TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0),
-                               bath, th, Backend.ENUMERATE, bell_state(), times, (False, True))
-        else:
-            bloch_trajectory(SystemParams(epsilon=2.0, delta=1.0), bath, th,
-                             Backend.ENUMERATE, PLUS_X, times, (False, True))
+        for _ in range(2):
+            if pair:
+                density_trajectory(TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0),
+                                   bath, th, Backend.ENUMERATE, bell_state(), times,
+                                   (False, True))
+            else:
+                bloch_trajectory(SystemParams(epsilon=2.0, delta=1.0), bath, th,
+                                 Backend.ENUMERATE, PLUS_X, times, (False, True))
         assert calls == [bath]
 
 
@@ -305,9 +307,9 @@ class TestCollapseFold:
         # correlation factor and the pair eigensolve each see only the fields
         rows = []
 
-        def quantities(sys1, bath, masks):
-            rows.append(len(masks))
-            return config_quantities(sys1, bath, masks)
+        def quantities(sys1, g_sum):
+            rows.append(len(g_sum))
+            return config_quantities(sys1, g_sum)
 
         def factor(sys1, th, splitting, rabi, psi):
             rows.append(len(splitting))
