@@ -190,9 +190,12 @@ def reduce_weighted(term, log_weight, times, dim: int) -> tuple[np.ndarray, np.n
     results are bit-identical from run to run.
     """
     t = np.asarray(times, dtype=float)
-    shift = _finite("log weight", log_weight).max(axis=0)
-    # (S, items) and C-ordered, so every sum below runs over the last axis
-    weight = np.subtract(log_weight.T, shift[:, None], order="C")
+    # (S, items) and C-ordered, so the shift's max and every sum below run
+    # over the last axis; always a copy (ascontiguousarray returns a view at
+    # S = 1), since it is shifted in place
+    weight = np.array(_finite("log weight", log_weight).T, order="C")
+    shift = weight.max(axis=1)
+    weight -= shift[:, None]
     np.exp(weight, out=weight)
     n_series, n_items = weight.shape
     # each column's weight sum, through the one tree the sweep evaluates by blocks

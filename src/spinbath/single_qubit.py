@@ -16,9 +16,17 @@ formula the displacement is
 
         d(t) = (n x p0) sin(2 rabi t) - (p0 - n (n . p0)) (1 - cos(2 rabi t)),
 
-which is bounded by 2|p0| and exactly 0 at t = 0, so the prepared state
-comes back bit for bit; rabi == 0 leaves p0 in place through n = 0 with no
-special casing.
+which is bounded by 2|p0|. The sweep evaluates it from one tangent of the
+half angle, tau = tan(rabi t), through sin = 2 tau / (1 + tau^2) and
+1 - cos = 2 tau^2 / (1 + tau^2) (the Weierstrass substitution):
+
+        d(t) = 2 tau ((n x p0) - (p0 - n (n . p0)) tau) / (1 + tau^2),
+
+one transcendental per field and time point where sin and cos were two.
+tau is +-0 at t = 0 and at rabi == 0, so d is +-0 and the prepared state
+comes back exactly with no special casing (rabi == 0 also gives n = 0).
+For a finite float64 argument |tau| stays below about 1.6e16, so tau^2
+never overflows; an overflowing phase gives nan, which the sweep reports.
 """
 
 from __future__ import annotations
@@ -109,9 +117,17 @@ def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
     del axis, dot, u, v
 
     def term(rows, t):
-        angle = 2.0 * rabi[rows, None] * t
-        sine, versine = np.sin(angle)[..., None], (1.0 - np.cos(angle))[..., None]
-        return cross[rows, None] * sine - perp[rows, None] * versine
+        # tau = tan(rabi t) of half the angle, and d = 2 tau (n x p0 - tau perp)
+        # / (1 + tau^2), built in place on one block-sized buffer
+        tau = np.tan(rabi[rows, None] * t)[..., None]
+        d = perp[rows, None] * tau
+        np.subtract(cross[rows, None], d, out=d)
+        d *= tau
+        d *= 2.0
+        tau *= tau
+        tau += 1.0
+        d /= tau
+        return d
 
     displacement, _ = reduce_weighted(term, log_weight, times, len(idx))
     p = p0[idx] + displacement

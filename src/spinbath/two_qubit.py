@@ -6,7 +6,9 @@ splittings (eps1 + g_sum, eps2 + g_sum) and the qubit-qubit coupling lam.
 Patterns that share g_sum share that problem, so they are folded onto their
 distinct fields, whose conditional Hamiltonians are real symmetric and
 diagonalized in batches. Their eigenvectors V are real, so each field's
-state evolves as psi(t) = V exp(-iEt) V^T psi. The reduced pair state is
+state evolves as psi(t) = V exp(-iEt) V^T psi, whose phases the sweep takes
+from one tangent of the half angle, tau = tan(Et/2), as
+exp(-iEt) = ((1 - tau^2) - 2i tau) / (1 + tau^2). The reduced pair state is
 the weighted mixture over patterns, with the same uncorrelated/correlated
 weight choice as the single-qubit case, and entanglement is scored by the
 standard spin-flip concurrence.
@@ -89,6 +91,8 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
     first, log_weight = fold_fields(
         g_sum, log_thermal_weight(th.beta, eps_sum, chi_sum) + log_multiplicity)
     g_sum = g_sum[first]
+    # only the folded fields go on to the eigensystems
+    del eps_sum, chi_sum
     # filled block by block, so the largest array is never held twice
     energies, amplitudes, log_factor = (
         np.empty((len(first), 4)), np.empty((len(first), 4, 4), dtype=complex),
@@ -152,6 +156,17 @@ def concurrence(rho):
     return float(values[0]) if rho.ndim == 2 else values.reshape(rho.shape[:-2])
 
 
+def _unit_phases(angle: np.ndarray) -> np.ndarray:
+    """exp(-i angle) elementwise, from one tangent of the half angle:
+    ((1 - tau^2) - 2i tau) / (1 + tau^2) with tau = tan(angle / 2)."""
+    tau = np.tan(0.5 * angle)
+    norm = 1.0 + tau * tau
+    phases = np.empty(tau.shape, dtype=complex)
+    np.divide(2.0 - norm, norm, out=phases.real)
+    np.divide(-2.0 * tau, norm, out=phases.imag)
+    return phases
+
+
 def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
                        backend: Backend, psi, times,
                        correlated: tuple[bool, ...]) -> np.ndarray:
@@ -165,7 +180,7 @@ def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
     energies, amplitudes, log_weight = _pair_fields(sys2, bath, th, backend, psi, correlated)
 
     def term(rows, t):
-        phases = np.exp(-1j * energies[rows, None, :] * t[:, None])
+        phases = _unit_phases(energies[rows, None, :] * t[:, None])
         evolved = sum(amplitudes[rows, None, :, j] * phases[:, :, j, None] for j in range(4))
         projector = evolved[..., :, None] * evolved[..., None, :].conj()
         return projector.reshape(*evolved.shape[:2], 16)

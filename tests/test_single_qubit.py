@@ -159,33 +159,127 @@ class TestTrajectories:
         assert np.abs(points - bloch_of_density(rho)).max() < 1e-9
 
 
+def rodrigues_parts(sys1, bath, th, backend, psi, correlated):
+    """The prepared Bloch vector, each field's rabi frequency and log weights,
+    and, written out with np.cross and a stacked axis, a function of rows
+    giving Rodrigues' n x p0 and p0 - n (n . p0) as (rows, 1, 3) arrays."""
+    p0 = np.array(bloch_components(psi))
+    splitting, rabi, log_weight = _qubit_fields(sys1, bath, th, backend, psi, correlated)
+    u = np.divide(splitting, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
+    v = np.divide(sys1.delta, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
+
+    def parts(rows):
+        axis = np.stack((v[rows], np.zeros_like(v[rows]), u[rows]), axis=-1)
+        normal = np.cross(axis, p0)[:, None]
+        in_plane = (p0 - axis * (v[rows] * p0[0] + u[rows] * p0[2])[:, None])[:, None]
+        return normal, in_plane
+
+    return p0, rabi, log_weight, parts
+
+
+def textbook_trajectory(sys1, bath, th, backend, psi, times, correlated):
+    """p0 plus the weighted Rodrigues displacement in its sin/cos form."""
+    p0, rabi, log_weight, parts = rodrigues_parts(sys1, bath, th, backend, psi, correlated)
+
+    def term(rows, t):
+        normal, in_plane = parts(rows)
+        angle = 2.0 * rabi[rows, None, None] * t[:, None]
+        return normal * np.sin(angle) - in_plane * (1.0 - np.cos(angle))
+
+    return p0 + reduce_weighted(term, log_weight, times, 3)[0]
+
+
+RODRIGUES_STATES = AXIS_STATES + (pure_state([-0.6, 0.8]), pure_state([0.28, -0.96j]))
+
+
 class TestRodrigues:
     @pytest.mark.parametrize("boundary", list(Boundary))
-    def test_matches_textbook_sum_bit_for_bit(self, boundary):
-        # the sweep's Rodrigues components are written out by hand; they must
-        # round exactly as the textbook form with np.cross and a stacked axis
+    def test_matches_half_angle_sum_bit_for_bit(self, boundary):
+        # the sweep's Rodrigues components and its half-angle displacement
+        # are written in place; they must round exactly as the form with
+        # np.cross, a stacked axis and tau = tan(rabi t) written out
         sys1 = SystemParams(epsilon=0.7, delta=-1.1)
         bath = BathParams.uniform(30, 0.4, 0.3, -0.2, boundary)
         th = Thermal(1.5)
         times = np.linspace(0.0, 12.0, 41)
-        states = AXIS_STATES + (pure_state([-0.6, 0.8]), pure_state([0.28, -0.96j]))
-        for psi in states:
+        for psi in RODRIGUES_STATES:
             got = bloch_trajectory(sys1, bath, th, Backend.COLLAPSE, psi, times, (False, True))
-            p0 = np.array(bloch_components(psi))
-            splitting, rabi, log_weight = _qubit_fields(sys1, bath, th, Backend.COLLAPSE,
-                                                        psi, (False, True))
-            u = np.divide(splitting, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
-            v = np.divide(sys1.delta, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
+            p0, rabi, log_weight, parts = rodrigues_parts(sys1, bath, th, Backend.COLLAPSE,
+                                                          psi, (False, True))
 
             def term(rows, t):
-                axis = np.stack((v[rows], np.zeros_like(v[rows]), u[rows]), axis=-1)
-                normal = np.cross(axis, p0)[:, None]
-                in_plane = (p0 - axis * (v[rows] * p0[0] + u[rows] * p0[2])[:, None])[:, None]
-                angle = 2.0 * rabi[rows, None, None] * t[:, None]
-                return normal * np.sin(angle) - in_plane * (1.0 - np.cos(angle))
+                normal, in_plane = parts(rows)
+                tau = np.tan(rabi[rows, None, None] * t[:, None])
+                return (normal - in_plane * tau) * tau * 2.0 / (1.0 + tau * tau)
 
             want = p0 + reduce_weighted(term, log_weight, times, 3)[0]
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_matches_sin_cos_sum(self, backend):
+        # the half-angle form against the textbook (n x p0) sin(2 rabi t) -
+        # perp (1 - cos(2 rabi t)); both scale the angle exactly, so they
+        # differ by the rounding of tan against sin and cos (worst measured
+        # 4.4e-16 on these cases)
+        sys1 = SystemParams(epsilon=0.7, delta=-1.1)
+        th = Thermal(1.5)
+        times = np.linspace(0.0, 40.0, 81)
+        for boundary in Boundary:
+            if backend is Backend.COLLAPSE:
+                bath = BathParams.uniform(30, 0.4, 0.3, -0.2, boundary)
+            else:
+                rng = np.random.default_rng(7)
+                bonds = 8 if boundary is Boundary.PERIODIC else 7
+                bath = BathParams(8, tuple(rng.uniform(-2, 2, 8)), tuple(rng.normal(0, 1, 8)),
+                                  tuple(rng.uniform(-1, 1, bonds)), boundary)
+            for psi in RODRIGUES_STATES:
+                got = bloch_trajectory(sys1, bath, th, backend, psi, times, (False, True))
+                want = textbook_trajectory(sys1, bath, th, backend, psi, times, (False, True))
+                assert np.abs(got - want).max() <= 1e-14
+
+    def test_quarter_turn_of_the_tangent_is_a_half_turn(self):
+        # g = 0 leaves one field; at rabi t within an ulp of pi/2, tau is
+        # about 1e16 and d tends to -2 (p0 - n (n . p0)): the rotation by pi
+        # that maps p0 to 2 n (n . p0) - p0
+        sys1 = SystemParams(epsilon=0.7, delta=-1.1)
+        bath = BathParams.uniform(3, 0.4, 0.0, -0.2)
+        th = Thermal(1.5)
+        rabi = 0.5 * math.hypot(sys1.epsilon, sys1.delta)
+        quarter = (math.pi / 2) / rabi
+        times = np.array([math.nextafter(quarter, 0.0), quarter, math.nextafter(quarter, 9.0)])
+        assert np.abs(rabi * times - math.pi / 2).max() <= 2 * math.ulp(math.pi / 2)
+        assert np.abs(np.tan(rabi * times)).min() > 1e15
+        n = np.array([sys1.delta, 0.0, sys1.epsilon]) / (2.0 * rabi)
+        for psi in RODRIGUES_STATES:
+            p0 = np.array(bloch_components(psi))
+            got = bloch_trajectory(sys1, bath, th, Backend.ENUMERATE, psi, times, (False, True))
+            assert np.abs(got - (2.0 * n * (n @ p0) - p0)).max() <= 1e-15
+            want = textbook_trajectory(sys1, bath, th, Backend.ENUMERATE, psi, times,
+                                       (False, True))
+            assert np.abs(got - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_zero_rabi_leaves_p0_in_place(self, backend):
+        # epsilon = delta = g = 0: every field has rabi == 0, so tau = 0 and
+        # the prepared vector comes back exactly at every time (a -0.0 entry
+        # as +0.0, since p0 + d adds d's +-0)
+        sys1 = SystemParams(epsilon=0.0, delta=0.0)
+        bath = BathParams.uniform(5, 0.4, 0.0, -0.2)
+        times = np.array([0.0, 0.5, 7.0, 1e6])
+        for psi in RODRIGUES_STATES:
+            got = bloch_trajectory(sys1, bath, Thermal(1.5), backend, psi, times, (False, True))
+            assert np.array_equal(got, np.broadcast_to(bloch_components(psi), got.shape))
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_time_zero_displacement_is_exactly_zero(self, seed):
+        # tau = tan(rabi * 0) is +-0, so d is +-0 and p0 + d equals p0 in
+        # every series and component, states with zero components included
+        sys1, bath, _ = random_inputs(seed, n=6)
+        for psi in RODRIGUES_STATES + (pure_state([0.6, -0.8]), pure_state([-0.28j, 0.96])):
+            got = bloch_trajectory(sys1, bath, Thermal(1.2), Backend.ENUMERATE, psi,
+                                   np.array([0.0, 1.0]), (False, True))
+            assert np.array_equal(got[:, 0], np.broadcast_to(bloch_components(psi), (2, 3)))
 
 
 # every non-empty ordered choice of distinct letters from "xyz": 3 + 6 + 6
