@@ -10,11 +10,10 @@ fields (fold_fields) before any qubit work:
              per-pattern scalars when the bath parameters are uniform, cost
              O(N^2) classes, which is what makes N = 50 runs instant.
 
-Reductions are bit-identical from run to run: items are summed by one
-pairwise tree over the fields, evaluated block by block (every block a
-power of two of at least ITEM_BLOCK items), so the summation order depends
-only on the item count. Time points are independent, so how they are split
-into blocks changes nothing.
+The weighted sums over fields (reduce_weighted) are bit-identical from run
+to run: each is a BLAS call per block of fields, series, column set and
+time point, of a shape set by the block alone, and block sums join by one
+pairwise tree, so how the time points are grouped changes nothing.
 """
 
 from __future__ import annotations
@@ -26,21 +25,16 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .model import ENUMERATION_CAP, Boundary, _finite
-from .numerics import _converted, _finite_array, _pairwise_sum
+from .numerics import _converted, _finite_array, _pairwise_sum, _pairwise_total
 
 # a two-series, 40-point run at the cap peaks below 1 GB (measured in README)
 COLLAPSE_CAP = 3_500
-# the sweep's smallest item block (a power of two, so block sums combine
-# into the one pairwise tree over all items), and the stack size of the
-# pair's batched 4x4 decompositions
+# the stack size of the pair's batched 4x4 decompositions
 ITEM_BLOCK = 1024
-# fields per call of the one-qubit correlation-factor loop: large enough
-# that per-call overhead stays small, small enough that the temporaries of a
-# call stay well below a MB each
+# fields per block of the one-qubit setup and sweep: temporaries below a MB
 SETUP_BLOCK = 8 * ITEM_BLOCK
-# the sweep takes as many time points per block as keep ITEM_BLOCK items x
-# times x dim within this many elements (at least one point), then doubles
-# its item block while the block still fits
+# the sweep computes the phases of as many time points at once as keep a
+# block's (times, fields x frequencies) phases within this many elements
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -175,59 +169,65 @@ def series_log_weights(log_weight, log_factor, correlated: tuple[bool, ...]) -> 
                      for flag in correlated], axis=1)
 
 
-def reduce_weighted(term, log_weight, times, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted means of term over items at every time, one per column of the
-    (items, S) matrix log_weight of log weights; returns the read-only means
-    (S, len(times), dim) and each column's log weight sum, its log partition
-    (S,).
+def _unit_phases(frequencies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i w t) at each of times (rows) and frequencies w (columns), from
+    one tangent of the half angle: with tau = tan(-w t / 2) and
+    r = 2 / (1 + tau^2), exp(-i w t) = (r - 1) + i tau r."""
+    tau = np.multiply(times[:, None], -0.5 * frequencies)
+    np.tan(tau, out=tau)
+    phases = np.empty(tau.shape, dtype=complex)
+    r = np.multiply(tau, tau, out=phases.real)
+    r += 1.0
+    np.divide(2.0, r, out=r)
+    np.multiply(tau, r, out=phases.imag)
+    r -= 1.0
+    return phases
 
-    term(rows, t) gets a slice of item indices and an array of times and
-    returns the items' unweighted terms as an array of shape
-    (rows, len(t), dim). times must be a non-empty, finite, ascending 1-d
-    sequence, as _time_grid makes it. Each column is shifted by its largest
-    log weight before the exp, so no weight overflows and every normalizer is
-    at least 1. The summation order depends only on the item count, so
-    results are bit-identical from run to run.
+
+def reduce_weighted(spectra, log_weight, times) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral sums S_s(t) = sum_b W_sb [c_b + sum_m a_bm exp(-i w_bm t)]
+    / Z_s over fields b, one per column s of the (fields, S) log weights
+    log W_sb: read-only, (S, len(times), G, cols), with log Z_s (S,).
+
+    spectra yields, block by block in log_weight's row order, f fields'
+    constants c (G, f, cols), coefficients a (G, f, M, cols) and frequencies
+    w (f, M): G sets of cols complex columns. times are as _time_grid makes
+    them. Each column of log weights is shifted by its largest entry, so no
+    weight overflows and Z_s >= 1. The constants are summed by calls of the
+    shape each time point's takes when M == 1, so unit phases cancel them
+    exactly.
     """
     t = np.asarray(times, dtype=float)
-    # (S, items) and C-ordered, so the shift's max and every sum below run
-    # over the last axis; always a copy (ascontiguousarray returns a view at
-    # S = 1), since it is shifted in place
+    # (S, fields), so the normalizer's tree runs over the last axis; a copy
     weight = np.array(_finite("log weight", log_weight).T, order="C")
     shift = weight.max(axis=1)
     weight -= shift[:, None]
     np.exp(weight, out=weight)
-    n_series, n_items = weight.shape
-    # each column's weight sum, through the one tree the sweep evaluates by blocks
     normalizer = _pairwise_sum(weight)
-    step = max(1, BLOCK_ELEMENTS // (min(ITEM_BLOCK, n_items) * dim))
-    block = ITEM_BLOCK
-    while block < n_items and 2 * block * min(step, t.size) * dim <= BLOCK_ELEMENTS:
-        block *= 2
-    rows = [slice(i, min(i + block, n_items)) for i in range(0, n_items, block)]
-    means = None
-    for start in range(0, t.size, step):
-        points = t[start:start + step]
-        partials = []
-        for block_rows in rows:
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = term(block_rows, points)
-            count = block_rows.stop - block_rows.start
-            # the (S, entries, items) product, with the longer of items and
-            # entries innermost in memory, where the tree's adds run fastest
-            entries = values.reshape(count, -1)
-            if count > entries.shape[1]:
-                product = np.multiply(np.ascontiguousarray(entries.T),
-                                      weight[:, None, block_rows], order="C")
-            else:
-                product = np.multiply(entries[:, None], weight.T[block_rows, :, None],
-                                      order="C").transpose(1, 2, 0)
-            partials.append(_pairwise_sum(product))
-        if means is None:
-            means = np.empty((n_series, t.size, dim), dtype=values.dtype)
-        means[:, start:start + points.size] = _pairwise_sum(
-            np.stack(partials, axis=-1)).reshape(n_series, points.size, dim)
-    means /= normalizer[:, None, None]
+
+    def block_sums():
+        start = 0
+        for constant, coefficients, frequencies in spectra:
+            n_sets, count, _, n_columns = coefficients.shape
+            # (S, 1, f, 1): each series' weights of the block's fields
+            block_weight = weight[:, None, start:start + count, None]
+            start += count
+            # (S, G, T, cols), from one (1, f) @ (f, cols) call per series and set
+            sums = np.repeat(np.matmul(np.ones((1, count), dtype=complex),
+                                       constant * block_weight), t.size, axis=2)
+            weighted = (coefficients * block_weight[..., None]).reshape(
+                len(weight), n_sets, 1, frequencies.size, n_columns)
+            step = max(1, BLOCK_ELEMENTS // frequencies.size)
+            for begin in range(0, t.size, step):
+                points = slice(begin, begin + step)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    phases = _unit_phases(frequencies.reshape(-1), t[points])
+                # one (1, f M) @ (f M, cols) call per series, set and point
+                sums[:, :, points] += np.matmul(phases[:, None], weighted)[..., 0, :]
+            yield sums
+
+    means = _pairwise_total(block_sums()).swapaxes(1, 2)
+    means /= normalizer[:, None, None, None]
     means.setflags(write=False)
-    # the terms are bounded, so only an overflowing phase makes a mean inf or nan
+    # the spectra are bounded, so only an overflowing phase makes a sum inf or nan
     return _finite("sum over the time grid", means), shift + np.log(normalizer)

@@ -9,6 +9,7 @@ the numpy version.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,6 +86,19 @@ def _pairwise_sum(arr: np.ndarray):
             paired[..., half] = arr[..., n - 1]
         arr, n = paired, half + odd
     return arr[..., 0]
+
+
+def _pairwise_total(items):
+    """The sum of an iterable of equal-shape arrays by the tree that
+    _pairwise_sum builds over them stacked, from a stack of log2(n) + 1 sums:
+    item n merges with one stacked sum per trailing zero bit of n."""
+    stack = []
+    for n, item in enumerate(items, 1):
+        while not n & 1:
+            item = stack.pop() + item
+            n >>= 1
+        stack.append(item)
+    return functools.reduce(lambda total, partial: partial + total, reversed(stack))
 
 
 RNG_ALGORITHM = "xorshift64star-box-muller"

@@ -12,21 +12,12 @@ field's correlation factor.
 
 Per field the rotation is by the angle 2*rabi*t about the unit axis
 n = (v, 0, u), with (u, v) = (splitting, delta)/(2*rabi). By Rodrigues'
-formula the displacement is
+formula, with A = n x p0 and B = p0 - n (n . p0), the displacement is
 
-        d(t) = (n x p0) sin(2 rabi t) - (p0 - n (n . p0)) (1 - cos(2 rabi t)),
+        d(t) = A sin(2 rabi t) - B (1 - cos(2 rabi t)) = -B + Re((B + iA) exp(-2i rabi t)),
 
-which is bounded by 2|p0|. The sweep evaluates it from one tangent of the
-half angle, tau = tan(rabi t), through sin = 2 tau / (1 + tau^2) and
-1 - cos = 2 tau^2 / (1 + tau^2) (the Weierstrass substitution):
-
-        d(t) = 2 tau ((n x p0) - (p0 - n (n . p0)) tau) / (1 + tau^2),
-
-one transcendental per field and time point where sin and cos were two.
-tau is +-0 at t = 0 and at rabi == 0, so d is +-0 and the prepared state
-comes back exactly with no special casing (rabi == 0 also gives n = 0).
-For a finite float64 argument |tau| stays below about 1.6e16, so tau^2
-never overflows; an overflowing phase gives nan, which the sweep reports.
+a spectrum that configspace.reduce_weighted sums. At rabi == 0 (n = 0) the
+unit phase cancels the constant exactly; the rows at t == 0 are p0 itself.
 """
 
 from __future__ import annotations
@@ -82,6 +73,25 @@ def _component_indices(components) -> list[int]:
     return ["xyz".index(letter) for letter in components]
 
 
+def _bloch_spectra(delta: float, p0, splitting, rabi, idx: list[int]):
+    """reduce_weighted's spectra of the displacements of the components idx,
+    one column set each, SETUP_BLOCK fields a block: constant -B and
+    coefficient B + iA at the frequency 2 rabi."""
+    for start in range(0, len(rabi), SETUP_BLOCK):
+        rows = slice(start, start + SETUP_BLOCK)
+        twice = 2.0 * rabi[rows]
+        # rabi == 0 forces splitting == delta == 0: the zero axis leaves p0 in place
+        u, v = (np.divide(x, twice, out=np.zeros_like(twice), where=twice != 0.0)
+                for x in (splitting[rows], delta))
+        # the axis's zero y entry keeps its exact zeros (0.0 * pz, 0.0 * dot), so
+        # each component rounds as in the full vector; i - 2, i - 1 index i + 1, i + 2
+        axis, dot = (v, 0.0, u), v * p0[0] + u * p0[2]
+        perp = np.array([p0[i] - axis[i] * dot for i in idx])
+        cross = np.array([axis[i - 2] * p0[i - 1] - axis[i - 1] * p0[i - 2] for i in idx])
+        yield ((-perp + 0j)[..., None], np.stack([perp, cross], axis=-1).view(complex)[..., None],
+               twice[:, None])
+
+
 def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
                      backend: Backend, psi, times, correlated: tuple[bool, ...],
                      components: str = "xyz") -> np.ndarray:
@@ -98,38 +108,10 @@ def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
     psi = pure_state(psi)
     p0 = np.array(bloch_components(psi))
     splitting, rabi, log_weight = _qubit_fields(sys, bath, th, backend, psi, correlated)
-    # rabi == 0 forces splitting == delta == 0, where the conditional
-    # Hamiltonian vanishes and the zero axis leaves p0 in place
-    u = np.divide(splitting, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
-    del splitting
-    v = np.divide(sys.delta, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
-    # Rodrigues' n x p0 and p0 - n (n . p0) per field and requested component,
-    # for the axis n = (v, 0, u); its zero y entry keeps its exact zeros
-    # (0.0 * pz, 0.0 * dot), so each component rounds as in the full vector
-    axis, dot = (v, 0.0, u), v * p0[0] + u * p0[2]
-    cross, perp = np.empty((2, len(rabi), len(idx)))
-    for column, i in enumerate(idx):
-        # i - 2, i - 1 index components i + 1, i + 2 cyclically; written in place
-        np.multiply(axis[i - 2], p0[i - 1], out=cross[:, column])
-        cross[:, column] -= axis[i - 1] * p0[i - 2]
-        np.multiply(axis[i], dot, out=perp[:, column])
-        np.subtract(p0[i], perp[:, column], out=perp[:, column])
-    del axis, dot, u, v
-
-    def term(rows, t):
-        # tau = tan(rabi t) of half the angle, and d = 2 tau (n x p0 - tau perp)
-        # / (1 + tau^2), built in place on one block-sized buffer
-        tau = np.tan(rabi[rows, None] * t)[..., None]
-        d = perp[rows, None] * tau
-        np.subtract(cross[rows, None], d, out=d)
-        d *= tau
-        d *= 2.0
-        tau *= tau
-        tau += 1.0
-        d /= tau
-        return d
-
-    displacement, _ = reduce_weighted(term, log_weight, times, len(idx))
-    p = p0[idx] + displacement
+    sums, _ = reduce_weighted(_bloch_spectra(sys.delta, p0, splitting, rabi, idx),
+                              log_weight, times)
+    p = p0[idx] + sums.real[..., 0]
+    # every phase is 1 at t == 0, where p0 comes back as it is, -0.0 included
+    p[:, times == 0.0] = p0[idx]
     p.setflags(write=False)
     return p

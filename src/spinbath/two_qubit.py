@@ -4,14 +4,14 @@ Both qubits couple through sigma_z to the same bath field, so each bath
 pattern drives an independent 4x4 problem built from the pattern-shifted
 splittings (eps1 + g_sum, eps2 + g_sum) and the qubit-qubit coupling lam.
 Patterns that share g_sum share that problem, so they are folded onto their
-distinct fields, whose conditional Hamiltonians are real symmetric and
-diagonalized in batches. Their eigenvectors V are real, so each field's
-state evolves as psi(t) = V exp(-iEt) V^T psi, whose phases the sweep takes
-from one tangent of the half angle, tau = tan(Et/2), as
-exp(-iEt) = ((1 - tau^2) - 2i tau) / (1 + tau^2). The reduced pair state is
-the weighted mixture over patterns, with the same uncorrelated/correlated
-weight choice as the single-qubit case, and entanglement is scored by the
-standard spin-flip concurrence.
+distinct fields, whose real symmetric conditional Hamiltonians are
+diagonalized in batches. With the amplitude columns A_j = V_j (V_j . psi)
+of their eigenvectors, rho(t) = C + X(t) + X(t)^dagger for
+C = sum_j A_j A_j^dagger and X(t) = sum_{j<k} A_j A_k^dagger
+exp(-i (E_j - E_k) t): the sweep sums C / 2 + X(t) under each series'
+weights (uncorrelated or correlated, as for one qubit) and adds the
+conjugate transpose, so every state is exactly Hermitian. Entanglement is
+the standard spin-flip concurrence.
 
 Basis order: qubit 1 is the most significant bit of the 4 amplitudes, so
 index 0 is both up and index 3 both down.
@@ -34,6 +34,8 @@ from .numerics import _finite_array, hermitian_eig
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+# fields per sweep block: a block's weighted (768, 16) matrix is 196 kB
+SPECTRA_BLOCK = 128
 
 # all real: only sigma_z and sigma_x enter the Hamiltonians, and the spin flip
 # sigma_y x sigma_y is the antidiagonal (-1, 1, 1, -1)
@@ -43,6 +45,8 @@ _SZ1, _SX1, _SZ2, _SX2, _SZZ = (np.kron(_Z, _I), np.kron(_X, _I), np.kron(_I, _Z
 _SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])).copy()
 for _m in (_SZ1, _SX1, _SZ2, _SX2, _SZZ, _SPIN_FLIP):
     _m.setflags(write=False)
+# the six pairs j < k of eigenstates, whose products oscillate in rho(t)
+_J, _K = np.triu_indices(4, 1)
 
 
 def bell_state() -> np.ndarray:
@@ -156,15 +160,17 @@ def concurrence(rho):
     return float(values[0]) if rho.ndim == 2 else values.reshape(rho.shape[:-2])
 
 
-def _unit_phases(angle: np.ndarray) -> np.ndarray:
-    """exp(-i angle) elementwise, from one tangent of the half angle:
-    ((1 - tau^2) - 2i tau) / (1 + tau^2) with tau = tan(angle / 2)."""
-    tau = np.tan(0.5 * angle)
-    norm = 1.0 + tau * tau
-    phases = np.empty(tau.shape, dtype=complex)
-    np.divide(2.0 - norm, norm, out=phases.real)
-    np.divide(-2.0 * tau, norm, out=phases.imag)
-    return phases
+def _pair_spectra(energies: np.ndarray, amplitudes: np.ndarray):
+    """reduce_weighted's spectra of C / 2 + X(t), SPECTRA_BLOCK fields a
+    block: one column set of 16 entries, six frequencies E_j - E_k."""
+    for start in range(0, len(energies), SPECTRA_BLOCK):
+        rows = slice(start, start + SPECTRA_BLOCK)
+        columns = amplitudes[rows].swapaxes(-2, -1)
+        conjugates = columns.conj()
+        constant = 0.5 * (amplitudes[rows] @ conjugates)
+        coefficients = columns[:, _J, :, None] * conjugates[:, _K, None, :]
+        yield (constant.reshape(1, -1, 16), coefficients.reshape(1, -1, 6, 16),
+               energies[rows, _J] - energies[rows, _K])
 
 
 def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
@@ -179,11 +185,8 @@ def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
     psi = _pair_state(psi)
     energies, amplitudes, log_weight = _pair_fields(sys2, bath, th, backend, psi, correlated)
 
-    def term(rows, t):
-        phases = _unit_phases(energies[rows, None, :] * t[:, None])
-        evolved = sum(amplitudes[rows, None, :, j] * phases[:, :, j, None] for j in range(4))
-        projector = evolved[..., :, None] * evolved[..., None, :].conj()
-        return projector.reshape(*evolved.shape[:2], 16)
-
-    states, _ = reduce_weighted(term, log_weight, times, 16)
-    return states.reshape(*states.shape[:2], 4, 4)
+    sums, _ = reduce_weighted(_pair_spectra(energies, amplitudes), log_weight, times)
+    half = sums.reshape(*sums.shape[:2], 4, 4)
+    states = half + half.conj().swapaxes(-2, -1)
+    states.setflags(write=False)
+    return states

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from spinbath import configspace
 from spinbath.configspace import (COLLAPSE_CAP, ENUMERATION_CAP, Backend, _require_capacity,
-                                  collapse_classes, fold_fields, reduce_weighted)
+                                  _unit_phases, collapse_classes, fold_fields, reduce_weighted)
 from spinbath.errors import CapacityError, ParameterError
 from spinbath.model import BathParams, Boundary, SystemParams, Thermal, bath_sums, pure_state
 from spinbath.single_qubit import bloch_trajectory
-from spinbath.two_qubit import TwoQubitParams, bell_state, density_trajectory
+from spinbath.two_qubit import TwoQubitParams, _pair_fields, bell_state, density_trajectory
 
 
 def brute_force_classes(n, boundary):
@@ -41,20 +41,6 @@ def class_table(n, boundary):
 
 def class_records(k, w, log_multiplicity):
     return np.rec.fromarrays([k, w, log_multiplicity], names="k,w,log_multiplicity")
-
-
-def pairwise_over_rows(arr):
-    """The pairwise tree over axis 0, as the sweep once ran it with items
-    first: the reference for the items-last sweep."""
-    if arr.shape[0] == 0:
-        return np.zeros(arr.shape[1:], dtype=arr.dtype)
-    while arr.shape[0] > 1:
-        even = arr.shape[0] - (arr.shape[0] % 2)
-        paired = arr[0:even:2] + arr[1:even:2]
-        if arr.shape[0] % 2:
-            paired = np.concatenate([paired, arr[even:]], axis=0)
-        arr = paired
-    return arr[0]
 
 
 def reference_fold(field, log_weight):
@@ -163,14 +149,60 @@ class TestCollapseClasses:
         assert np.linalg.norm(points, axis=-1).max() <= 1.0 + 1e-12
 
 
-def ones(rows, t):
-    return np.ones((rows.stop - rows.start, t.size, 1))
+def block_spectra(constant, coefficients, frequencies, block=256):
+    """Whole spectra, as reduce_weighted takes them: block fields at a time."""
+    for start in range(0, coefficients.shape[1], block):
+        rows = slice(start, start + block)
+        yield constant[:, rows], coefficients[:, rows], frequencies[rows]
+
+
+def constant_spectra(values, block=256):
+    """The (fields, cols) values as spectra of one column set with constants
+    alone: one frequency, at zero amplitude."""
+    count, n_columns = values.shape
+    return block_spectra(values[None].astype(complex),
+                         np.zeros((1, count, 1, n_columns), dtype=complex),
+                         np.zeros((count, 1)), block)
+
+
+def random_spectrum(seed, count, n_sets, n_frequencies, n_columns):
+    """Constants, coefficients and frequencies of count random fields."""
+    rng = np.random.default_rng(seed)
+
+    def entries(*shape):
+        return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+
+    return (entries(n_sets, count, n_columns),
+            entries(n_sets, count, n_frequencies, n_columns),
+            rng.uniform(-5.0, 5.0, (count, n_frequencies)))
+
+
+def fsum_last(values):
+    """math.fsum over the last axis of a real array."""
+    rows = values.reshape(-1, values.shape[-1]).tolist()
+    return np.array([math.fsum(row) for row in rows]).reshape(values.shape[:-1])
+
+
+def fsum_reference(constant, coefficients, frequencies, log_weight, times):
+    """The spectral sum with np.exp phases and every sum over fields a
+    math.fsum of the weighted terms, divided by the fsum of the weights."""
+    weight = np.exp(log_weight - log_weight.max(axis=0))
+    out = np.empty((weight.shape[1], len(times)) + constant[:, 0].shape, dtype=complex)
+    for i, t in enumerate(times):
+        # (sets, fields, cols): each field's unweighted value at t
+        values = constant + np.einsum("gfmc,fm->gfc", coefficients,
+                                      np.exp(-1j * frequencies * t))
+        # (series, sets, cols, fields): the weighted terms, fields last
+        terms = np.einsum("gfc,fs->sgcf", values, weight)
+        out[:, i] = fsum_last(terms.real) + 1j * fsum_last(terms.imag)
+    return out / fsum_last(weight.T)[:, None, None, None]
 
 
 class TestReduceWeighted:
     def test_counts_patterns_enumerate(self):
-        means, log_partition = reduce_weighted(ones, np.zeros((1024, 1)), [0.0], 1)
-        assert means[0, 0, 0] == 1.0
+        means, log_partition = reduce_weighted(constant_spectra(np.ones((1024, 1))),
+                                               np.zeros((1024, 1)), [0.0])
+        assert means[0, 0, 0, 0] == 1.0
         assert log_partition[0] == math.log(1024.0)
 
     def test_counts_patterns_collapse(self):
@@ -210,113 +242,121 @@ class TestReduceWeighted:
     def test_non_finite_log_weight(self):
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ParameterError, match="log weight is not finite"):
-                reduce_weighted(ones, np.array([[0.0], [bad]]), [0.0], 1)
+                reduce_weighted(constant_spectra(np.ones((2, 1))), np.array([[0.0], [bad]]),
+                                [0.0])
 
     def test_log_weights_beyond_float_range(self):
         # exp(1000) overflows; the per-column shift keeps the means exact
-        values = np.array([1.0, 3.0])
-
-        def term(rows, t):
-            return np.broadcast_to(values[rows, None, None], (len(values[rows]), t.size, 1))
-
         log_weight = np.array([[1000.0, -1000.0], [1000.0 + math.log(3.0), -1000.0]])
-        means, log_partition = reduce_weighted(term, log_weight, [0.0, 1.0], 1)
-        assert means[0, :, 0] == pytest.approx([2.5, 2.5], rel=1e-15)
-        assert np.array_equal(means[1, :, 0], [2.0, 2.0])
+        means, log_partition = reduce_weighted(constant_spectra(np.array([[1.0], [3.0]])),
+                                               log_weight, [0.0, 1.0])
+        assert means[0, :, 0, 0] == pytest.approx([2.5, 2.5], rel=1e-15)
+        assert np.array_equal(means[1, :, 0, 0], [2.0, 2.0])
         assert log_partition == pytest.approx([1000.0 + math.log(4.0),
                                                -1000.0 + math.log(2.0)], rel=1e-15)
 
     def test_means_are_read_only(self):
-        means, _ = reduce_weighted(ones, np.zeros((3, 2)), [0.0, 1.0], 1)
-        assert means.shape == (2, 2, 1) and not means.flags.writeable
+        means, _ = reduce_weighted(block_spectra(*random_spectrum(1, 3, 2, 1, 5)),
+                                   np.zeros((3, 2)), [0.0, 1.0])
+        assert means.shape == (2, 2, 2, 5) and not means.flags.writeable
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=1, max_value=3000),
-           st.sampled_from([1, 7, 50, 1 << 15]))
+           st.sampled_from([1, 7, 97, configspace.BLOCK_ELEMENTS]))
     @settings(max_examples=30, deadline=None)
     def test_time_blocks_bit_identical(self, seed, count, elements):
-        rng = np.random.default_rng(seed)
-        values = rng.uniform(-1e3, 1e3, (count, 2))
-        log_weight = rng.uniform(-30.0, 30.0, (count, 2))
+        spectrum = random_spectrum(seed, count, 1, 3, 2)
+        log_weight = np.random.default_rng(seed).uniform(-30.0, 30.0, (count, 2))
         times = np.linspace(0.0, 1.0, 9)
-
-        def term(rows, t):
-            return values[rows, None, :] * (1.0 + t[:, None])
-
-        reference, log_partition = reduce_weighted(term, log_weight, times, 2)
+        reference, log_partition = reduce_weighted(block_spectra(*spectrum), log_weight, times)
         old = configspace.BLOCK_ELEMENTS
         configspace.BLOCK_ELEMENTS = elements
         try:
-            blocked = reduce_weighted(term, log_weight, times, 2)
+            blocked = reduce_weighted(block_spectra(*spectrum), log_weight, times)
         finally:
             configspace.BLOCK_ELEMENTS = old
-        assert np.array_equal(reference, blocked[0])
+        assert reference.tobytes() == blocked[0].tobytes()
         assert np.array_equal(log_partition, blocked[1])
         for i, t in enumerate(times):
-            assert np.array_equal(reduce_weighted(term, log_weight, [t], 2)[0][:, 0],
-                                  reference[:, i])
+            alone = reduce_weighted(block_spectra(*spectrum), log_weight, [t])[0]
+            assert alone[:, 0].tobytes() == reference[:, i].tobytes()
         # each weight column sums as it would alone
         for column in range(2):
-            alone = reduce_weighted(term, log_weight[:, column:column + 1], times, 2)
-            assert np.array_equal(alone[0][0], reference[column])
+            alone = reduce_weighted(block_spectra(*spectrum), log_weight[:, column:column + 1],
+                                    times)
+            assert alone[0][0].tobytes() == reference[column].tobytes()
             assert alone[1][0] == log_partition[column]
-
-    def test_item_block_changes_no_bit(self, monkeypatch):
-        # ITEM_BLOCK is a power of two, so the blockwise sweep and the
-        # normalizer evaluate one pairwise tree over all items
-        rng = np.random.default_rng(4)
-        values = rng.uniform(-1.0, 1.0, (3001, 3))
-        log_weight = rng.uniform(-20.0, 20.0, (3001, 2))
-
-        def term(rows, t):
-            return values[rows, None, :] * np.cos(t)[:, None]
-
-        results = []
-        for block in (256, 1024, 4096):
-            monkeypatch.setattr(configspace, "ITEM_BLOCK", block)
-            results.append(reduce_weighted(term, log_weight, np.linspace(0.0, 2.0, 5), 3))
-        for means, log_partition in results[1:]:
-            assert np.array_equal(means, results[0][0])
-            assert np.array_equal(log_partition, results[0][1])
 
     @pytest.mark.parametrize("elements", [configspace.BLOCK_ELEMENTS, 97])
     @pytest.mark.parametrize("n_series", [1, 2])
-    @pytest.mark.parametrize("dim, complex_terms", [(3, False), (16, True)])
-    @pytest.mark.parametrize("n_points", [1, 3])
-    @pytest.mark.parametrize("count", [1, 37, 1023, 1025, 3001, (1 << 16) + 1])
-    def test_matches_items_first_tree(self, monkeypatch, count, n_points, dim,
-                                      complex_terms, n_series, elements):
-        # one pairwise tree over the whole (items, S, T, dim) product, with
-        # the weights shifted and exp'd as the sweep does it
-        rng = np.random.default_rng(count)
-        values = rng.uniform(-1.0, 1.0, (count, dim))
-        if complex_terms:
-            values = values + 1j * rng.uniform(-1.0, 1.0, (count, dim))
-        log_weight = rng.uniform(-30.0, 30.0, (count, n_series))
-        times = np.linspace(0.0, 1.9, n_points)
-
-        def term(rows, t):
-            phase = np.exp(1j * t) if complex_terms else np.cos(t)
-            return values[rows, None, :] * phase[:, None]
-
+    # the one qubit's shape (one frequency, 3 columns) and the pair's (6, 16)
+    @pytest.mark.parametrize("n_frequencies, n_columns", [(1, 3), (6, 16)])
+    @pytest.mark.parametrize("times", [[1.9], np.linspace(0.0, 3.0, 11)],
+                             ids=["one_point", "grid"])
+    # counts around block_spectra's 256-field blocks, up to 17 blocks
+    @pytest.mark.parametrize("count", [1, 37, 1023, 1025, 3001, (1 << 12) + 1])
+    def test_no_bit_depends_on_time_blocks_series_or_column_sets(
+            self, monkeypatch, count, times, n_frequencies, n_columns, n_series, elements):
+        # every time point, series and column set is its own BLAS call of one
+        # shape, and block sums join by one pairwise tree over field blocks
+        constant, coefficients, frequencies = random_spectrum(count, count, 3, n_frequencies,
+                                                              n_columns)
+        log_weight = np.random.default_rng(count).uniform(-30.0, 30.0, (count, n_series))
+        others = sorted({1, 7, 97, configspace.BLOCK_ELEMENTS} - {elements})
         monkeypatch.setattr(configspace, "BLOCK_ELEMENTS", elements)
-        means, log_partition = reduce_weighted(term, log_weight, times, dim)
-        shift = log_weight.max(axis=0)
-        weight = np.exp(log_weight - shift)
-        normalizer = pairwise_over_rows(weight)
-        # one time point at a time keeps the reference's product small
-        want = np.stack([pairwise_over_rows(term(slice(0, count), times[i:i + 1])[:, None]
-                                            * weight[:, :, None, None])[:, 0]
-                         for i in range(n_points)], axis=1) / normalizer[:, None, None]
-        assert np.array_equal(means, want)
-        assert np.array_equal(log_partition, shift + np.log(normalizer))
+        means, _ = reduce_weighted(block_spectra(constant, coefficients, frequencies),
+                                   log_weight, times)
+        for other in others:
+            monkeypatch.setattr(configspace, "BLOCK_ELEMENTS", other)
+            blocked, _ = reduce_weighted(block_spectra(constant, coefficients, frequencies),
+                                         log_weight, times)
+            assert blocked.tobytes() == means.tobytes()
+        monkeypatch.setattr(configspace, "BLOCK_ELEMENTS", elements)
+        for column in range(n_series):
+            alone, _ = reduce_weighted(block_spectra(constant, coefficients, frequencies),
+                                       log_weight[:, column:column + 1], times)
+            assert alone.tobytes() == means[column:column + 1].tobytes()
+        for sets in ([0], [2], [1, 2], [2, 0]):
+            part, _ = reduce_weighted(block_spectra(constant[sets], coefficients[sets],
+                                                    frequencies), log_weight, times)
+            assert part.tobytes() == np.ascontiguousarray(means[:, :, sets]).tobytes()
+        want = fsum_reference(constant, coefficients, frequencies, log_weight, times)
+        assert np.abs(means - want).max() < 1e-13
 
     def test_accuracy_near_fsum(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(-1.0, 1.0, 100_000)
-        got = reduce_weighted(lambda rows, t: values[rows, None, None],
-                              np.zeros((values.size, 1)), [0.0], 1)[0][0, 0, 0]
-        assert abs(got * values.size - math.fsum(values)) < 1e-10
+        got = reduce_weighted(constant_spectra(values[:, None]),
+                              np.zeros((values.size, 1)), [0.0])[0][0, 0, 0, 0]
+        assert got.imag == 0.0
+        assert abs(got.real * values.size - math.fsum(values)) < 1e-10
+
+
+class TestUnitPhases:
+    def test_half_angle_phases_match_exp(self):
+        # the sweep's phases from tau = tan(-wt/2) against np.exp(-iwt) at the
+        # pair frequencies of real fields over a long grid, and at 0, pi,
+        # 2 pi and their neighbours, where tau is 0 or about 1e16; the
+        # modulus bound is 2 eps (worst measured 4.4e-16 over 10^6 random
+        # angles in [-1000, 1000])
+        rng = np.random.default_rng(5)
+        bath = BathParams(6, tuple(rng.uniform(-2, 2, 6)), tuple(rng.uniform(-2, 2, 6)),
+                          tuple(rng.uniform(-1, 1, 5)))
+        energies, _, _ = _pair_fields(TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0,
+                                                     delta2=1.0, lam=0.8), bath,
+                                      Thermal(1.0), Backend.ENUMERATE, bell_state(), (False,))
+        times = np.linspace(0.0, 200.0, 401)
+        special = [math.nextafter(x, direction) for x in (0.0, math.pi, 2 * math.pi)
+                   for direction in (-9.0, 9.0)]
+        angles = np.concatenate([(energies[:, None, :] * times[:, None]).ravel(),
+                                 [0.0, -0.0, math.pi, -math.pi, 2 * math.pi], special])
+        # a time of 1 scales no angle
+        phases, = _unit_phases(angles, np.ones(1))
+        assert np.abs(phases - np.exp(-1j * angles)).max() <= 1e-15
+        assert np.abs(np.abs(phases) - 1.0).max() <= 2 * np.finfo(float).eps
+        # t = 0 gives the identity exactly
+        assert np.all(phases[angles == 0.0] == 1.0)
+        assert np.all(_unit_phases(angles, np.zeros(1)) == 1.0)
 
 
 def fold_inputs(kind, n, seed):

@@ -11,9 +11,9 @@ The config header, the columns and the row count must match exactly. The
 values must agree within GOLDEN_TOL: every value is a Bloch component, a
 concurrence or a time of at most 20, and sin, cos, tan and exp may round
 differently by a few ulps across platforms and numpy builds, which moves
-the sums by about 1e-14 (the largest deliberate move so far, a change of
-LAPACK routine for the pair, was 3.7e-14; taking the sweep's phases from
-tan of the half angle moved them by at most 2.7e-15).
+the sums by about 1e-14 (the largest deliberate move so far, summing the
+sweep's spectra by BLAS calls, was 4.5e-14 at fig18; a change of LAPACK
+routine for the pair moved them by 3.7e-14).
 """
 
 import gzip

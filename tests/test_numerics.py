@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from spinbath.errors import ParameterError
 from spinbath.model import BathParams, Boundary, SystemParams
-from spinbath.numerics import RandomSpec, _pairwise_sum, gaussian_draw, hermitian_eig
+from spinbath.numerics import (RandomSpec, _pairwise_sum, _pairwise_total, gaussian_draw,
+                               hermitian_eig)
 from spinbath.oracle import _joint_matrix
 from spinbath.two_qubit import TwoQubitParams, _pair_hamiltonian
 
@@ -110,6 +111,17 @@ class TestPairwiseSum:
         total = pairwise_sum(np.asarray(values, dtype=float))
         expected = math.fsum(values)
         assert abs(total - expected) <= 1e-9 * max(1.0, sum(abs(v) for v in values))
+
+
+class TestPairwiseTotal:
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 6, 7, 11, 13, 14, 64, 65, 97, 300])
+    def test_rebuilds_the_stacked_tree(self, count):
+        # the carry stack adds the items of a stream in the tree that
+        # _pairwise_sum builds over them stacked, bit for bit
+        rng = np.random.default_rng(count)
+        items = rng.uniform(-1.0, 1.0, (count, 2, 3)) * 10.0 ** rng.integers(-8, 8, (count, 2, 3))
+        stacked = _pairwise_sum(np.moveaxis(items, 0, -1))
+        assert _pairwise_total(iter(items)).tobytes() == stacked.tobytes()
 
 
 class TestGaussianDraws:

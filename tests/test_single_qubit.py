@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbath import model, single_qubit, two_qubit
-from spinbath.configspace import Backend, collapse_classes, reduce_weighted
+from spinbath.configspace import Backend, collapse_classes
 from spinbath.errors import CapacityError, ParameterError
 from spinbath.model import (BathParams, Boundary, SystemParams, Thermal, bloch_components,
                             class_quantities, config_quantities, log_correlation_factor,
@@ -161,66 +161,39 @@ class TestTrajectories:
 
 def rodrigues_parts(sys1, bath, th, backend, psi, correlated):
     """The prepared Bloch vector, each field's rabi frequency and log weights,
-    and, written out with np.cross and a stacked axis, a function of rows
-    giving Rodrigues' n x p0 and p0 - n (n . p0) as (rows, 1, 3) arrays."""
+    and Rodrigues' n x p0 and p0 - n (n . p0) per field as (fields, 3)
+    arrays, written out with np.cross and a stacked axis."""
     p0 = np.array(bloch_components(psi))
     splitting, rabi, log_weight = _qubit_fields(sys1, bath, th, backend, psi, correlated)
     u = np.divide(splitting, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
     v = np.divide(sys1.delta, 2.0 * rabi, out=np.zeros_like(rabi), where=rabi != 0.0)
-
-    def parts(rows):
-        axis = np.stack((v[rows], np.zeros_like(v[rows]), u[rows]), axis=-1)
-        normal = np.cross(axis, p0)[:, None]
-        in_plane = (p0 - axis * (v[rows] * p0[0] + u[rows] * p0[2])[:, None])[:, None]
-        return normal, in_plane
-
-    return p0, rabi, log_weight, parts
+    axis = np.stack((v, np.zeros_like(v), u), axis=-1)
+    normal = np.cross(axis, p0)
+    in_plane = p0 - axis * (v * p0[0] + u * p0[2])[:, None]
+    return p0, rabi, log_weight, normal, in_plane
 
 
 def textbook_trajectory(sys1, bath, th, backend, psi, times, correlated):
-    """p0 plus the weighted Rodrigues displacement in its sin/cos form."""
-    p0, rabi, log_weight, parts = rodrigues_parts(sys1, bath, th, backend, psi, correlated)
-
-    def term(rows, t):
-        normal, in_plane = parts(rows)
-        angle = 2.0 * rabi[rows, None, None] * t[:, None]
-        return normal * np.sin(angle) - in_plane * (1.0 - np.cos(angle))
-
-    return p0 + reduce_weighted(term, log_weight, times, 3)[0]
+    """p0 plus the Rodrigues displacement in its sin/cos form, summed over
+    the fields directly under normalized weights: (S, T, 3)."""
+    p0, rabi, log_weight, normal, in_plane = rodrigues_parts(sys1, bath, th, backend, psi,
+                                                             correlated)
+    weight = np.exp(log_weight - log_weight.max(axis=0))
+    weight /= weight.sum(axis=0)
+    angle = 2.0 * rabi[:, None, None] * np.asarray(times)[:, None]
+    displacement = normal[:, None] * np.sin(angle) - in_plane[:, None] * (1.0 - np.cos(angle))
+    return p0 + (weight.T[:, :, None, None] * displacement).sum(axis=1)
 
 
 RODRIGUES_STATES = AXIS_STATES + (pure_state([-0.6, 0.8]), pure_state([0.28, -0.96j]))
 
 
 class TestRodrigues:
-    @pytest.mark.parametrize("boundary", list(Boundary))
-    def test_matches_half_angle_sum_bit_for_bit(self, boundary):
-        # the sweep's Rodrigues components and its half-angle displacement
-        # are written in place; they must round exactly as the form with
-        # np.cross, a stacked axis and tau = tan(rabi t) written out
-        sys1 = SystemParams(epsilon=0.7, delta=-1.1)
-        bath = BathParams.uniform(30, 0.4, 0.3, -0.2, boundary)
-        th = Thermal(1.5)
-        times = np.linspace(0.0, 12.0, 41)
-        for psi in RODRIGUES_STATES:
-            got = bloch_trajectory(sys1, bath, th, Backend.COLLAPSE, psi, times, (False, True))
-            p0, rabi, log_weight, parts = rodrigues_parts(sys1, bath, th, Backend.COLLAPSE,
-                                                          psi, (False, True))
-
-            def term(rows, t):
-                normal, in_plane = parts(rows)
-                tau = np.tan(rabi[rows, None, None] * t[:, None])
-                return (normal - in_plane * tau) * tau * 2.0 / (1.0 + tau * tau)
-
-            want = p0 + reduce_weighted(term, log_weight, times, 3)[0]
-            assert got.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("backend", list(Backend))
     def test_matches_sin_cos_sum(self, backend):
-        # the half-angle form against the textbook (n x p0) sin(2 rabi t) -
-        # perp (1 - cos(2 rabi t)); both scale the angle exactly, so they
-        # differ by the rounding of tan against sin and cos (worst measured
-        # 4.4e-16 on these cases)
+        # the spectral sweep against the textbook (n x p0) sin(2 rabi t) -
+        # perp (1 - cos(2 rabi t)), summed directly: they differ by the
+        # rounding of tan against sin and cos and by the summation order
         sys1 = SystemParams(epsilon=0.7, delta=-1.1)
         th = Thermal(1.5)
         times = np.linspace(0.0, 40.0, 81)
@@ -260,9 +233,10 @@ class TestRodrigues:
 
     @pytest.mark.parametrize("backend", list(Backend))
     def test_zero_rabi_leaves_p0_in_place(self, backend):
-        # epsilon = delta = g = 0: every field has rabi == 0, so tau = 0 and
-        # the prepared vector comes back exactly at every time (a -0.0 entry
-        # as +0.0, since p0 + d adds d's +-0)
+        # epsilon = delta = g = 0: every field has rabi == 0, so every phase
+        # is 1, the constant part cancels the oscillating one exactly, and
+        # the prepared vector comes back at every time (a -0.0 entry as +0.0
+        # where t != 0, since p0 + d adds d's +0)
         sys1 = SystemParams(epsilon=0.0, delta=0.0)
         bath = BathParams.uniform(5, 0.4, 0.0, -0.2)
         times = np.array([0.0, 0.5, 7.0, 1e6])
@@ -270,11 +244,26 @@ class TestRodrigues:
             got = bloch_trajectory(sys1, bath, Thermal(1.5), backend, psi, times, (False, True))
             assert np.array_equal(got, np.broadcast_to(bloch_components(psi), got.shape))
 
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_time_zero_rows_are_p0_bit_for_bit(self, backend):
+        # (-0.6, 0.8) has p_y == -0.0 and (0.28, -0.96j) has p_x == -0.0: the
+        # rows at t == 0 are the prepared components themselves, signed
+        # zeros included, in every series and requested component
+        sys1 = SystemParams(epsilon=0.7, delta=-1.1)
+        bath = BathParams.uniform(8, 0.4, 0.3, -0.2)
+        for psi in (pure_state([-0.6, 0.8]), pure_state([0.28, -0.96j])):
+            p0 = np.array(bloch_components(psi))
+            for components in ("xyz", "y", "zx"):
+                idx = ["xyz".index(letter) for letter in components]
+                got = bloch_trajectory(sys1, bath, Thermal(1.5), backend, psi,
+                                       [0.0, 0.0, 1.0], (False, True), components)
+                assert got[:, :2].tobytes() == np.tile(p0[idx], (2, 2, 1)).tobytes()
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
     def test_time_zero_displacement_is_exactly_zero(self, seed):
-        # tau = tan(rabi * 0) is +-0, so d is +-0 and p0 + d equals p0 in
-        # every series and component, states with zero components included
+        # every phase is 1 at t == 0, where p0 comes back in every series
+        # and component, states with zero components included
         sys1, bath, _ = random_inputs(seed, n=6)
         for psi in RODRIGUES_STATES + (pure_state([0.6, -0.8]), pure_state([-0.28j, 0.96])):
             got = bloch_trajectory(sys1, bath, Thermal(1.2), Backend.ENUMERATE, psi,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from spinbath import two_qubit
 from spinbath.configspace import ITEM_BLOCK, Backend
 from spinbath.errors import ParameterError
+from spinbath.experiments import list_presets, preset
 from spinbath.model import BathParams, Boundary, Thermal, pure_state
 from spinbath.numerics import hermitian_eig
 from spinbath.oracle import build_hamiltonian, evolve_and_reduce, initial_state
@@ -108,28 +109,6 @@ class TestInteractingRoute:
         assert np.abs(states - rho_o).max() < 1e-9
 
 
-class TestPhases:
-    def test_half_angle_phases_match_exp(self):
-        # the sweep's phases from tau = tan(Et/2) against np.exp(-iEt) at the
-        # angles of real fields over a long grid, and at 0, pi, 2 pi and their
-        # neighbours, where tau is 0 or about 1e16; the modulus bound is 2 eps
-        # (worst measured 4.4e-16 over 10^6 random angles in [-1000, 1000])
-        bath = random_bath(5, n=6)
-        energies, _, _ = two_qubit._pair_fields(TwoQubitParams(lam=0.8, **BASE), bath,
-                                                Thermal(1.0), Backend.ENUMERATE,
-                                                bell_state(), (False,))
-        times = np.linspace(0.0, 200.0, 401)
-        special = [math.nextafter(x, direction) for x in (0.0, math.pi, 2 * math.pi)
-                   for direction in (-9.0, 9.0)]
-        angles = np.concatenate([(energies[:, None, :] * times[:, None]).ravel(),
-                                 [0.0, -0.0, math.pi, -math.pi, 2 * math.pi], special])
-        phases = two_qubit._unit_phases(angles)
-        assert np.abs(phases - np.exp(-1j * angles)).max() <= 1e-15
-        assert np.abs(np.abs(phases) - 1.0).max() <= 2 * np.finfo(float).eps
-        # t = 0 gives the identity exactly
-        assert np.all(phases[angles == 0.0] == 1.0)
-
-
 class TestTrajectories:
     def test_beta_zero_correlations_vanish(self):
         sys2 = TwoQubitParams(lam=2.0, **BASE)
@@ -157,6 +136,19 @@ class TestTrajectories:
             b = density_trajectory(sys2, bath, Thermal(1.0), Backend.COLLAPSE,
                                    bell_state(), times, (False, True))
             assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize("name", [name for name in list_presets()
+                                      if preset(name).mode == "two_qubit"])
+    def test_preset_states_are_exactly_hermitian(self, name):
+        # rho = S + S^dagger: each entry and its mirror's conjugate add the
+        # same two numbers, so they are equal exactly (a zero may differ in
+        # sign), and the diagonal's imaginary parts cancel to zero
+        config = preset(name)
+        states = density_trajectory(config.system, config.bath.materialize(), config.thermal(),
+                                    config.backend, config.state_vector(), config.grid.times(),
+                                    (False, True))
+        assert np.array_equal(states, states.conj().swapaxes(-2, -1))
+        assert not np.diagonal(states, axis1=-2, axis2=-1).imag.any()
 
     def test_every_output_is_a_valid_state(self):
         sys2 = TwoQubitParams(lam=3.0, **BASE)
