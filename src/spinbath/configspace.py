@@ -10,10 +10,12 @@ fields (fold_fields) before any qubit work:
              per-pattern scalars when the bath parameters are uniform, cost
              O(N^2) classes, which is what makes N = 50 runs instant.
 
-The weighted sums over fields (reduce_weighted) are bit-identical from run
-to run: each is a BLAS call per block of fields, series, column set and
-time point, of a shape set by the block alone, and block sums join by one
-pairwise tree, so how the time points are grouped changes nothing.
+The weighted sums over fields (reduce_weighted) are the trajectories'
+displacements from the prepared state, each term exactly 0 at t == 0. They
+are bit-identical from run to run: each is a BLAS call per block of fields,
+series, column set and time point, of a shape set by the block alone, and
+block sums join by one pairwise tree, so how the time points are grouped
+changes nothing.
 """
 
 from __future__ import annotations
@@ -170,32 +172,33 @@ def series_log_weights(log_weight, log_factor, correlated: tuple[bool, ...]) -> 
 
 
 def _unit_phases(frequencies: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i w t) at each of times (rows) and frequencies w (columns), from
-    one tangent of the half angle: with tau = tan(-w t / 2) and
-    r = 2 / (1 + tau^2), exp(-i w t) = (r - 1) + i tau r."""
-    tau = np.multiply(times[:, None], -0.5 * frequencies)
+    """1 - exp(-i w t) at each of times (rows) and frequencies w (columns),
+    from one tangent of the half angle: with tau = tan(w t / 2) and
+    r = 2 / (1 + tau^2), 1 - exp(-i w t) = tau^2 r + i tau r, exactly 0 where
+    w t is 0."""
+    tau = np.multiply(times[:, None], 0.5 * frequencies)
     np.tan(tau, out=tau)
     phases = np.empty(tau.shape, dtype=complex)
-    r = np.multiply(tau, tau, out=phases.real)
-    r += 1.0
+    np.multiply(tau, tau, out=phases.real)
+    r = np.add(phases.real, 1.0, out=phases.imag)
     np.divide(2.0, r, out=r)
-    np.multiply(tau, r, out=phases.imag)
-    r -= 1.0
+    phases.real *= r
+    r *= tau
     return phases
 
 
 def reduce_weighted(spectra, log_weight, times) -> tuple[np.ndarray, np.ndarray]:
-    """The spectral sums S_s(t) = sum_b W_sb [c_b + sum_m a_bm exp(-i w_bm t)]
+    """The spectral sums S_s(t) = sum_b W_sb sum_m a_bm (1 - exp(-i w_bm t))
     / Z_s over fields b, one per column s of the (fields, S) log weights
-    log W_sb: read-only, (S, len(times), G, cols), with log Z_s (S,).
+    log W_sb: read-only, (S, len(times), G, cols), with log Z_s (S,). Each is
+    a displacement from the prepared state, exactly 0 at t == 0 and in every
+    term with w == 0.
 
     spectra yields, block by block in log_weight's row order, f fields'
-    constants c (G, f, cols), coefficients a (G, f, M, cols) and frequencies
-    w (f, M): G sets of cols complex columns. times are as _time_grid makes
-    them. Each column of log weights is shifted by its largest entry, so no
-    weight overflows and Z_s >= 1. The constants are summed by calls of the
-    shape each time point's takes when M == 1, so unit phases cancel them
-    exactly.
+    coefficients a (G, f, M, cols) and frequencies w (f, M): G sets of cols
+    complex columns. times are as _time_grid makes them. Each column of log
+    weights is shifted by its largest entry, so no weight overflows and
+    Z_s >= 1.
     """
     t = np.asarray(times, dtype=float)
     # (S, fields), so the normalizer's tree runs over the last axis; a copy
@@ -207,23 +210,21 @@ def reduce_weighted(spectra, log_weight, times) -> tuple[np.ndarray, np.ndarray]
 
     def block_sums():
         start = 0
-        for constant, coefficients, frequencies in spectra:
+        for coefficients, frequencies in spectra:
             n_sets, count, _, n_columns = coefficients.shape
-            # (S, 1, f, 1): each series' weights of the block's fields
-            block_weight = weight[:, None, start:start + count, None]
+            # (S, 1, f, 1, 1): each series' weights of the block's fields
+            block_weight = weight[:, None, start:start + count, None, None]
             start += count
-            # (S, G, T, cols), from one (1, f) @ (f, cols) call per series and set
-            sums = np.repeat(np.matmul(np.ones((1, count), dtype=complex),
-                                       constant * block_weight), t.size, axis=2)
-            weighted = (coefficients * block_weight[..., None]).reshape(
+            weighted = (coefficients * block_weight).reshape(
                 len(weight), n_sets, 1, frequencies.size, n_columns)
+            sums = np.empty((len(weight), n_sets, t.size, n_columns), dtype=complex)
             step = max(1, BLOCK_ELEMENTS // frequencies.size)
             for begin in range(0, t.size, step):
                 points = slice(begin, begin + step)
                 with np.errstate(over="ignore", invalid="ignore"):
                     phases = _unit_phases(frequencies.reshape(-1), t[points])
                 # one (1, f M) @ (f M, cols) call per series, set and point
-                sums[:, :, points] += np.matmul(phases[:, None], weighted)[..., 0, :]
+                sums[:, :, points] = np.matmul(phases[:, None], weighted)[..., 0, :]
             yield sums
 
     means = _pairwise_total(block_sums()).swapaxes(1, 2)

@@ -112,11 +112,6 @@ class BathParams:
     def bond_count(self) -> int:
         return self.n_spins if self.boundary is Boundary.PERIODIC else self.n_spins - 1
 
-    @functools.cached_property
-    def _half_chain_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        # built on the first bath_sums call, then kept with the bath
-        return _half_chain_tables(self)
-
     @classmethod
     def uniform(cls, n_spins: int, eps: float, g: float, chi: float,
                 boundary: Boundary = Boundary.OPEN) -> "BathParams":
@@ -213,13 +208,13 @@ def bath_sums(bath: BathParams) -> np.ndarray:
 
     Each sum is a low-half term plus a high-half term (the meet-in-the-middle
     split of Horowitz and Sahni, J. ACM 21, 1974): the bath's half-chain
-    tables, built once per bath, are added in one broadcast, and only the
-    bond across the cut and, on a ring, the bond from site N back to site 1
-    are added after it, in place on strided views: O(2^N) adds, not O(2^N N)
-    multiplies, and nothing 2^N-sized beside the table. N is at most
-    ENUMERATION_CAP, as the trajectories check before calling."""
+    tables are added in one broadcast, and only the bond across the cut and,
+    on a ring, the bond from site N back to site 1 are added after it, in
+    place on strided views: O(2^N) adds, not O(2^N N) multiplies, and
+    nothing 2^N-sized beside the table. N is at most ENUMERATION_CAP, as the
+    trajectories check before calling."""
     n = bath.n_spins
-    low, high = bath._half_chain_sums
+    low, high = _half_chain_tables(bath)
     cut = (n + 1) // 2
     # column lo | hi << cut holds low's column lo plus high's column hi
     sums = (low[:, None, :] + high[:, :, None]).reshape(3, -1)

@@ -14,10 +14,11 @@ Per field the rotation is by the angle 2*rabi*t about the unit axis
 n = (v, 0, u), with (u, v) = (splitting, delta)/(2*rabi). By Rodrigues'
 formula, with A = n x p0 and B = p0 - n (n . p0), the displacement is
 
-        d(t) = A sin(2 rabi t) - B (1 - cos(2 rabi t)) = -B + Re((B + iA) exp(-2i rabi t)),
+        d(t) = A sin(2 rabi t) - B (1 - cos(2 rabi t)) = -Re((B + iA) (1 - exp(-2i rabi t))),
 
-a spectrum that configspace.reduce_weighted sums. At rabi == 0 (n = 0) the
-unit phase cancels the constant exactly; the rows at t == 0 are p0 itself.
+one coefficient B + iA at the frequency 2 rabi, which configspace.reduce_weighted
+sums. At rabi == 0 (n = 0) and at t == 0 the displacement is exactly zero;
+the rows at t == 0 are p0 itself.
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ def _component_indices(components) -> list[int]:
 
 
 def _bloch_spectra(delta: float, p0, splitting, rabi, idx: list[int]):
-    """reduce_weighted's spectra of the displacements of the components idx,
-    one column set each, SETUP_BLOCK fields a block: constant -B and
-    coefficient B + iA at the frequency 2 rabi."""
+    """reduce_weighted's spectra of minus the displacements of the components
+    idx, one column set each, SETUP_BLOCK fields a block: the coefficient
+    B + iA at the frequency 2 rabi."""
     for start in range(0, len(rabi), SETUP_BLOCK):
         rows = slice(start, start + SETUP_BLOCK)
         twice = 2.0 * rabi[rows]
@@ -88,8 +89,7 @@ def _bloch_spectra(delta: float, p0, splitting, rabi, idx: list[int]):
         axis, dot = (v, 0.0, u), v * p0[0] + u * p0[2]
         perp = np.array([p0[i] - axis[i] * dot for i in idx])
         cross = np.array([axis[i - 2] * p0[i - 1] - axis[i - 1] * p0[i - 2] for i in idx])
-        yield ((-perp + 0j)[..., None], np.stack([perp, cross], axis=-1).view(complex)[..., None],
-               twice[:, None])
+        yield np.stack([perp, cross], axis=-1).view(complex)[..., None], twice[:, None]
 
 
 def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
@@ -110,8 +110,9 @@ def bloch_trajectory(sys: SystemParams, bath: BathParams, th: Thermal,
     splitting, rabi, log_weight = _qubit_fields(sys, bath, th, backend, psi, correlated)
     sums, _ = reduce_weighted(_bloch_spectra(sys.delta, p0, splitting, rabi, idx),
                               log_weight, times)
-    p = p0[idx] + sums.real[..., 0]
-    # every phase is 1 at t == 0, where p0 comes back as it is, -0.0 included
+    p = p0[idx] - sums.real[..., 0]
+    # the sums are signed zeros at t == 0, and subtracting a -0 would turn a
+    # -0.0 of p0 into +0.0: those rows are p0 as it is
     p[:, times == 0.0] = p0[idx]
     p.setflags(write=False)
     return p

@@ -6,12 +6,12 @@ splittings (eps1 + g_sum, eps2 + g_sum) and the qubit-qubit coupling lam.
 Patterns that share g_sum share that problem, so they are folded onto their
 distinct fields, whose real symmetric conditional Hamiltonians are
 diagonalized in batches. With the amplitude columns A_j = V_j (V_j . psi)
-of their eigenvectors, rho(t) = C + X(t) + X(t)^dagger for
-C = sum_j A_j A_j^dagger and X(t) = sum_{j<k} A_j A_k^dagger
-exp(-i (E_j - E_k) t): the sweep sums C / 2 + X(t) under each series'
-weights (uncorrelated or correlated, as for one qubit) and adds the
-conjugate transpose, so every state is exactly Hermitian. Entanglement is
-the standard spin-flip concurrence.
+of their eigenvectors, psi = sum_j A_j, and rho(t) = psi psi^dagger - D(t)
+- D(t)^dagger for D(t) = sum_{j<k} A_j A_k^dagger (1 - exp(-i (E_j - E_k) t)):
+the sweep sums D under each series' weights (uncorrelated or correlated, as
+for one qubit), and the state is H + H^dagger for H = psi psi^dagger / 2 - D,
+so every state is exactly Hermitian and the t == 0 rows are the prepared
+projector itself. Entanglement is the standard spin-flip concurrence.
 
 Basis order: qubit 1 is the most significant bit of the 4 amplitudes, so
 index 0 is both up and index 3 both down.
@@ -161,16 +161,13 @@ def concurrence(rho):
 
 
 def _pair_spectra(energies: np.ndarray, amplitudes: np.ndarray):
-    """reduce_weighted's spectra of C / 2 + X(t), SPECTRA_BLOCK fields a
-    block: one column set of 16 entries, six frequencies E_j - E_k."""
+    """reduce_weighted's spectra of D(t), SPECTRA_BLOCK fields a block: one
+    column set of 16 entries A_j A_k^dagger at the six frequencies E_j - E_k."""
     for start in range(0, len(energies), SPECTRA_BLOCK):
         rows = slice(start, start + SPECTRA_BLOCK)
         columns = amplitudes[rows].swapaxes(-2, -1)
-        conjugates = columns.conj()
-        constant = 0.5 * (amplitudes[rows] @ conjugates)
-        coefficients = columns[:, _J, :, None] * conjugates[:, _K, None, :]
-        yield (constant.reshape(1, -1, 16), coefficients.reshape(1, -1, 6, 16),
-               energies[rows, _J] - energies[rows, _K])
+        coefficients = columns[:, _J, :, None] * columns[:, _K, None, :].conj()
+        yield coefficients.reshape(1, -1, 6, 16), energies[rows, _J] - energies[rows, _K]
 
 
 def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
@@ -186,7 +183,7 @@ def density_trajectory(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
     energies, amplitudes, log_weight = _pair_fields(sys2, bath, th, backend, psi, correlated)
 
     sums, _ = reduce_weighted(_pair_spectra(energies, amplitudes), log_weight, times)
-    half = sums.reshape(*sums.shape[:2], 4, 4)
+    half = 0.5 * np.outer(psi, psi.conj()) - sums.reshape(*sums.shape[:2], 4, 4)
     states = half + half.conj().swapaxes(-2, -1)
     states.setflags(write=False)
     return states

@@ -149,31 +149,27 @@ class TestCollapseClasses:
         assert np.linalg.norm(points, axis=-1).max() <= 1.0 + 1e-12
 
 
-def block_spectra(constant, coefficients, frequencies, block=256):
+def block_spectra(coefficients, frequencies, block=256):
     """Whole spectra, as reduce_weighted takes them: block fields at a time."""
     for start in range(0, coefficients.shape[1], block):
         rows = slice(start, start + block)
-        yield constant[:, rows], coefficients[:, rows], frequencies[rows]
+        yield coefficients[:, rows], frequencies[rows]
 
 
-def constant_spectra(values, block=256):
-    """The (fields, cols) values as spectra of one column set with constants
-    alone: one frequency, at zero amplitude."""
+def doubled_spectra(values, block=256):
+    """The (fields, cols) values / 2 as spectra of one column set at the one
+    frequency pi, so that at t = 1, where 1 - exp(-i pi) = 2 + 1.2e-16 i,
+    each field's term is its value (the real part 2 exactly)."""
     count, n_columns = values.shape
-    return block_spectra(values[None].astype(complex),
-                         np.zeros((1, count, 1, n_columns), dtype=complex),
-                         np.zeros((count, 1)), block)
+    return block_spectra((0.5 * values)[None, :, None].astype(complex),
+                         np.full((count, 1), math.pi), block)
 
 
 def random_spectrum(seed, count, n_sets, n_frequencies, n_columns):
-    """Constants, coefficients and frequencies of count random fields."""
+    """Coefficients and frequencies of count random fields."""
     rng = np.random.default_rng(seed)
-
-    def entries(*shape):
-        return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
-
-    return (entries(n_sets, count, n_columns),
-            entries(n_sets, count, n_frequencies, n_columns),
+    shape = (n_sets, count, n_frequencies, n_columns)
+    return (rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape),
             rng.uniform(-5.0, 5.0, (count, n_frequencies)))
 
 
@@ -183,15 +179,14 @@ def fsum_last(values):
     return np.array([math.fsum(row) for row in rows]).reshape(values.shape[:-1])
 
 
-def fsum_reference(constant, coefficients, frequencies, log_weight, times):
+def fsum_reference(coefficients, frequencies, log_weight, times):
     """The spectral sum with np.exp phases and every sum over fields a
     math.fsum of the weighted terms, divided by the fsum of the weights."""
     weight = np.exp(log_weight - log_weight.max(axis=0))
-    out = np.empty((weight.shape[1], len(times)) + constant[:, 0].shape, dtype=complex)
+    out = np.empty((weight.shape[1], len(times)) + coefficients[:, 0, 0].shape, dtype=complex)
     for i, t in enumerate(times):
         # (sets, fields, cols): each field's unweighted value at t
-        values = constant + np.einsum("gfmc,fm->gfc", coefficients,
-                                      np.exp(-1j * frequencies * t))
+        values = np.einsum("gfmc,fm->gfc", coefficients, 1.0 - np.exp(-1j * frequencies * t))
         # (series, sets, cols, fields): the weighted terms, fields last
         terms = np.einsum("gfc,fs->sgcf", values, weight)
         out[:, i] = fsum_last(terms.real) + 1j * fsum_last(terms.imag)
@@ -200,9 +195,9 @@ def fsum_reference(constant, coefficients, frequencies, log_weight, times):
 
 class TestReduceWeighted:
     def test_counts_patterns_enumerate(self):
-        means, log_partition = reduce_weighted(constant_spectra(np.ones((1024, 1))),
-                                               np.zeros((1024, 1)), [0.0])
-        assert means[0, 0, 0, 0] == 1.0
+        means, log_partition = reduce_weighted(doubled_spectra(np.ones((1024, 1))),
+                                               np.zeros((1024, 1)), [1.0])
+        assert means[0, 0, 0, 0].real == 1.0
         assert log_partition[0] == math.log(1024.0)
 
     def test_counts_patterns_collapse(self):
@@ -242,16 +237,16 @@ class TestReduceWeighted:
     def test_non_finite_log_weight(self):
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ParameterError, match="log weight is not finite"):
-                reduce_weighted(constant_spectra(np.ones((2, 1))), np.array([[0.0], [bad]]),
-                                [0.0])
+                reduce_weighted(doubled_spectra(np.ones((2, 1))), np.array([[0.0], [bad]]),
+                                [1.0])
 
     def test_log_weights_beyond_float_range(self):
         # exp(1000) overflows; the per-column shift keeps the means exact
         log_weight = np.array([[1000.0, -1000.0], [1000.0 + math.log(3.0), -1000.0]])
-        means, log_partition = reduce_weighted(constant_spectra(np.array([[1.0], [3.0]])),
-                                               log_weight, [0.0, 1.0])
-        assert means[0, :, 0, 0] == pytest.approx([2.5, 2.5], rel=1e-15)
-        assert np.array_equal(means[1, :, 0, 0], [2.0, 2.0])
+        means, log_partition = reduce_weighted(doubled_spectra(np.array([[1.0], [3.0]])),
+                                               log_weight, [1.0, 3.0])
+        assert means[0, :, 0, 0].real == pytest.approx([2.5, 2.5], rel=1e-15)
+        assert np.array_equal(means[1, :, 0, 0].real, [2.0, 2.0])
         assert log_partition == pytest.approx([1000.0 + math.log(4.0),
                                                -1000.0 + math.log(2.0)], rel=1e-15)
 
@@ -299,46 +294,46 @@ class TestReduceWeighted:
             self, monkeypatch, count, times, n_frequencies, n_columns, n_series, elements):
         # every time point, series and column set is its own BLAS call of one
         # shape, and block sums join by one pairwise tree over field blocks
-        constant, coefficients, frequencies = random_spectrum(count, count, 3, n_frequencies,
-                                                              n_columns)
+        coefficients, frequencies = random_spectrum(count, count, 3, n_frequencies, n_columns)
         log_weight = np.random.default_rng(count).uniform(-30.0, 30.0, (count, n_series))
         others = sorted({1, 7, 97, configspace.BLOCK_ELEMENTS} - {elements})
         monkeypatch.setattr(configspace, "BLOCK_ELEMENTS", elements)
-        means, _ = reduce_weighted(block_spectra(constant, coefficients, frequencies),
+        means, _ = reduce_weighted(block_spectra(coefficients, frequencies),
                                    log_weight, times)
         for other in others:
             monkeypatch.setattr(configspace, "BLOCK_ELEMENTS", other)
-            blocked, _ = reduce_weighted(block_spectra(constant, coefficients, frequencies),
+            blocked, _ = reduce_weighted(block_spectra(coefficients, frequencies),
                                          log_weight, times)
             assert blocked.tobytes() == means.tobytes()
         monkeypatch.setattr(configspace, "BLOCK_ELEMENTS", elements)
         for column in range(n_series):
-            alone, _ = reduce_weighted(block_spectra(constant, coefficients, frequencies),
+            alone, _ = reduce_weighted(block_spectra(coefficients, frequencies),
                                        log_weight[:, column:column + 1], times)
             assert alone.tobytes() == means[column:column + 1].tobytes()
         for sets in ([0], [2], [1, 2], [2, 0]):
-            part, _ = reduce_weighted(block_spectra(constant[sets], coefficients[sets],
-                                                    frequencies), log_weight, times)
+            part, _ = reduce_weighted(block_spectra(coefficients[sets], frequencies),
+                                      log_weight, times)
             assert part.tobytes() == np.ascontiguousarray(means[:, :, sets]).tobytes()
-        want = fsum_reference(constant, coefficients, frequencies, log_weight, times)
+        want = fsum_reference(coefficients, frequencies, log_weight, times)
         assert np.abs(means - want).max() < 1e-13
 
     def test_accuracy_near_fsum(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(-1.0, 1.0, 100_000)
-        got = reduce_weighted(constant_spectra(values[:, None]),
-                              np.zeros((values.size, 1)), [0.0])[0][0, 0, 0, 0]
-        assert got.imag == 0.0
+        got = reduce_weighted(doubled_spectra(values[:, None]),
+                              np.zeros((values.size, 1)), [1.0])[0][0, 0, 0, 0]
         assert abs(got.real * values.size - math.fsum(values)) < 1e-10
+        # the phase's imaginary part is sin(pi) in floats, 1.2e-16
+        assert abs(got.imag) < 1e-16
 
 
 class TestUnitPhases:
     def test_half_angle_phases_match_exp(self):
-        # the sweep's phases from tau = tan(-wt/2) against np.exp(-iwt) at the
-        # pair frequencies of real fields over a long grid, and at 0, pi,
-        # 2 pi and their neighbours, where tau is 0 or about 1e16; the
-        # modulus bound is 2 eps (worst measured 4.4e-16 over 10^6 random
-        # angles in [-1000, 1000])
+        # the sweep's 1 - exp(-iwt) from tau = tan(wt/2) against np.exp at
+        # the pair frequencies of real fields over a long grid, and at 0, pi,
+        # 2 pi and their neighbours, where tau is 0 or about 1e16. Measured on
+        # these angles: 5.0e-16 from np.exp, and |exp(-iwt)| = |1 - phases|
+        # within 2 eps of 1, which is the modulus bound
         rng = np.random.default_rng(5)
         bath = BathParams(6, tuple(rng.uniform(-2, 2, 6)), tuple(rng.uniform(-2, 2, 6)),
                           tuple(rng.uniform(-1, 1, 5)))
@@ -352,11 +347,11 @@ class TestUnitPhases:
                                  [0.0, -0.0, math.pi, -math.pi, 2 * math.pi], special])
         # a time of 1 scales no angle
         phases, = _unit_phases(angles, np.ones(1))
-        assert np.abs(phases - np.exp(-1j * angles)).max() <= 1e-15
-        assert np.abs(np.abs(phases) - 1.0).max() <= 2 * np.finfo(float).eps
-        # t = 0 gives the identity exactly
-        assert np.all(phases[angles == 0.0] == 1.0)
-        assert np.all(_unit_phases(angles, np.zeros(1)) == 1.0)
+        assert np.abs(phases - (1 - np.exp(-1j * angles))).max() <= 1e-15
+        assert np.abs(np.abs(1 - phases) - 1.0).max() <= 2 * np.finfo(float).eps
+        # t = 0 gives exactly zero
+        assert np.all(phases[angles == 0.0] == 0.0)
+        assert np.all(_unit_phases(angles, np.zeros(1)) == 0.0)
 
 
 def fold_inputs(kind, n, seed):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinbath
-from spinbath import experiments, single_qubit, two_qubit
+from spinbath import experiments, model, single_qubit, two_qubit
 from spinbath.configspace import Backend, _require_capacity, collapse_classes
 from spinbath.errors import CapacityError, ParameterError, UsageError
 from spinbath.experiments import (BathSpec, ExperimentConfig, GaussianStats,
@@ -406,11 +406,13 @@ def test_time_grid_may_repeat_a_point():
 
 # bath_sums trusts the cap: each trajectory refuses the bath before its tables exist
 @pytest.mark.parametrize("run", [_single_run, _pair_run])
-def test_beyond_enumeration_cap_is_refused_before_bath_tables(run):
+def test_beyond_enumeration_cap_is_refused_before_bath_tables(monkeypatch, run):
+    calls = []
+    monkeypatch.setattr(model, "_half_chain_tables", calls.append)
     bath = BathParams.uniform(ENUMERATION_CAP + 1, 0.5, 1.5, 0.1)
     with pytest.raises(CapacityError, match="only a uniform bath runs beyond"):
         run(bath=bath)
-    assert "_half_chain_sums" not in vars(bath)
+    assert calls == []
 
 
 def test_text_that_converts_stays_accepted():

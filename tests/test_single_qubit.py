@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath import model, single_qubit, two_qubit
+from spinbath import single_qubit, two_qubit
 from spinbath.configspace import Backend, collapse_classes
 from spinbath.errors import CapacityError, ParameterError
 from spinbath.model import (BathParams, Boundary, SystemParams, Thermal, bloch_components,
@@ -234,9 +234,8 @@ class TestRodrigues:
     @pytest.mark.parametrize("backend", list(Backend))
     def test_zero_rabi_leaves_p0_in_place(self, backend):
         # epsilon = delta = g = 0: every field has rabi == 0, so every phase
-        # is 1, the constant part cancels the oscillating one exactly, and
-        # the prepared vector comes back at every time (a -0.0 entry as +0.0
-        # where t != 0, since p0 + d adds d's +0)
+        # factor 1 - exp(-2i rabi t) is exactly 0, the displacement is a
+        # signed zero, and the prepared vector comes back at every time
         sys1 = SystemParams(epsilon=0.0, delta=0.0)
         bath = BathParams.uniform(5, 0.4, 0.0, -0.2)
         times = np.array([0.0, 0.5, 7.0, 1e6])
@@ -325,27 +324,6 @@ class TestEnumerateSetup:
         with pytest.raises(CapacityError):
             density_trajectory(TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0),
                                bath, th, Backend.ENUMERATE, bell_state(), times, (False,))
-
-    @pytest.mark.parametrize("pair", [False, True], ids=["one_qubit", "pair"])
-    def test_half_chain_tables_built_once_per_bath(self, monkeypatch, pair):
-        # the bath keeps its tables: a second trajectory on it builds none
-        calls = []
-        build = model._half_chain_tables
-        monkeypatch.setattr(model, "_half_chain_tables",
-                            lambda bath: calls.append(bath) or build(bath))
-        n = 12
-        bath = BathParams(n, (1.0,) * n, tuple(np.random.default_rng(8).normal(1.0, 0.2, n)),
-                          (0.1,) * n, Boundary.PERIODIC)
-        times, th = np.linspace(0.0, 1.0, 3), Thermal(1.0)
-        for _ in range(2):
-            if pair:
-                density_trajectory(TwoQubitParams(eps1=1.0, eps2=2.0, delta1=4.0, delta2=1.0),
-                                   bath, th, Backend.ENUMERATE, bell_state(), times,
-                                   (False, True))
-            else:
-                bloch_trajectory(SystemParams(epsilon=2.0, delta=1.0), bath, th,
-                                 Backend.ENUMERATE, PLUS_X, times, (False, True))
-        assert calls == [bath]
 
 
 class TestCollapseFold:

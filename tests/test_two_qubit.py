@@ -85,12 +85,19 @@ class TestConditionalHamiltonian:
 
 
 class TestInteractingRoute:
-    def test_time_zero_projector(self):
-        for lam, psi in ((3.0, bell_state()), (0.0, random_pair_state(5))):
-            sys2 = TwoQubitParams(lam=lam, **BASE)
-            for rho, in density_trajectory(sys2, random_bath(3), Thermal(1.0),
-                                           Backend.ENUMERATE, psi, [0.0], (False, True)):
-                assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-13
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_time_zero_projector(self, backend):
+        # every displacement is exactly zero at t == 0, so each series' first
+        # rows are H + H^dagger for H = psi psi^dagger / 2, byte for byte
+        bath = (BathParams.uniform(6, 0.4, 0.3, -0.2) if backend is Backend.COLLAPSE
+                else random_bath(3, 6))
+        for lam, psi in ((3.0, bell_state()), (3.0, product_state()),
+                         (0.0, random_pair_state(5))):
+            states = density_trajectory(TwoQubitParams(lam=lam, **BASE), bath, Thermal(1.0),
+                                        backend, psi, [0.0, 0.0, 1.0], (False, True))
+            half = 0.5 * np.outer(psi, psi.conj())
+            want = np.tile(half + half.conj().T, (2, 2, 1, 1))
+            assert states[:, :2].tobytes() == want.tobytes()
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.sampled_from([0.0, 1.0, 10.0]),
