@@ -120,30 +120,6 @@ class BathParams:
         return cls(n_spins, (eps,) * n_spins, (g,) * n_spins, (chi,) * bonds, boundary)
 
 
-def _half_chain_tables(bath: BathParams) -> tuple[np.ndarray, np.ndarray]:
-    """The signed sums of g, eps and the in-half bonds over every pattern of
-    the low ceil(N/2) sites and of the high floor(N/2) sites: two (3, 2^h)
-    tables, whose column r is the pattern whose bit j holds the half's
-    site j. Each is built one site at a time, so an entry is the sum of the
-    half's terms from its first site on."""
-    cut = (bath.n_spins + 1) // 2
-    tables = []
-    for sites in (range(cut), range(cut, bath.n_spins)):
-        table = np.zeros((3, 1))
-        for j in sites:
-            step = np.zeros(table.shape)
-            step[0], step[1] = bath.g_i[j], bath.eps_i[j]
-            if j != sites.start:
-                # bond j-1 joins site j to site j-1, which is up in the first
-                # half of the columns so far and down in the second
-                half = table.shape[1] // 2
-                step[2, :half], step[2, half:] = bath.chi_i[j - 1], -bath.chi_i[j - 1]
-            # site j up adds the step, site j down subtracts it
-            table = np.concatenate((table + step, table - step), axis=1)
-        tables.append(table)
-    return tables[0], tables[1]
-
-
 def require_uniform(bath: BathParams) -> tuple[float, float, float]:
     """Return the (eps, g, chi) shared by every site, or raise naming the
     first list that varies. Bit-exact equality; an empty bond list reads as
@@ -206,30 +182,45 @@ def bath_sums(bath: BathParams) -> np.ndarray:
     its two spins are aligned and - when not. g_sum is the net coupling
     field the qubits see, and eps_sum/2 + chi_sum the pattern's bath energy.
 
-    Each sum is a low-half term plus a high-half term (the meet-in-the-middle
-    split of Horowitz and Sahni, J. ACM 21, 1974): the bath's half-chain
-    tables are added in one broadcast, and only the bond across the cut and,
-    on a ring, the bond from site N back to site 1 are added after it, in
-    place on strided views: O(2^N) adds, not O(2^N N) multiplies, and
-    nothing 2^N-sized beside the table. N is at most ENUMERATION_CAP, as the
-    trajectories check before calling."""
+    The table is filled in place one bit at a time: once bit j is done, its
+    first 2^(j+1) columns hold the sums over the sites of bits 0..j, so an
+    entry is its terms added in site order. Bit j is 0 (up) in columns
+    [0, h) and 1 (down) in [h, 2h), h = 2^j, so each row's [h, 2h) is its
+    [0, h) minus the site's term, written before [0, h) gains the term. The
+    ring's closing bond, from site N back to site 1, is added last. Every
+    step writes 1-d row slices that do not overlap, so numpy buffers
+    nothing: O(2^N) adds, and nothing 2^N-sized beside the table. N is at
+    most ENUMERATION_CAP, as the trajectories check before calling."""
     n = bath.n_spins
-    low, high = _half_chain_tables(bath)
-    cut = (n + 1) // 2
-    # column lo | hi << cut holds low's column lo plus high's column hi
-    sums = (low[:, None, :] + high[:, :, None]).reshape(3, -1)
-    # bond i couples sites i and i+1, the last one wrapping on a ring (to
-    # itself for one spin). The halves hold the bonds inside them; left are
-    # the bond across the cut, i = cut - 1, and the ring's last, i = n - 1
-    for bond, chi in sorted((i, bath.chi_i[i]) for i in {cut - 1, n - 1} if i < bath.bond_count):
-        low_site, high_site = sorted((bond, (bond + 1) % n))
-        if low_site == high_site:
-            sums[2] += chi
-            continue
-        # axes 1 and 3 hold the two sites' bits: +chi where they agree
-        view = sums[2].reshape(1 << (n - 1 - high_site), 2, 1 << (high_site - low_site - 1),
-                               2, 1 << low_site)
-        view += np.array(((chi, -chi), (-chi, chi)))[:, None, :, None]
+    sums = np.empty((3, 1 << n))
+    sums[:, 0] = 0.0
+    g_row, eps_row, chi_row = sums
+    for j in range(n):
+        h = 1 << j
+        for row, value in ((g_row, bath.g_i[j]), (eps_row, bath.eps_i[j])):
+            np.subtract(row[:h], value, out=row[h:2 * h])
+            row[:h] += value
+        # bond j-1 joins the sites of bits j and j-1, and bit j-1 is up in
+        # the first half of [0, h) and of [h, 2h) and down in the second:
+        # +chi where they agree. Bit 0's site has no bond before it
+        q, chi = h // 2, bath.chi_i[j - 1] if j else 0.0
+        np.subtract(chi_row[:q], chi, out=chi_row[h:h + q])
+        np.add(chi_row[q:h], chi, out=chi_row[h + q:2 * h])
+        chi_row[:q] += chi
+        chi_row[q:h] -= chi
+    if bath.boundary is Boundary.PERIODIC:
+        chi = bath.chi_i[n - 1]
+        if n == 1:
+            # a ring of one spin bonds it to itself, always aligned
+            chi_row += chi
+        else:
+            # axes 0 and 2 hold the bits of sites N and 1: +chi where they
+            # agree. A scalar per strided view, as a broadcast operand would
+            # be buffered
+            ring = chi_row.reshape(2, -1, 2)
+            for bit in (0, 1):
+                ring[bit, :, bit] += chi
+                ring[bit, :, 1 - bit] -= chi
     return sums
 
 

@@ -47,7 +47,7 @@ def _qubit_fields(sys: SystemParams, bath: BathParams, th: Thermal,
         g_sum, eps_sum, chi_sum = class_sums(bath, classes.k, classes.w)
         log_multiplicity = classes.log_multiplicity
     else:
-        # the cap is checked before the half-chain tables exist
+        # the cap is checked before the bath table exists
         _require_capacity(bath.n_spins, Backend.ENUMERATE)
         g_sum, eps_sum, chi_sum = bath_sums(bath)
         log_multiplicity = 0.0

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinbath
-from spinbath import experiments, model, single_qubit, two_qubit
+from spinbath import experiments, single_qubit, two_qubit
 from spinbath.configspace import Backend, _require_capacity, collapse_classes
 from spinbath.errors import CapacityError, ParameterError, UsageError
 from spinbath.experiments import (BathSpec, ExperimentConfig, GaussianStats,
@@ -404,11 +404,12 @@ def test_time_grid_may_repeat_a_point():
         assert np.array_equal(out[:, 1], out[:, 2])
 
 
-# bath_sums trusts the cap: each trajectory refuses the bath before its tables exist
+# bath_sums trusts the cap: each trajectory refuses the bath before its table exists
 @pytest.mark.parametrize("run", [_single_run, _pair_run])
 def test_beyond_enumeration_cap_is_refused_before_bath_tables(monkeypatch, run):
     calls = []
-    monkeypatch.setattr(model, "_half_chain_tables", calls.append)
+    for module in (single_qubit, two_qubit):
+        monkeypatch.setattr(module, "bath_sums", calls.append)
     bath = BathParams.uniform(ENUMERATION_CAP + 1, 0.5, 1.5, 0.1)
     with pytest.raises(CapacityError, match="only a uniform bath runs beyond"):
         run(bath=bath)

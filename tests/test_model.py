@@ -1,6 +1,7 @@
 """Per-configuration scalars, thermal weights, and the correlation factor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,12 +110,13 @@ class TestBathSums:
         assert c2 == pytest.approx(c1, abs=1e-12)
 
     @pytest.mark.parametrize("boundary", list(Boundary))
-    @pytest.mark.parametrize("n", range(1, 14))
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_matches_sign_matrix(self, n, boundary):
-        # every pattern against one dense sign matrix; the half-chain sums
-        # add the same terms in another order, so they agree to rounding:
-        # at most 13 + 13 terms of size below 5, far under 1e-12. A ring of
-        # one spin bonds it to itself, a ring of two has two bonds on one pair
+        # every pattern, in mask order, against one dense sign matrix, whose
+        # products BLAS may add in another order than the fill's site order:
+        # they agree to rounding, at most 14 + 14 terms of size below 5, far
+        # under 1e-12. A ring of one spin bonds it to itself, a ring of two
+        # has two bonds on one pair
         rng = np.random.default_rng(n)
         bonds = n if boundary is Boundary.PERIODIC else n - 1
         bath = BathParams(n, tuple(rng.normal(0.5, 1.0, n)), tuple(rng.normal(1.0, 0.5, n)),
@@ -124,15 +126,20 @@ class TestBathSums:
         for expected, sums in zip(sign_matrix_sums(bath, np.arange(1 << n)), got):
             np.testing.assert_allclose(sums, expected, rtol=0.0, atol=1e-12)
 
-    def test_columns_run_in_mask_order(self):
-        # 2^14 columns, mask = low half | high half << cut, each against the
-        # sign matrix row of its mask
-        n = 14
-        rng = np.random.default_rng(n)
-        bath = BathParams(n, tuple(rng.normal(0.5, 1.0, n)), tuple(rng.normal(1.0, 0.5, n)),
-                          tuple(rng.normal(0.1, 0.3, n - 1)))
-        for expected, sums in zip(sign_matrix_sums(bath, np.arange(1 << n)), bath_sums(bath)):
-            np.testing.assert_allclose(sums, expected, rtol=0.0, atol=1e-12)
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_nothing_table_sized_beside_the_table(self, boundary):
+        # the fill writes 1-d row slices that do not overlap, so numpy buffers
+        # no temporary: a 2-D slice copy or a broadcast operand would add a
+        # temporary of the table's size or numpy's 64 KiB buffer to the peak
+        n = 18
+        bath = BathParams.uniform(n, 0.3, 0.7, 0.2, boundary)
+        tracemalloc.start()
+        try:
+            bath_sums(bath)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * (1 << n) + 64 * 1024
 
 
 class TestClassSums:

@@ -19,6 +19,10 @@ They hold at every N and in both backends (relabelling in enumerate alone:
 a collapsed bath is uniform, so relabelling leaves it as it is), so they check the bath stage and
 the sweep where the oracle cannot go. The equal-series limits at beta = 0 and
 g = 0 are acceptance criterion 3 and are not repeated here.
+
+One relation is not a map: on a uniform bath that both backends sum, the
+enumerated 2^N patterns and the collapsed (k, w) classes give the same
+trajectory.
 """
 
 import numpy as np
@@ -64,8 +68,21 @@ def random_case(seed, backend, boundary):
         bonds = n if boundary is Boundary.PERIODIC else n - 1
         bath = BathParams(n, tuple(rng.uniform(-2.0, 2.0, n)), tuple(rng.uniform(-2.0, 2.0, n)),
                           tuple(rng.uniform(-1.0, 1.0, bonds)), boundary)
+    return (rng, bath, *thermal_and_times(rng))
+
+
+def thermal_and_times(rng):
+    """A thermal record and an ascending time grid of up to 12 points."""
     times = np.sort(rng.uniform(0.0, 10.0, int(rng.integers(1, 13))))
-    return rng, bath, Thermal(float(rng.uniform(0.0, 3.0))), times
+    return Thermal(float(rng.uniform(0.0, 3.0))), times
+
+
+def uniform_case(seed, boundary):
+    """A uniform bath of N <= 14, with eps, g and chi drawn in [-2, 2], that
+    both backends sum, a thermal record and an ascending time grid."""
+    rng = np.random.default_rng(seed)
+    bath = BathParams.uniform(int(rng.integers(1, 15)), *rng.uniform(-2.0, 2.0, 3), boundary)
+    return (rng, bath, *thermal_and_times(rng))
 
 
 def random_state(rng, size):
@@ -207,4 +224,29 @@ class TestSiteRelabelling:
         rho = density_trajectory(sys2, bath, th, Backend.ENUMERATE, psi, times, SERIES)
         q = density_trajectory(sys2, relabelled_bath(bath, rng), th, Backend.ENUMERATE, psi,
                                times, SERIES)
+        assert np.abs(q - rho).max() <= rerounded_tol(times, bath, *vars(sys2).values())
+
+
+# enumerate sums bath_sums' 2^N patterns, collapse the closed-form (k, w)
+# classes with their multiplicities, so a defect in either table or in a
+# weight alone (a dropped multiplicity) shows here, at g != 1 where the
+# partial sums round. Over 300 cases they moved at most 0.12 of the bound
+@pytest.mark.parametrize("boundary", list(Boundary), ids=[b.value for b in Boundary])
+class TestBackendsAgree:
+    @seeds
+    @examples
+    def test_one_qubit(self, boundary, seed):
+        rng, bath, th, times = uniform_case(seed, boundary)
+        sys1, psi = SystemParams(*rng.uniform(-3.0, 3.0, 2)), random_state(rng, 2)
+        p, q = (bloch_trajectory(sys1, bath, th, backend, psi, times, SERIES)
+                for backend in Backend)
+        assert np.abs(q - p).max() <= rerounded_tol(times, bath, *vars(sys1).values())
+
+    @seeds
+    @examples
+    def test_pair(self, boundary, seed):
+        rng, bath, th, times = uniform_case(seed, boundary)
+        sys2, psi = TestPair.system(rng), random_state(rng, 4)
+        rho, q = (density_trajectory(sys2, bath, th, backend, psi, times, SERIES)
+                  for backend in Backend)
         assert np.abs(q - rho).max() <= rerounded_tol(times, bath, *vars(sys2).values())
