@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .model import ENUMERATION_CAP, Boundary, _finite
-from .numerics import _converted, _finite_array, _pairwise_sum, _pairwise_total
+from .numerics import _converted, _finite_array, _pairwise_total
 
 # a two-series, 40-point run at the cap peaks below 1 GB (measured in README)
 COLLAPSE_CAP = 3_500
@@ -201,12 +201,12 @@ def reduce_weighted(spectra, log_weight, times) -> tuple[np.ndarray, np.ndarray]
     Z_s >= 1.
     """
     t = np.asarray(times, dtype=float)
-    # (S, fields), so the normalizer's tree runs over the last axis; a copy
+    # (S, fields), a copy: numpy's sum adds each contiguous row pairwise
     weight = np.array(_finite("log weight", log_weight).T, order="C")
     shift = weight.max(axis=1)
     weight -= shift[:, None]
     np.exp(weight, out=weight)
-    normalizer = _pairwise_sum(weight)
+    normalizer = weight.sum(axis=1)
 
     def block_sums():
         start = 0

@@ -301,11 +301,11 @@ def log_correlation_factor(sys: SystemParams, th: Thermal, splitting, rabi,
     which psi has populations q_± = (1 ± <h>/rabi)/2 (both 1/2 where rabi = 0
     and h vanishes), so the factor is exp(-beta*rabi) q_+ + exp(beta*rabi) q_-,
     with no singularity at rabi -> 0: log_thermal_overlap over those two levels.
-    splitting and rabi are float arrays, as config_quantities returns them.
+    splitting and rabi are floats or float arrays, as config_quantities returns them.
     """
     px, _, pz = bloch_components(psi)
     mean_h = 0.5 * (splitting * pz + sys.delta * px)
-    ratio = np.divide(mean_h, rabi, out=np.zeros(rabi.shape), where=rabi != 0.0)
+    ratio = np.divide(mean_h, rabi, out=np.zeros(np.shape(rabi)), where=rabi != 0.0)
     # rounding can push |ratio| past 1, and a population is never negative
     populations = (np.maximum(0.0, 0.5 * (1.0 + ratio)), np.maximum(0.0, 0.5 * (1.0 - ratio)))
     return log_thermal_overlap(th.beta, (rabi, -rabi), populations)

@@ -1,10 +1,10 @@
 """Dense Hermitian linear algebra, deterministic summation, and a seeded RNG.
 
 Everything downstream funnels its numerics through this module so the
-determinism contract lives in one place: reductions use a fixed-shape
-pairwise tree (bit-identical from run to run) and random parameter draws
-come from a self-contained xorshift64* stream so results never depend on
-the numpy version.
+determinism contract lives in one place: streamed block sums join by a
+fixed-shape pairwise tree (bit-identical from run to run) and random
+parameter draws come from a self-contained xorshift64* stream so results
+never depend on the numpy version.
 """
 
 from __future__ import annotations
@@ -66,31 +66,10 @@ def _finite_array(name: str, value, dtype) -> np.ndarray:
     return array
 
 
-def _pairwise_sum(arr: np.ndarray):
-    """Pairwise reduction over the last axis, for 1-d (scalars) or n-d arrays.
-
-    Each level adds neighbouring pairs and carries an odd last entry to the
-    end, so the tree shape depends only on arr.shape[-1] and the result is
-    bit-identical across runs. Error grows like log2(n) * eps instead of the
-    n * eps of naive left-to-right addition. Each level keeps arr's memory
-    layout, so the adds run along whichever axis is innermost in memory.
-    """
-    n = arr.shape[-1]
-    if n == 0:
-        return np.zeros(arr.shape[:-1], dtype=arr.dtype)
-    while n > 1:
-        half, odd = divmod(n, 2)
-        paired = np.empty_like(arr[..., :half + odd])
-        np.add(arr[..., 0:2 * half:2], arr[..., 1:2 * half:2], out=paired[..., :half])
-        if odd:
-            paired[..., half] = arr[..., n - 1]
-        arr, n = paired, half + odd
-    return arr[..., 0]
-
-
 def _pairwise_total(items):
-    """The sum of an iterable of equal-shape arrays by the tree that
-    _pairwise_sum builds over them stacked, from a stack of log2(n) + 1 sums:
+    """The sum of an iterable of equal-shape arrays by a pairwise tree whose
+    shape depends only on their count: the left part of n items is the
+    largest power of two below n. It is kept as a stack of log2(n) + 1 sums:
     item n merges with one stacked sum per trailing zero bit of n."""
     stack = []
     for n, item in enumerate(items, 1):

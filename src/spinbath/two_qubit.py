@@ -104,6 +104,8 @@ def _pair_fields(sys2: TwoQubitParams, bath: BathParams, th: Thermal,
     for start in range(0, len(first), ITEM_BLOCK):
         rows = slice(start, start + ITEM_BLOCK)
         energies[rows], vectors = hermitian_eig(_pair_hamiltonian(sys2, g_sum[rows, None, None]))
+        # ascending energies, so the widest gap bounds the sweep's six frequencies
+        _finite("pair energy gap", energies[rows, 3] - energies[rows, 0])
         overlaps = vectors.swapaxes(-2, -1) @ psi
         amplitudes[rows] = vectors * overlaps[:, None, :]
         log_factor[rows] = log_thermal_overlap(th.beta, energies[rows].T,

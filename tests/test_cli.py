@@ -116,6 +116,7 @@ class TestRun:
         (TINY_PAIR.replace("system.eps1 = 1", "system.eps1 = 1e308")
          .replace("bath.g = 0.5", "bath.g = 1e308"),
          "error: pair Hamiltonian"),
+        (TINY_PAIR + "system.lambda = 1e308\n", "error: pair energy gap"),
         (TINY_SINGLE.replace("grid.t_end = 4", "grid.t_start = -1e308\ngrid.t_end = 1e308"),
          "error: grid.t_start, grid.t_end and their span must be finite"),
         (TINY_SINGLE.replace("bath.eps = 1\nbath.g = 0.5\nbath.chi = 0.1\n",
@@ -134,8 +135,8 @@ class TestRun:
                              "bath.chi_list = 0,0,0\n"),
          "error: bath.chi_list must be a list of 4 numbers for 4 spins, periodic boundary, "
          "got 3"),
-    ], ids=["n_points_cap", "single_overflow", "pair_overflow", "grid_overflow",
-            "negative_std", "short_eps_list", "short_periodic_chi_list"])
+    ], ids=["n_points_cap", "single_overflow", "pair_overflow", "pair_gap_overflow",
+            "grid_overflow", "negative_std", "short_eps_list", "short_periodic_chi_list"])
     def test_out_of_range_exits_2_with_one_line(self, tmp_path, text, message):
         config = tmp_path / "bad.ini"
         config.write_text(text)

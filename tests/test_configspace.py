@@ -326,6 +326,16 @@ class TestReduceWeighted:
         # the phase's imaginary part is sin(pi) in floats, 1.2e-16
         assert abs(got.imag) < 1e-16
 
+    def test_normalizer_near_fsum(self):
+        # unequal weights, so Z is no exact integer: log Z against
+        # max + log(fsum(exp(lw - max))) for each of two series
+        rng = np.random.default_rng(12)
+        log_weight = rng.uniform(-30.0, 0.0, (1 << 17, 2))
+        _, log_z = reduce_weighted(doubled_spectra(np.ones((1 << 17, 1))), log_weight, [1.0])
+        for column, got in zip(log_weight.T, log_z):
+            top = column.max()
+            assert abs(got - (top + math.log(math.fsum(np.exp(column - top))))) < 1e-14
+
 
 class TestUnitPhases:
     def test_half_angle_phases_match_exp(self):

@@ -231,6 +231,14 @@ class TestCorrelationFactor:
         assert correlation_factor(sys1, Thermal(0.0), q, psi) == 1.0
         assert log_correlation_factor(sys1, Thermal(0.0), *q, psi) == 0.0
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_python_floats_match_one_element_arrays(self, beta):
+        sys1, th, psi = SystemParams(1.0, 0.5), Thermal(beta), pure_state([0.6, 0.8])
+        for splitting, rabi in ((3.0, 0.5 * math.hypot(3.0, 0.5)), (0.0, 0.0)):
+            one = log_correlation_factor(sys1, th, splitting, rabi, psi)
+            arrays = log_correlation_factor(sys1, th, np.array([splitting]), np.array([rabi]), psi)
+            assert np.shape(one) == () and one.tobytes() == arrays[0].tobytes()
+
     def test_zero_tunneling_eigenstate(self):
         # psi = |0> and delta = 0: factor is exactly exp(-beta*splitting/2)
         sys1 = SystemParams(epsilon=1.5, delta=0.0)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from spinbath.errors import ParameterError
 from spinbath.model import BathParams, Boundary, SystemParams
-from spinbath.numerics import (RandomSpec, _pairwise_sum, _pairwise_total, gaussian_draw,
-                               hermitian_eig)
+from spinbath.numerics import RandomSpec, _pairwise_total, gaussian_draw, hermitian_eig
 from spinbath.oracle import _joint_matrix
 from spinbath.two_qubit import TwoQubitParams, _pair_hamiltonian
 
@@ -88,40 +87,23 @@ class TestHermitianEig:
             assert np.abs(recon - m).max() < 1e-12 * max(1.0, np.abs(m).max())
 
 
-def pairwise_sum(values):
-    return float(_pairwise_sum(np.asarray(values, dtype=float)))
-
-
-class TestPairwiseSum:
-    def test_many_tenths(self):
-        total = pairwise_sum(np.full(1_000_000, 0.1))
-        assert abs(total - 100_000.0) < 1e-7
-
-    def test_empty(self):
-        assert pairwise_sum(np.array([])) == 0.0
-
-    def test_single(self):
-        assert pairwise_sum(np.array([3.5])) == 3.5
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                              allow_nan=False, allow_infinity=False),
-                    min_size=0, max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_fsum(self, values):
-        total = pairwise_sum(np.asarray(values, dtype=float))
-        expected = math.fsum(values)
-        assert abs(total - expected) <= 1e-9 * max(1.0, sum(abs(v) for v in values))
+def stacked_tree(items):
+    """The pairwise tree over items by recursion: the left part is the
+    largest power of two below their count."""
+    if len(items) == 1:
+        return items[0]
+    left = 1 << ((len(items) - 1).bit_length() - 1)
+    return stacked_tree(items[:left]) + stacked_tree(items[left:])
 
 
 class TestPairwiseTotal:
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 6, 7, 11, 13, 14, 64, 65, 97, 300])
     def test_rebuilds_the_stacked_tree(self, count):
-        # the carry stack adds the items of a stream in the tree that
-        # _pairwise_sum builds over them stacked, bit for bit
+        # the carry stack adds the items of a stream in the recursive tree,
+        # bit for bit
         rng = np.random.default_rng(count)
         items = rng.uniform(-1.0, 1.0, (count, 2, 3)) * 10.0 ** rng.integers(-8, 8, (count, 2, 3))
-        stacked = _pairwise_sum(np.moveaxis(items, 0, -1))
-        assert _pairwise_total(iter(items)).tobytes() == stacked.tobytes()
+        assert _pairwise_total(iter(items)).tobytes() == stacked_tree(items).tobytes()
 
 
 class TestGaussianDraws:
